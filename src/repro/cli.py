@@ -212,15 +212,11 @@ def cmd_perf(args) -> int:
     results = harness.run_perf(quick=args.quick,
                                macro_repeats=args.repeats,
                                engine=args.engine)
-    engine, pricing, macro = (results["engine"], results["pricing"],
-                              results["macro"])
+    engine, macro = results["engine"], results["macro"]
     macros, parity = results["macros"], results["parity"]
     print(f"engine micro   {engine['events']:8d} events in "
           f"{engine['cpu_s']:.3f}s cpu -> "
           f"{engine['events_per_sec']:,.0f} events/s")
-    print(f"pricing micro  memo {pricing['memo_calls_per_sec']:,.0f}/s, "
-          f"cold {pricing['cold_calls_per_sec']:,.0f}/s "
-          f"(memo speedup {pricing['memo_speedup']:.1f}x)")
     label = "quick" if macro["quick"] else "full"
     for name, m in macros.items():
         print(f"macro ({label}, {name})  wall {m['wall_s']:.3f}s  "
@@ -272,7 +268,7 @@ def cmd_perf(args) -> int:
                   f"{len(parity)} macro points")
 
     payload = harness.emit_record(
-        engine, pricing, macro,
+        engine, macro,
         baseline_wall_s=args.baseline,
         baseline_cpu_s=args.baseline_cpu,
         note=args.note or "",

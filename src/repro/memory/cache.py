@@ -44,7 +44,8 @@ class CacheKind(enum.Enum):
 class CacheLevel:
     """One cache: an LRU map of buffer-id -> high-water prefix offset."""
 
-    __slots__ = ("id", "kind", "capacity", "home_cores", "_hw", "_total")
+    __slots__ = ("id", "kind", "capacity", "home_cores", "home_set", "_hw",
+                 "_total")
 
     _ids = itertools.count()
 
@@ -55,8 +56,10 @@ class CacheLevel:
         self.kind = kind
         self.capacity = capacity
         # Cores this cache is "at": its owner for PRIVATE, the LLC group's
-        # members for GROUP, the socket's cores for SLC. Used for distance.
+        # members for GROUP, the socket's cores for SLC. Used for distance;
+        # home_set holds the same cores for membership tests.
         self.home_cores = home_cores
+        self.home_set = frozenset(home_cores)
         # buf_id -> high water, in LRU order (oldest first). A plain dict:
         # insertion order is the LRU order, and a pop+reinsert is the
         # "touch" that OrderedDict.move_to_end would perform — identical
@@ -72,7 +75,7 @@ class CacheLevel:
     def footprint(self, buf: "Buffer") -> int:
         return min(self._hw.get(buf.id, 0), self.capacity)
 
-    def hit_bytes(self, buf: "Buffer", offset: int, length: int) -> int:  # hot-path
+    def hit_bytes(self, buf: "Buffer", offset: int, length: int) -> int:
         """Bytes of ``[offset, offset+length)`` resident here (the trailing
         window of the buffer's prefix)."""
         hw = self._hw.get(buf.id)
@@ -199,47 +202,6 @@ class CacheSystem:
 
     def holders_of(self, buf: "Buffer"):
         return self._holders.get(buf.id, {}).values()
-
-    def span_signature(self, buf: "Buffer", off: int, length: int) -> tuple:  # hot-path
-        """Cache-state signature of reading ``buf[off:off+length)``.
-
-        A flat tuple alternating ``(cache_level_id, hit_bytes)`` over the
-        holders that cover any of the span, *in directory insertion
-        order* — exactly what source selection
-        (:meth:`~repro.node.Node._cache_source_span`) consumes: which
-        caches can serve the span, how much of it each covers, and the
-        deterministic tie-break order. Distances, routes and capacities
-        are static per cache level, so two calls with equal keys and
-        equal span signatures price identically.
-
-        Deliberately span-relative rather than a hash of raw high-water
-        marks: benchmark iterations leave trails of slightly different
-        high waters that all cover a chunk identically, and those should
-        compare equal. (:class:`~repro.node.Node` memoizes pricing by the
-        even-coarser *selected source* — see
-        :meth:`~repro.node.Node.copy_terms_span` — because directory
-        insertion order still churns this signature across iterations;
-        the signature remains the full pricing-relevant state and is the
-        reference for what the winner key must pin.)
-        """
-        holders = self._holders.get(buf.id)
-        if not holders:
-            return ()
-        buf_id = buf.id
-        end = off + length
-        parts = []  # lint: disable=RC106 - the signature being built
-        for level in holders.values():
-            # Inlined CacheLevel.hit_bytes (the directory guarantees
-            # presence, so no .get, and the span is known positive).
-            hw = level._hw[buf_id]
-            lo = hw - level.capacity
-            if lo < off:
-                lo = off
-            hi = hw if hw < end else end
-            if hi > lo:
-                parts.append(level.id)
-                parts.append(hi - lo)
-        return tuple(parts)
 
     # -- read/write accounting ---------------------------------------------
 

@@ -11,14 +11,11 @@ starts from::
     node.engine.spawn(rank_program, core=0)
     node.engine.run()
 
-Pricing hot paths are memoized (see docs/performance.md): the static part
-of a copy/reduce price — source classification, route, latency terms —
-is cached keyed by the operand spans plus a *cache-state signature* of the
-source buffer, while the dynamic part (bandwidth shares, which depend on
-``Resource.active`` at call time) is recomputed on every call. A memo hit
-therefore re-evaluates exactly the same floating-point expression the cold
-path would, which is what keeps simulated latencies bit-identical (pinned
-by tests/test_golden_latency.py).
+A copy/reduce price has a static part — each read operand's selected cache
+source, its route and latency terms — and a dynamic part, the bandwidth
+shares, which depend on ``Resource.active`` at call time (see
+docs/performance.md). Simulated latencies are pinned bit for bit by
+tests/test_golden_latency.py.
 """
 
 from __future__ import annotations
@@ -28,14 +25,14 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, SimulationError
 from .memory.address_space import AddressSpace, Buffer, BufView
-from .memory.cache import CacheKind, CacheLevel, CacheSystem
+from .memory.cache import CacheLevel, CacheSystem
 from .memory.model import MachineModel, PAGE_SIZE, model_for
 from .options import UNSET, RunOptions, resolve_options
 from .sim import primitives as P
 from .sim.engine import Engine
 from .sim.resources import Resource, ResourcePool
 from .sim.syncobj import Line
-from .topology.distance import Distance, classify_distance
+from .topology.distance import Distance, distance_row
 from .topology.objects import ObjKind, Topology
 
 _NO_RESOURCES: list = []
@@ -50,15 +47,9 @@ class Node:
     single ``DeprecationWarning`` per call (docs/api.md).
     """
 
-    # Test hook: class-level switch that disables the pricing memo (every
-    # plan_* call recomputes from scratch). The equivalence tests flip it
-    # to prove memoized and cold prices are bit-identical.
-    _pricing_memo_enabled = True
-    # Deterministic overflow policy: a full memo evicts its oldest entry
-    # (insertion-order LRU via dict ordering). Eviction only costs
-    # recomputation — prices never depend on the memo — but popping one
-    # entry instead of clearing keeps long sweeps from periodically
-    # cold-restarting the whole memo.
+    # Bound on the write-resource memo: a full memo evicts its oldest
+    # entry (insertion-order LRU via dict ordering). Eviction only costs
+    # recomputation — prices never depend on the memo.
     _MEMO_CAP = 32768
 
     def __init__(
@@ -96,15 +87,15 @@ class Node:
         else:
             self.engine = Engine(self, record_copies=options.record_copies,
                                  observe=options.observe, check=options.check)
-        # Core-pair distance cache. Distance is a pure function of the
-        # topology, so the cache lives *on the topology object* and is
+        # Per-core distance rows (``row[b]`` is the Distance to core b),
+        # each built on first use. Distance is a pure function of the
+        # topology, so the rows live *on the topology object* and are
         # shared by every Node built over it (the exec worker pool keeps
         # one Topology per system alive across requests).
-        pair_cache = getattr(topo, "_pair_dist_cache", None)
-        if pair_cache is None:
-            pair_cache = {}
-            topo._pair_dist_cache = pair_cache
-        self._dist_cache: dict[tuple[int, int], Distance] = pair_cache
+        rows = getattr(topo, "_dist_rows", None)
+        if rows is None:
+            rows = topo._dist_rows = [None] * topo.n_cores
+        self._dist_rows: list[Optional[list[Distance]]] = rows
         # Core index -> NUMA/socket indices, precomputed for pricing.
         self._numa_of = [
             t.index if t is not None else 0
@@ -119,19 +110,12 @@ class Node:
                          if numa.ancestor(ObjKind.SOCKET) else 0)
             for numa in topo.objects(ObjKind.NUMA)
         }
-        self._numa_first_core = {
-            numa.index: numa.cores()[0].index
-            for numa in topo.objects(ObjKind.NUMA)
-        }
         # Core -> LLC index (None without an LLC level), precomputed so the
         # line-fetch path never walks the topology tree.
         self._llc_index: list[Optional[int]] = [
             (llc.index if llc is not None else None)
             for llc in (topo.llc_of_core(c.index) for c in topo.cores)
         ]
-        # Pricing memos; see plan_copy_span for the key/validity contract.
-        self._copy_memo: dict[tuple, tuple] = {}
-        self._reduce_memo: dict[tuple, tuple] = {}
         self._write_res_memo: dict[tuple[int, int], list[Resource]] = {}
         # Node-global XPMEM exposure registry (created lazily to keep the
         # import graph acyclic).
@@ -176,13 +160,14 @@ class Node:
         )
 
     def distance(self, core_a: int, core_b: int) -> Distance:  # hot-path
-        key = (core_a, core_b)
-        dist = self._dist_cache.get(key)
-        if dist is None:
-            dist = classify_distance(self.topo, core_a, core_b)
-            self._dist_cache[key] = dist
-            self._dist_cache[(core_b, core_a)] = dist
-        return dist
+        row = self._dist_rows[core_a]
+        if row is None:
+            row = self._distance_row(core_a)
+        return row[core_b]
+
+    def _distance_row(self, core: int) -> list[Distance]:
+        row = self._dist_rows[core] = distance_row(self.topo, core)
+        return row
 
     def numa_distance(self, core: int, numa_index: int) -> Distance:
         """Distance of a core to a NUMA node's memory."""
@@ -194,14 +179,7 @@ class Node:
 
     # -- source location ---------------------------------------------------
 
-    def _cache_source(
-        self, core: int, view: BufView
-    ) -> tuple[Optional[CacheLevel], int]:
-        """Best cache source for reading ``view`` by ``core``."""
-        return self._cache_source_span(core, view.buf, view.offset,
-                                       view.length)
-
-    def _cache_source_span(
+    def _cache_source_span(  # hot-path
         self, core: int, buf: Buffer, off: int, length: int
     ) -> tuple[Optional[CacheLevel], int]:
         """Best cache source for reading ``buf[off:off+length]`` by ``core``.
@@ -209,37 +187,54 @@ class Node:
         Returns (cache_level, hit_bytes); (None, 0) when no cache holds any
         of the range (DRAM at the buffer's home is then the source). The
         nearest cache wins; a farther one only wins by covering strictly
-        more of the range.
+        more of the range. One walk of the holders directory, with
+        :meth:`CacheLevel.hit_bytes` inlined (the directory guarantees
+        presence, so no ``.get``).
         """
+        buf_id = buf.id
+        holders = self.caches._holders.get(buf_id)
+        if not holders:
+            return None, 0
+        end = off + length
+        # The private level goes first: the full-coverage exit below must
+        # not let an equally complete shared level win ahead of it.
         private = self.caches.private[core]
         best: Optional[CacheLevel] = None
-        best_dist: Optional[Distance] = None
+        best_dist = Distance.SELF
         best_hit = 0
-        hit = private.hit_bytes(buf, off, length)
-        if hit > 0:
-            best, best_dist, best_hit = private, Distance.SELF, hit
-        for level in self.caches.holders_of(buf):
+        if private.id in holders:
+            hw = private._hw[buf_id]
+            lo = hw - private.capacity
+            if lo < off:
+                lo = off
+            hi = hw if hw < end else end
+            if hi > lo:
+                best, best_hit = private, hi - lo
+                if best_hit >= length:
+                    return best, best_hit
+        row = self._dist_rows[core]
+        if row is None:
+            row = self._distance_row(core)
+        for level in holders.values():
             if level is private:
                 continue
-            hit = level.hit_bytes(buf, off, length)
-            if hit <= 0:
+            hw = level._hw[buf_id]
+            lo = hw - level.capacity
+            if lo < off:
+                lo = off
+            hi = hw if hw < end else end
+            hit = hi - lo
+            if hit <= 0 or hit < best_hit:
                 continue
-            if core in level.home_cores:
-                dist = (Distance.SELF if level.kind is CacheKind.PRIVATE
-                        else Distance.CACHE_LOCAL)
+            # Another core's private level is never home to ``core``.
+            if core in level.home_set:
+                dist = Distance.CACHE_LOCAL
             else:
-                dist = self.distance(core, level.home_cores[0])
-            better = (
-                best is None
-                or hit > best_hit
-                or (hit == best_hit and dist < best_dist)
-            )
-            # Prefer the nearest source unless a farther one covers more.
-            if best is not None and dist > best_dist and hit <= best_hit:
-                better = False
-            if better:
+                dist = row[level.home_cores[0]]
+            # hit > best_hit also covers best is None (best_hit is 0).
+            if hit > best_hit or dist < best_dist:
                 best, best_dist, best_hit = level, dist, hit
-                if best_hit >= length and best_dist <= Distance.CACHE_LOCAL:
+                if best_hit >= length and dist <= Distance.CACHE_LOCAL:
                     # A full-coverage local source cannot be beaten.
                     break
         return best, best_hit
@@ -258,7 +253,7 @@ class Node:
             if level is self.caches.private[core]:
                 return Distance.SELF, []
             src_core = level.home_cores[0]
-            if core in level.home_cores:
+            if core in level.home_set:
                 dist = Distance.CACHE_LOCAL
             else:
                 dist = self.distance(core, src_core)
@@ -284,33 +279,20 @@ class Node:
             route.append(self.resources.xlink)
         return dist, route
 
-    def _read_price(
-        self, core: int, view: BufView, bw_factor: float = 1.0
-    ) -> tuple[float, list[Resource]]:
-        """Latency + transfer time to read ``view`` by ``core`` now.
-
-        Cold-path reference implementation; the memoized spans in
-        :meth:`plan_copy_span` / :meth:`plan_reduce` evaluate the identical
-        expression from cached static terms.
-        """
-        terms = self._read_terms(core, view.buf, view.offset, view.length,
-                                 bw_factor)
-        duration = self._eval_read(terms)
-        return duration, list(terms[8])
-
-    # A read price decomposes into static terms (valid while the source
-    # buffer's cache-state signature holds) and a dynamic bandwidth-share
-    # evaluation. Term tuple layout:
+    # A read price decomposes into static terms (fixed by the selected
+    # source) and a dynamic bandwidth-share evaluation. Term tuple layout:
     #   (lat_term, hit_bytes, bw_cap, route, miss_bytes,
     #    lat2_term, bw2_cap, route2, resources)
     # route/route2 are tuples of Resources; route2 is None when the miss
     # remainder (if any) is served by the primary route; resources is the
     # deduplicated union in the original append order.
 
-    def _read_terms(self, core: int, buf: Buffer, off: int, length: int,
+    def _read_terms(self, core: int, buf: Buffer, length: int,
+                    level: Optional[CacheLevel], hit_bytes: int,
                     bw_factor: float) -> tuple:
+        """Static terms of reading ``length`` bytes of ``buf`` by ``core``
+        from the source :meth:`_cache_source_span` selected."""
         model = self.model
-        level, hit_bytes = self._cache_source_span(core, buf, off, length)
         dist, route = self._source_route(core, level, buf)
         lat_term = model.lat[dist] + model.copy_issue_cost
         bw_cap = model.bw[dist] * bw_factor
@@ -335,8 +317,8 @@ class Node:
 
         Mirrors the historical expression exactly —
         ``(lat + issue) + hit/eff [+ (lat2*0.1 + miss/bw2) | + miss/eff]``
-        — including its grouping, so memo hits are bit-identical to cold
-        evaluations.
+        — including its grouping, which the goldens pin bit for bit (the
+        array engine's scalar replay copies it).
         """
         (lat_term, hit_bytes, bw_cap, route, miss_bytes,
          lat2_term, bw2_cap, route2, _) = terms
@@ -358,13 +340,10 @@ class Node:
                 duration = duration + miss_bytes / eff_bw
         return duration
 
-    def _write_resources(self, core: int, view: BufView) -> list[Resource]:
-        """Big destinations spill past the caches to their home DRAM."""
-        return self._write_resources_for(core, view.buf)
-
     def _write_resources_for(self, core: int, buf: Buffer) -> list[Resource]:
+        """Big destinations spill past the caches to their home DRAM."""
         # Depends only on static geometry (buffer size/home, cache
-        # capacities), so the memo needs no validity signature.
+        # capacities), so the memo never needs invalidating.
         key = (core, buf.id)
         cached = self._write_res_memo.get(key)
         if cached is not None:
@@ -407,9 +386,8 @@ class Node:
         primitives.Copy` has always priced the source view's full length
         while recording ``min(src, dst)``.
 
-        The static terms come from :meth:`copy_terms_span` (memoized);
-        only the bandwidth-share evaluation happens here. Returns the
-        cached resource list by reference — callers must not mutate it.
+        The static terms come from :meth:`copy_terms_span`; only the
+        bandwidth-share evaluation happens here.
         """
         entry = self.copy_terms_span(core, src_buf, src_off, src_len,
                                      dst_buf, dst_off, nbytes, bw_factor)
@@ -428,31 +406,12 @@ class Node:
         zero-byte copy. This is the array engine's accumulation hook —
         it collects term rows here and prices whole runs in one
         vectorized sweep (:mod:`repro.sim.array_engine`).
-
-        Memoized: the static terms are keyed by the span arguments *plus*
-        the span's selected source — the ``(level, hit_bytes)`` winner of
-        :meth:`_cache_source_span`. Every other input to the terms is
-        static geometry, so the winner pins the price exactly; and unlike
-        the full holder signature (which drags directory insertion order
-        and eviction trails into the key), the winner *recurs* across
-        benchmark iterations, which is what keeps steady-state runs
-        hitting. The winner is part of the key (not a guard on a single
-        entry) because one span is priced under a handful of recurring
-        states per iteration — keying by state keeps them all resident.
         """
         if nbytes <= 0:
             return None
-        if self._pricing_memo_enabled:
-            memo = self._copy_memo
-            level, hit = self._cache_source_span(core, src_buf, src_off,
-                                                 src_len)
-            key = (core, src_buf.id, src_off, src_len,
-                   dst_buf.id, dst_off, nbytes, bw_factor,
-                   level.id if level is not None else -1, hit)
-            entry = memo.get(key)
-            if entry is not None:
-                return entry
-        terms = self._read_terms(core, src_buf, src_off, src_len, bw_factor)
+        level, hit = self._cache_source_span(core, src_buf, src_off, src_len)
+        terms = self._read_terms(core, src_buf, src_len, level, hit,
+                                 bw_factor)
         resources = terms[8]
         for res in self._write_resources_for(core, dst_buf):
             if res not in resources:
@@ -471,12 +430,7 @@ class Node:
                 dst_buf.data[dst_off:dst_end] = \
                     src_buf.data[src_off:src_end]
 
-        entry = (terms, resources, complete)
-        if self._pricing_memo_enabled:
-            if len(memo) >= self._MEMO_CAP:
-                del memo[next(iter(memo))]
-            memo[key] = entry
-        return entry
+        return terms, resources, complete
 
     def plan_reduce(  # hot-path
         self, core: int, prim: P.Reduce, now: float
@@ -498,32 +452,20 @@ class Node:
         """Static reduce-pricing entry:
         ``(term_list, reduce_term, resources, complete)`` without the
         dynamic bandwidth-share evaluation (``None`` for an empty
-        reduce); the array engine's accumulation hook, memoized like
+        reduce); the array engine's accumulation hook, like
         :meth:`copy_terms_span`."""
         nbytes = prim.dst.length
         if nbytes <= 0 or not prim.srcs:
             return None
         srcs = prim.srcs
         dst = prim.dst
-        if self._pricing_memo_enabled:
-            memo = self._reduce_memo
-            csrc = self._cache_source_span
-            parts = []  # lint: disable=RC106 - the memo key being built
-            for s in srcs:
-                level, hit = csrc(core, s.buf, s.offset, s.length)
-                parts.append((s.buf.id, s.offset, s.length,
-                              level.id if level is not None else -1, hit))
-            key = (core, tuple(parts),
-                   dst.buf.id, dst.offset, nbytes,
-                   prim.op, prim.dtype, prim.accumulate)
-            entry = memo.get(key)
-            if entry is not None:
-                return entry
-        # Memo-miss path: rebuilt terms are cached below.
+        # Per-call lists: they are the returned entry.
         term_list = []  # lint: disable=RC106
         resources: list[Resource] = []  # lint: disable=RC106
         for src in srcs:
-            terms = self._read_terms(core, src.buf, src.offset, src.length,
+            level, hit = self._cache_source_span(core, src.buf, src.offset,
+                                                 src.length)
+            terms = self._read_terms(core, src.buf, src.length, level, hit,
                                      1.0)
             term_list.append(terms)
             for r in terms[8]:
@@ -547,12 +489,7 @@ class Node:
             if data_movement and dst.buf.data is not None:
                 Node._apply_reduce(prim)
 
-        entry = (term_list, reduce_term, resources, complete)
-        if self._pricing_memo_enabled:
-            if len(memo) >= self._MEMO_CAP:
-                del memo[next(iter(memo))]
-            memo[key] = entry
-        return entry
+        return term_list, reduce_term, resources, complete
 
     def commit_copy_span(self, core: int, src: "BufView", dst: "BufView",
                          off: int, nbytes: int) -> None:

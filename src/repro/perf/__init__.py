@@ -1,17 +1,14 @@
 """repro.perf — simulator performance measurement and regression guard.
 
-The hot-path work (pricing memoization, CopyBatch, fast handler tables,
-inlined cache accounting — see docs/performance.md) is only worth having
-if it is *measured* and *protected*. This package is the measurement
-side:
+The hot-path work (single-pass source selection, CopyBatch, fast
+handler tables, inlined cache accounting — see docs/performance.md) is
+only worth having if it is *measured* and *protected*. This package is
+the measurement side:
 
 * :func:`~repro.perf.harness.run_engine_micro` — a synthetic event storm
   through the bare engine; reports events/second. CI asserts a floor on
   this number so an accidental slow-down in the event loop fails the
   build, not a later paper-figure sweep.
-* :func:`~repro.perf.harness.run_pricing_micro` — ``plan_copy_span``
-  throughput with the memo enabled and disabled; the ratio is the memo's
-  measured win and a canary for key-shape regressions.
 * :func:`~repro.perf.harness.run_macro` — the reference macro workload
   (64 KiB–1 MiB bcast+allreduce, 32 ranks, epyc-1p, observe/check off);
   its wall time is the headline number recorded in ``BENCH_<n>.json``.
@@ -21,10 +18,9 @@ Run via ``python -m repro perf`` (``--quick``, ``--profile``,
 """
 
 from .harness import (MACRO_KINDS, MACRO_SIZES, emit_record,
-                      profile_macro, run_engine_micro, run_macro,
-                      run_pricing_micro, run_perf)
+                      profile_macro, run_engine_micro, run_macro, run_perf)
 
 __all__ = [
     "MACRO_KINDS", "MACRO_SIZES", "emit_record", "profile_macro",
-    "run_engine_micro", "run_macro", "run_pricing_micro", "run_perf",
+    "run_engine_micro", "run_macro", "run_perf",
 ]

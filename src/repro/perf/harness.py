@@ -1,4 +1,4 @@
-"""The perf suite: engine/pricing microbenches + the reference macro.
+"""The perf suite: engine microbench + the reference macro.
 
 Wall-clock measurement is deliberately simple — ``time.perf_counter``
 around the work, minimum over ``repeats`` — because the suite's job is
@@ -102,47 +102,6 @@ def run_engine_micro(rounds: int = 2000, nprocs: int = 8,
     }
 
 
-# -- pricing microbench ------------------------------------------------------
-
-def run_pricing_micro(calls: int = 20000, repeats: int = 3) -> dict:
-    """``plan_copy_span`` throughput, memoized vs cold.
-
-    Prices the same steady-state chunk read repeatedly — the shape the
-    span-signature memo is built for — then repeats it with the memo
-    disabled. The ratio is the memo's measured win; a collapse toward
-    1.0 means the key shape regressed (every call missing).
-    """
-    def measure(memo_enabled: bool) -> float:
-        node = _storm_node()
-        node._pricing_memo_enabled = memo_enabled
-        sp = node.new_address_space(0, 0)
-        src = sp.alloc("perf.src", 1 << 20)
-        dst = sp.alloc("perf.dst", 1 << 20)
-        # Warm the cache state once so the signature is stable.
-        plan = node.plan_copy_span
-        _d, _r, complete = plan(1, src, 0, 16384, dst, 0, 16384, 1.0)
-        if complete is not None:
-            complete()
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.process_time()
-            for _i in range(calls):
-                plan(1, src, 0, 16384, dst, 0, 16384, 1.0)
-            t = time.process_time() - t0
-            if t < best:
-                best = t
-        return calls / best if best > 0 else 0.0
-
-    memo_rate = measure(True)
-    cold_rate = measure(False)
-    return {
-        "calls": calls,
-        "memo_calls_per_sec": memo_rate,
-        "cold_calls_per_sec": cold_rate,
-        "memo_speedup": memo_rate / cold_rate if cold_rate > 0 else 0.0,
-    }
-
-
 # -- macro workload ----------------------------------------------------------
 
 def run_macro(quick: bool = False, repeats: int = 1,
@@ -217,7 +176,7 @@ def profile_macro(quick: bool = True, top: int = 25) -> str:
 
 # -- record assembly ---------------------------------------------------------
 
-def emit_record(engine: dict, pricing: dict, macro: dict,
+def emit_record(engine: dict, macro: dict,
                 baseline_wall_s: float | None = None,
                 baseline_cpu_s: float | None = None,
                 note: str = "",
@@ -236,10 +195,9 @@ def emit_record(engine: dict, pricing: dict, macro: dict,
     payload: dict = {
         "bench_schema": 1,
         "kind": "perf",
-        "title": "repro perf suite (engine/pricing micro + macro)",
+        "title": "repro perf suite (engine micro + macro)",
         "sim_version": SIM_VERSION,
         "engine_micro": engine,
-        "pricing_micro": pricing,
         "macro": macro,
         "floor_events_per_sec": ENGINE_EVENTS_PER_SEC_FLOOR,
     }
@@ -301,7 +259,7 @@ def macro_parity(macros: dict) -> list[dict]:
 
 def run_perf(quick: bool = False, macro_repeats: int = 1,
              engine: str = "event") -> dict:
-    """Run the full suite; returns {engine, pricing, macro, macros}.
+    """Run the full suite; returns {engine, macro, macros, parity}.
 
     ``engine`` selects the macro engine(s): ``"event"``, ``"array"``, or
     ``"both"`` (ISSUE 10). ``macros`` maps engine name -> macro result;
@@ -313,10 +271,9 @@ def run_perf(quick: bool = False, macro_repeats: int = 1,
     if engine not in MACRO_ENGINES + ("both",):
         raise ValueError(f"unknown perf engine {engine!r}")
     micro = run_engine_micro(rounds=500 if quick else 2000)
-    pricing = run_pricing_micro(calls=5000 if quick else 20000)
     wanted = MACRO_ENGINES if engine == "both" else (engine,)
     macros = {e: run_macro(quick=quick, repeats=macro_repeats, engine=e)
               for e in wanted}
     macro = macros.get("event", macros.get("array"))
-    return {"engine": micro, "pricing": pricing, "macro": macro,
+    return {"engine": micro, "macro": macro,
             "macros": macros, "parity": macro_parity(macros)}

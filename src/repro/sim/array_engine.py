@@ -28,8 +28,8 @@ expiry bounded by the dispatch epoch) instead of re-priced per 64 KiB
 quantum. Large copies are one row priced once.
 
 **Vectorized pricing.** At flush, each op's static terms (from
-``Node.copy_terms_span`` / ``Node.reduce_terms`` — the same memo the
-event engine uses) are evaluated in a numpy sweep when the op is wide
+``Node.copy_terms_span`` / ``Node.reduce_terms`` — the same terms the
+event engine prices) are evaluated in a numpy sweep when the op is wide
 (CopyBatch, multi-source reduces); a scalar replay with the identical
 floating-point expression handles narrow ops, and the two are
 bit-identical (pinned by tests/test_array_engine.py), so batch size
@@ -1073,8 +1073,7 @@ class ArrayEngine(Engine):
         event engine's plan time for the same primitive. The numpy sweep
         and the scalar replay evaluate the identical floating-point
         expression (``Node._eval_read``'s grouping), so they are
-        bit-identical and memo/batch warmth never changes simulated
-        times."""
+        bit-identical and batch size never changes simulated times."""
         epoch = self._epoch
         shares: dict = {}
         rows = terms_list[lo:hi]

@@ -47,6 +47,27 @@ def classify_distance(topo: Topology, core_a: int, core_b: int) -> Distance:
     return Distance.CROSS_SOCKET
 
 
+# Each ancestor of a core, outermost first, and the class of the cores it
+# holds: its cores have it as their deepest common object unless an inner
+# ancestor (written later) holds them too.
+_ROW_CLASSES = ((ObjKind.SOCKET, Distance.CROSS_NUMA),
+                (ObjKind.NUMA, Distance.INTRA_NUMA),
+                (ObjKind.LLC, Distance.CACHE_LOCAL))
+
+
+def distance_row(topo: Topology, core: int) -> list[Distance]:
+    """``classify_distance(topo, core, b)`` for every core ``b``, from one
+    walk of ``core``'s ancestors instead of one per pair."""
+    row = [Distance.CROSS_SOCKET] * topo.n_cores
+    for kind, dist in _ROW_CLASSES:
+        obj = topo.ancestor_of_core(core, kind)
+        if obj is not None:
+            for other in obj.cores():
+                row[other.index] = dist
+    row[core] = Distance.SELF
+    return row
+
+
 def message_distance_label(topo: Topology, core_a: int, core_b: int) -> str:
     """Coarse label used by Table II: intra-numa / inter-numa / inter-socket.
 

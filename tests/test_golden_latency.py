@@ -1,10 +1,12 @@
 """Golden-latency snapshots: simulated time must be bit-identical.
 
-The perf work (pricing memoization, CopyBatch, fast handler tables,
-inlined cache accounting) is only admissible because it provably does not
-move simulated time. These fixtures pin bcast+allreduce latencies for
-every modeled system at five sizes, as ``float.hex`` strings — any
-future "optimization" that drifts a result by even one ulp fails here.
+The perf work (single-pass source selection, CopyBatch, fast handler
+tables, inlined cache accounting) is only admissible because it provably
+does not move simulated time. These fixtures pin, as ``float.hex``
+strings, xhc-tree bcast+allreduce latencies for every modeled system at
+five sizes (``latency_<system>.json``) and the baseline components at
+each system's full rank count (``latency_baselines.json``) — any future
+"optimization" that drifts a result by even one ulp fails here.
 
 Regenerating a fixture is a deliberate act: it means simulated semantics
 changed, which also requires a SIM_VERSION bump (rule RC105) so exec's
@@ -34,8 +36,8 @@ SYSTEMS = ("epyc-1p", "epyc-2p", "arm-n1")
 GOLDEN_SIM_VERSION = 3
 
 
-def _fixture(system: str) -> dict:
-    path = GOLDEN_DIR / f"latency_{system}.json"
+def _fixture(name: str) -> dict:
+    path = GOLDEN_DIR / f"latency_{name}.json"
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -86,3 +88,31 @@ def test_fixtures_cover_all_systems():
         assert set(fix["latencies"]) == {"bcast", "allreduce"}
         for kind in fix["latencies"]:
             assert len(fix["latencies"][kind]) == 5
+
+
+BASELINES = _fixture("baselines")
+BASELINE_CELLS = [
+    (system, kind, int(size))
+    for system, kinds in BASELINES["latencies"].items()
+    for kind, sizes in kinds.items() for size in sizes]
+
+
+@pytest.mark.parametrize(
+    "system, kind, size", BASELINE_CELLS,
+    ids=["-".join(map(str, cell)) for cell in BASELINE_CELLS])
+def test_golden_baseline_latencies(system, kind, size):
+    """xhc-flat, smhc-flat, sm, ucc (and xbrc for allreduce): source
+    selection prices every component, not just xhc-tree."""
+    fix = BASELINES
+    expected = fix["latencies"][system][kind][str(size)]
+    for name, want_hex in sorted(expected.items()):
+        got = run_collective(
+            kind, system, fix["nranks"][system],
+            lambda: make_component(name),
+            size, warmup=fix["warmup"], iters=fix["iters"],
+            modify=fix["modify"], mapping=fix["mapping"],
+        )
+        assert float.hex(got) == want_hex, (
+            f"{system}/{kind}/{size}/{name}: simulated latency drifted "
+            f"({float.hex(got)} != golden {want_hex})"
+        )

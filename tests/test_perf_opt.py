@@ -2,9 +2,10 @@
 
 Every optimization in the hot-path pass claims to be invisible to
 simulated time. These tests check each claim in isolation — batching,
-the fast handler table, the pricing memo, smsc step emission, the
-bounded topology memo — so a future regression names its culprit
-instead of just failing a golden snapshot.
+the fast handler table, smsc step emission, the bounded topology memo —
+so a future regression names its culprit instead of just failing a
+golden snapshot. (Source selection has its differential test in
+tests/test_property_fuzz.py.)
 """
 
 import numpy as np
@@ -151,45 +152,6 @@ def test_observed_run_prices_identically():
     plain = _collective_latency()
     observed = _collective_latency(options=RunOptions(observe="spans"))
     assert _hex(observed) == _hex(plain)
-
-
-# -- pricing memo -----------------------------------------------------------
-
-def test_pricing_memo_on_off_bit_identical(monkeypatch):
-    on = _collective_latency()
-    monkeypatch.setattr(Node, "_pricing_memo_enabled", False)
-    off = _collective_latency()
-    assert _hex(off) == _hex(on)
-
-
-def test_span_signature_reflects_holders_and_spans():
-    node = Node(small_topo())
-    sp = node.new_address_space(0, 0)
-    buf = sp.alloc("sig", 8 * 1024)
-    caches = node.caches
-    assert caches.span_signature(buf, 0, 4096) == ()
-    caches.record_read(0, buf, 4096)
-    sig = caches.span_signature(buf, 0, 4096)
-    # Private L2 of core 0 plus its shared cache each cover the span.
-    levels = dict(zip(sig[0::2], sig[1::2]))
-    assert all(n == 4096 for n in levels.values())
-    # A disjoint span has no coverage: holders with zero hit are omitted.
-    assert caches.span_signature(buf, 4096, 4096) == ()
-    # Extending the prefix changes the signature for the larger span.
-    caches.record_read(0, buf, 8192)
-    sig2 = caches.span_signature(buf, 0, 8192)
-    assert dict(zip(sig2[0::2], sig2[1::2])) != levels or sig2 != sig
-
-
-def test_pricing_memo_entries_capped(monkeypatch):
-    monkeypatch.setattr(Node, "_MEMO_CAP", 8)
-    node = Node(small_topo())
-    sp = node.new_address_space(0, 0)
-    src = sp.alloc("s", 64 * 1024)
-    dst = sp.alloc("d", 64 * 1024)
-    for off in range(0, 16 * 1024, 1024):
-        node.plan_copy_span(1, src, off, 1024, dst, off, 1024, 1.0)
-    assert len(node._copy_memo) <= 8
 
 
 # -- wait interning ---------------------------------------------------------
@@ -354,31 +316,18 @@ def test_engine_micro_reports_sane_numbers():
     assert rec["cpu_s"] > 0
 
 
-def test_pricing_micro_memo_speeds_up_same_key_calls():
-    from repro.perf.harness import run_pricing_micro
-    rec = run_pricing_micro(calls=2000, repeats=1)
-    assert rec["memo_calls_per_sec"] > 0
-    assert rec["cold_calls_per_sec"] > 0
-    # Not asserting a magnitude (CI noise); the ratio must be consistent.
-    assert rec["memo_speedup"] == pytest.approx(
-        rec["memo_calls_per_sec"] / rec["cold_calls_per_sec"])
-
-
 def test_emit_record_schema(tmp_path):
     from repro.exec.cache import SIM_VERSION
-    from repro.perf.harness import (emit_record, run_engine_micro,
-                                    run_pricing_micro)
+    from repro.perf.harness import emit_record, run_engine_micro
     engine = run_engine_micro(rounds=50, nprocs=4, repeats=1)
-    pricing = run_pricing_micro(calls=500, repeats=1)
     macro = {"points": [], "wall_s": 1.0, "cpu_s": 1.0,
              "system": "epyc-1p", "nranks": 32, "iters": 1}
-    rec = emit_record(engine, pricing, macro,
+    rec = emit_record(engine, macro,
                       baseline_wall_s=2.0, baseline_cpu_s=3.0, note="t")
     assert rec["bench_schema"] == 1
     assert rec["kind"] == "perf"
     assert rec["sim_version"] == SIM_VERSION
     assert rec["engine_micro"] is engine
-    assert rec["pricing_micro"] is pricing
     assert rec["baseline"]["speedup_wall"] == pytest.approx(2.0)
     assert rec["baseline"]["speedup_cpu"] == pytest.approx(3.0)
     assert rec["note"] == "t"

@@ -1,7 +1,10 @@
 """Distance classification (Fig. 1a's domain taxonomy, Table II's labels)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.builder import ClusterParams, build_cluster_topology
+from repro.node import Node
 from repro.topology import Distance, classify_distance, get_system
 from repro.topology.distance import message_distance_label
 
@@ -49,3 +52,25 @@ def test_epyc1p_never_cross_socket(a, b):
 def test_distance_ordering_is_meaningful():
     assert Distance.SELF < Distance.CACHE_LOCAL < Distance.INTRA_NUMA \
         < Distance.CROSS_NUMA < Distance.CROSS_SOCKET
+
+
+ROW_TOPOLOGIES = {
+    "mini": small_topo,
+    "epyc-1p": lambda: get_system("epyc-1p"),
+    "epyc-2p": lambda: get_system("epyc-2p"),
+    "arm-n1": lambda: get_system("arm-n1"),
+    "cluster": lambda: build_cluster_topology(ClusterParams(n_nodes=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_TOPOLOGIES))
+def test_distance_rows_match_classify_distance(name):
+    """Node.distance reads per-core rows built on first use and shared on
+    the topology; every entry equals classify_distance for its pair."""
+    topo = ROW_TOPOLOGIES[name]()
+    node = Node(topo)
+    cores = range(topo.n_cores)
+    for a in cores:
+        assert [node.distance(a, b) for b in cores] == \
+            [classify_distance(topo, a, b) for b in cores]
+    assert Node(topo)._dist_rows is node._dist_rows
