@@ -59,6 +59,7 @@ RULES = {
 # _sim_fingerprint.py (paths relative to the repro package directory).
 SIM_FINGERPRINT_FILES = (
     "sim/engine.py",
+    "sim/array_engine.py",
     "sim/primitives.py",
     "sim/syncobj.py",
     "sim/resources.py",

@@ -20,7 +20,7 @@ tests/test_golden_latency.py.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from typing import Callable, Optional
 
 from .errors import ConfigError, SimulationError
@@ -130,11 +130,11 @@ class Node:
         # Array-mode port accounting: processes are priced at skewed
         # virtual times, so the scalar horizon above would make a lagging
         # fetch queue behind bookings an ahead-running process stamped in
-        # its future. arr_line_read instead books (end, start) occupancy
-        # intervals per home core and a fetch chains only through
-        # bookings that actually overlap it (expiry bounded by the
-        # dispatch epoch, like Resource.arr_ivals).
-        self._arr_port: dict[int, list] = {}
+        # its future. arr_line_read instead keeps each home core's port
+        # bookings as parallel (starts, ends) lists in start order, and a
+        # fetch chains only through bookings that actually overlap it
+        # (bookings ending at or before the dispatch epoch are dropped).
+        self._arr_port: dict[int, tuple[list[float], list[float]]] = {}
 
     @property
     def obs(self):
@@ -574,14 +574,18 @@ class Node:
         return start + model.lat[dist]
 
     def arr_line_read(self, core: int, line: Line, t: float,
-                      epoch: float) -> float:
+                      epoch: float) -> float:  # hot-path
         """:meth:`line_read` for the array engine, whose processes fetch
         at skewed virtual times. The hit/shared paths are identical; a
         fetch that must be served by the home core queues only behind
-        port bookings that *overlap* it in simulated time (booked as
-        ``(end, start)`` intervals, expired by the dispatch ``epoch``) —
-        the scalar ``_line_port`` horizon would let an ahead-running
-        process's future fetches delay a lagging process's past ones."""
+        port bookings that *overlap* it in simulated time — the scalar
+        ``_line_port`` horizon would let an ahead-running process's
+        future fetches delay a lagging process's past ones.
+
+        Every booking is ``[s, s + line_occupancy)``, so the home core's
+        bookings in start order are also in end order: expiry by the
+        dispatch ``epoch`` is a prefix deletion, and the chain walk
+        starts at the first booking that ends after ``t``."""
         model = self.model
         if core in line.holders:
             return t + model.poll_delay
@@ -590,24 +594,29 @@ class Node:
             line.holders.add(core)
             return t + model.lat[Distance.CACHE_LOCAL]
         owner = line.owner_core
-        ivals = self._arr_port.get(owner)
-        if ivals is None:
-            ivals = self._arr_port[owner] = []
-        while ivals and ivals[0][0] <= epoch:
-            heapq.heappop(ivals)
+        port = self._arr_port.get(owner)
+        if port is None:
+            port = self._arr_port[owner] = ([], [])  # lint: disable=RC106
+        starts, ends = port
+        k = bisect_right(ends, epoch)
+        if k:
+            del starts[:k]
+            del ends[:k]
+        # Chain through the bookings in start order: concurrent fetches
+        # homed at one core serialize at line_occupancy spacing, exactly
+        # like the event engine's FIFO port. Once a booking starts after
+        # the running start no later one can delay the fetch, and that
+        # index is where the new booking keeps the start order.
         start = t
-        if len(ivals) == 1:
-            e0, s0 = ivals[0]
-            if s0 <= start < e0:
-                start = e0
-        elif ivals:
-            # Chain through the bookings in start order: concurrent
-            # fetches homed at one core serialize at line_occupancy
-            # spacing, exactly like the event engine's FIFO port.
-            for s, e in sorted((s, e) for e, s in ivals):
-                if s <= start < e:
-                    start = e
-        heapq.heappush(ivals, (start + model.line_occupancy, start))
+        n = len(starts)
+        i = bisect_right(ends, t)
+        while i < n and starts[i] <= start:
+            e = ends[i]
+            if start < e:
+                start = e
+            i += 1
+        starts.insert(i, start)
+        ends.insert(i, start + model.line_occupancy)
         line.holders.add(core)
         if llc_index is not None:
             line.shared_holders.add(llc_index)

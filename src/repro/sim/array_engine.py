@@ -20,12 +20,14 @@ resolves *when* it became true from the history, so a process running
 far behind a producer consumes whole chunk streams in one dispatch —
 the waits fuse into priced rows instead of blocking.
 
-**Interval contention sampling.** Transfers book ``[start, end)``
-occupancy intervals on their route's
+**Occupancy contention sampling.** Transfers book ``[start, end)``
+occupancy windows on their route's
 :class:`~repro.sim.resources.Resource`s; bandwidth shares are sampled
-per op at the op's virtual time (the event engine's plan time — lazy
-expiry bounded by the dispatch epoch) instead of re-priced per 64 KiB
-quantum. Large copies are one row priced once.
+per op at the op's virtual time (the event engine's plan time) from
+each resource's :class:`~repro.sim.resources.Occupancy` index — two
+bisections, with everything before the dispatch epoch folded away —
+instead of re-priced per 64 KiB quantum. Large copies are one row
+priced once.
 
 **Vectorized pricing.** At flush, each op's static terms (from
 ``Node.copy_terms_span`` / ``Node.reduce_terms`` — the same terms the
@@ -99,7 +101,7 @@ class ArrayEngine(Engine):
         self._np = require_numpy("ArrayEngine")
         # Dispatch heap: (virtual time, seq, process).
         self._ready: list[tuple] = []
-        # Safe-expiry horizon for interval sampling: the vt of the most
+        # Dispatch epoch for occupancy sampling: the vt of the most
         # recent dispatch — every future sample happens at or after it.
         self._epoch = 0.0
         # Accumulation buffers (cleared at every flush).
@@ -957,7 +959,7 @@ class ArrayEngine(Engine):
                     r.arr_book(start, end)
                     r.bytes_served += nbytes
                 if in_kernel:
-                    pool.arr_kernel_book(start, end)
+                    pool.kernel_occupancy.arr_book(start, end)
                 vt = end
             elif code == _COMPUTE:
                 d = op[1]
@@ -972,7 +974,7 @@ class ArrayEngine(Engine):
             elif code == _CONST:
                 vt = vt + op[1]
             elif code == _KSYSCALL:
-                k = pool.arr_kernel_sample(vt, self._epoch)
+                k = pool.kernel_occupancy.arr_sample(vt, self._epoch)
                 saved = pool.kernel_ops
                 pool.kernel_ops = k
                 cost = pricer.syscall_cost(op[1])

@@ -11,42 +11,102 @@ Fig. 1b and the localized-traffic benefit of hierarchical algorithms.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right, insort
 
 from ..errors import SimulationError
 from ..topology.objects import ObjKind, Topology
 from ..memory.model import MachineModel
 
 
-class Resource:
+class Occupancy:
+    """Array-mode occupancy index: how many booked ``[start, end)``
+    windows cover a simulated time.
+
+    The array engine prices processes at skewed virtual times, so
+    windows are booked in no particular time order, but no sample ever
+    precedes the *epoch* — the dispatch heap's minimum virtual time,
+    which never decreases. The index keeps the window starts and the
+    window ends in two sorted lists and folds every start and end at or
+    before the epoch into the integer ``base`` (+1 per start, -1 per
+    end) whenever a sample sees the epoch advance, so the lists hold
+    only what lies ahead of it and a sample at ``t`` is two bisections::
+
+        base + #(starts <= t) - #(ends <= t)
+
+    which is exactly the number of windows with ``start <= t < end`` for
+    every ``t`` at or after the epoch (a window's end never precedes its
+    start; a zero-length window adds and removes itself at once). A
+    sample before the largest epoch folded so far would need the folded
+    windows back, so it raises. ``peak_active`` is the largest count a
+    sample returned (a Resource's event-engine ``acquire`` raises it
+    too).
+    """
+
+    __slots__ = ("peak_active", "_starts", "_ends", "_base", "_horizon")
+
+    def __init__(self) -> None:
+        self.peak_active = 0
+        self.arr_clear()
+
+    def arr_clear(self) -> None:
+        """Forget every booked window."""
+        self._starts: list[float] = []
+        self._ends: list[float] = []
+        self._base = 0
+        # Largest epoch folded into _base (-inf: nothing folded yet).
+        self._horizon = float("-inf")
+
+    def arr_book(self, start: float, end: float) -> None:  # hot-path
+        """Deposit one transfer's occupancy window."""
+        insort(self._starts, start)
+        insort(self._ends, end)
+
+    def arr_sample(self, t: float, epoch: float) -> int:  # hot-path
+        """Windows occupied at time ``t``; ``epoch`` is the array
+        engine's dispatch epoch, at or before ``t``."""
+        if epoch > self._horizon:
+            starts = self._starts
+            ends = self._ends
+            k = bisect_right(starts, epoch)
+            if k:
+                del starts[:k]
+            j = bisect_right(ends, epoch)
+            if j:
+                del ends[:j]
+            self._base += k - j
+            self._horizon = epoch
+        if t < self._horizon:
+            raise SimulationError(
+                f"occupancy sampled at {t!r}, before the dispatch epoch "  # lint: disable=RC106
+                f"{self._horizon!r}")
+        n = (self._base + bisect_right(self._starts, t)
+             - bisect_right(self._ends, t))
+        if n > self.peak_active:
+            self.peak_active = n
+        return n
+
+
+class Resource(Occupancy):
     """A shared bandwidth point.
 
     The event engine tracks concurrency with the ``acquire``/``release``
     counter, sampled at every transfer (re-)pricing. The array engine
-    instead *books intervals*: each flushed transfer deposits its
-    ``[start, end)`` occupancy window and contention is sampled in bulk at
-    flush time via :meth:`arr_sample` (lazy expiry, see
-    docs/performance.md). The two accountings never mix — a Node owns
-    exactly one engine.
+    instead books each flushed transfer's ``[start, end)`` occupancy
+    window and samples the resource's :class:`Occupancy` index at an
+    op's virtual time (see docs/performance.md). The two accountings
+    never mix — a Node owns exactly one engine.
     """
 
-    __slots__ = ("name", "bw", "active", "peak_active", "bytes_served",
-                 "arr_ivals")
+    __slots__ = ("name", "bw", "active", "bytes_served")
 
     def __init__(self, name: str, bw: float) -> None:
         if bw <= 0:
             raise SimulationError(f"resource {name!r} needs positive bandwidth")
+        super().__init__()
         self.name = name
         self.bw = bw
         self.active = 0
-        self.peak_active = 0
         self.bytes_served = 0
-        # Array-mode occupancy intervals as an ``(end, start)`` min-heap.
-        # A dispatched process may sample at times ahead of processes the
-        # engine has not dispatched yet, so expiry is bounded by the
-        # *epoch* (the dispatch heap's minimum virtual time — no future
-        # sample can precede it), not by the sample time itself.
-        self.arr_ivals: list[tuple[float, float]] = []
 
     def acquire(self) -> None:
         self.active += 1
@@ -61,31 +121,6 @@ class Resource:
     def effective_bw(self) -> float:
         """Share available to one more/current user."""
         return self.bw / max(1, self.active)
-
-    # -- array-mode interval accounting ---------------------------------
-
-    def arr_book(self, start: float, end: float) -> None:
-        """Deposit one transfer's occupancy window."""
-        heapq.heappush(self.arr_ivals, (end, start))
-
-    def arr_sample(self, t: float, epoch: float) -> int:
-        """Transfers occupying this resource at time ``t``.
-
-        ``epoch`` is the array engine's safe-expiry horizon: intervals
-        ending at or before it can never be seen by a later sample and
-        are dropped; the survivors (few — the set of in-flight transfers)
-        are scanned for overlap with ``t``.
-        """
-        ivals = self.arr_ivals
-        while ivals and ivals[0][0] <= epoch:
-            heapq.heappop(ivals)
-        n = 0
-        for end, start in ivals:
-            if start <= t < end:
-                n += 1
-        if n > self.peak_active:
-            self.peak_active = n
-        return n
 
     def __repr__(self) -> str:
         return f"<Resource {self.name} bw={self.bw:.2e} active={self.active}>"
@@ -121,22 +156,9 @@ class ResourcePool:
         # Number of in-flight kernel-assisted (CMA/KNEM) operations; drives
         # the kernel-lock contention term of [28].
         self.kernel_ops = 0
-        # Array-mode equivalent: kernel-mode occupancy intervals, sampled
-        # like Resource.arr_sample (the counter above stays untouched).
-        self._kernel_ivals: list[tuple[float, float]] = []
-
-    def arr_kernel_book(self, start: float, end: float) -> None:
-        heapq.heappush(self._kernel_ivals, (end, start))
-
-    def arr_kernel_sample(self, t: float, epoch: float) -> int:
-        ivals = self._kernel_ivals
-        while ivals and ivals[0][0] <= epoch:
-            heapq.heappop(ivals)
-        n = 0
-        for end, start in ivals:
-            if start <= t < end:
-                n += 1
-        return n
+        # Array-mode equivalent: kernel-mode occupancy windows, sampled
+        # like a Resource's (the counter above stays untouched).
+        self.kernel_occupancy = Occupancy()
 
     def all_resources(self) -> list[Resource]:
         out: list[Resource] = []
@@ -151,5 +173,5 @@ class ResourcePool:
         for res in self.all_resources():
             res.peak_active = 0
             res.bytes_served = 0
-            res.arr_ivals.clear()
-        self._kernel_ivals.clear()
+            res.arr_clear()
+        self.kernel_occupancy.arr_clear()

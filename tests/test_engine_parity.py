@@ -135,6 +135,61 @@ def test_envelope_covers_all_golden_points():
                 assert (system, kind, int(size_str)) in DELTA_ENVELOPE
 
 
+with open(GOLDEN_DIR / "latency_array_baselines.json", "r",
+          encoding="utf-8") as _fh:
+    ARRAY_BASELINES = json.load(_fh)
+ARRAY_BASELINE_CELLS = [
+    (system, kind, int(size))
+    for system, kinds in ARRAY_BASELINES["latencies"].items()
+    for kind, sizes in kinds.items() for size in sizes]
+
+
+def test_array_baselines_mirror_event_baselines():
+    """Same points, rank counts and OSU loop as latency_baselines.json."""
+    with open(GOLDEN_DIR / "latency_baselines.json", "r",
+              encoding="utf-8") as fh:
+        event = json.load(fh)
+    assert ARRAY_BASELINES["engine"] == "array"
+    for key in ("nranks", "warmup", "iters", "modify", "mapping"):
+        assert ARRAY_BASELINES[key] == event[key], key
+    assert {
+        (system, kind, size, name)
+        for system, kinds in ARRAY_BASELINES["latencies"].items()
+        for kind, sizes in kinds.items()
+        for size, names in sizes.items() for name in names
+    } == {
+        (system, kind, size, name)
+        for system, kinds in event["latencies"].items()
+        for kind, sizes in kinds.items()
+        for size, names in sizes.items() for name in names
+    }
+
+
+@pytest.mark.parametrize(
+    "system, kind, size", ARRAY_BASELINE_CELLS,
+    ids=["-".join(map(str, cell)) for cell in ARRAY_BASELINE_CELLS])
+def test_array_golden_baseline_latencies(system, kind, size):
+    """xhc-flat, smhc-flat, sm, ucc (and xbrc for allreduce) on the
+    array engine, pinned bit-exact. All but xhc-flat bypass ChunkRun
+    lowering, so their answers rest on the engine's occupancy sampling
+    and line-port accounting rather than on the closed-form sweep."""
+    pytest.importorskip("numpy")
+    fix = ARRAY_BASELINES
+    expected = fix["latencies"][system][kind][str(size)]
+    for name, want_hex in sorted(expected.items()):
+        got = run_collective(
+            kind, system, fix["nranks"][system],
+            lambda: make_component(name),
+            size, warmup=fix["warmup"], iters=fix["iters"],
+            modify=fix["modify"], mapping=fix["mapping"],
+            options=RunOptions(engine="array"),
+        )
+        assert float.hex(got) == want_hex, (
+            f"{system}/{kind}/{size}/{name}: array latency drifted "
+            f"({float.hex(got)} != golden {want_hex})"
+        )
+
+
 @pytest.mark.slow
 def test_cluster_1024_rank_bcast_wall_bound():
     """The ISSUE target: a 1024-rank cluster bcast in single-digit
