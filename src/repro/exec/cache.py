@@ -170,14 +170,19 @@ class ResultCache:
 
     def save(self) -> None:
         """Flush dirty entries to the sharded store, run eviction, and
-        refresh the ledger. A no-op without a backing path."""
+        refresh the ledger if any of that (or a quarantine) changed the
+        store since the last ledger write. A save with nothing to flush
+        leaves ``ledger.json`` untouched and never walks the store. A
+        no-op without a backing path."""
         if self.store is None:
             return
+        wrote = bool(self._dirty)
         for digest in sorted(self._dirty):
             self.store.write(SIM_VERSION, digest, self.entries[digest])
         self._dirty.clear()
         self.store.evict()
-        self.store.save_ledger()
+        if wrote or self.store.evictions or self.store.quarantined:
+            self.store.save_ledger()
 
     def stats(self) -> CacheStats:
         """Cheap accounting snapshot (no filesystem walk; ``entries``

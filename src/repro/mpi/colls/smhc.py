@@ -16,7 +16,7 @@ Variants:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ...shmem.segment import SharedSegment
 from ...sim import primitives as P
@@ -24,6 +24,17 @@ from ...sim.syncobj import Flag
 from .base import CollComponent, chunks
 
 FRAGMENT = 32 * 1024
+
+
+class StagingSchedule(NamedTuple):
+    """One root's :meth:`Smhc._roles` for every rank, plus the rank tuples
+    the ledgers increment — built once per root instead of re-deriving
+    every rank's roles on every rank for every op."""
+
+    roles: tuple         # roles[q] = (stage_parent, consumers)
+    stagers: tuple       # ranks with consumers
+    pullers: tuple       # ranks with a stage parent
+    members: tuple       # ranks with either (every rank, when size > 1)
 
 
 class Smhc(CollComponent):
@@ -60,6 +71,23 @@ class Smhc(CollComponent):
             self.sockets = [sorted(g) for _, g in sorted(groups.items())]
         else:
             self.sockets = [list(range(n))]
+        self._schedules: dict[int, StagingSchedule] = {}
+
+    def _schedule(self, root: int) -> StagingSchedule:
+        sched = self._schedules.get(root)
+        if sched is None:
+            roles = tuple(self._roles(q, root)
+                          for q in range(self.comm.size))
+            sched = StagingSchedule(
+                roles=roles,
+                stagers=tuple(q for q, (_p, cons) in enumerate(roles)
+                              if cons),
+                pullers=tuple(q for q, (p, _cons) in enumerate(roles)
+                              if p is not None),
+                members=tuple(q for q, (p, cons) in enumerate(roles)
+                              if p is not None or cons))
+            self._schedules[root] = sched
+        return sched
 
     def _state(self, comm, me) -> dict:
         st = comm.rank_state[me]
@@ -101,7 +129,8 @@ class Smhc(CollComponent):
             return
         me = comm.rank_of(ctx)
         st = self._state(comm, me)
-        parent, consumers = self._roles(me, root)
+        sched = self._schedule(root)
+        parent, consumers = sched.roles[me]
         nbytes = view.length
         nfrag = -(-nbytes // self.fragment)
         if parent is not None:
@@ -136,12 +165,12 @@ class Smhc(CollComponent):
             for c in consumers:
                 yield P.WaitFlag(self.ack[c], ack_base[c] + nfrag)
         # Ledger: identical update everywhere.
-        for q in range(size):
-            p, cons = self._roles(q, root)
-            if cons:
-                st["prod"][q] += nfrag
-            if p is not None:
-                st["ack"][q] += nfrag
+        prod = st["prod"]
+        for q in sched.stagers:
+            prod[q] += nfrag
+        ack = st["ack"]
+        for q in sched.pullers:
+            ack[q] += nfrag
 
     # -- allreduce / reduce --------------------------------------------------
 
@@ -172,7 +201,8 @@ class Smhc(CollComponent):
         st = self._state(comm, me)
         nbytes = sview.length
         nfrag = -(-nbytes // self.fragment)
-        parent, consumers = self._roles(me, root)
+        sched = self._schedule(root)
+        parent, consumers = sched.roles[me]
         contributors = consumers  # reduce direction mirrors the fan-out tree
         posted_base = list(st["posted"])
         ack_base = list(st["ack"])
@@ -209,12 +239,12 @@ class Smhc(CollComponent):
             # reused by the next operation.
             yield P.WaitFlag(self.ack[parent], ack_base[parent] + nfrag)
         # Ledger: identical update everywhere.
-        for q in range(size):
-            p, cons = self._roles(q, root)
-            if p is not None or cons:
-                st["posted"][q] += nfrag
-            if cons:
-                st["ack"][q] += nfrag
+        posted = st["posted"]
+        for q in sched.members:
+            posted[q] += nfrag
+        ack = st["ack"]
+        for q in sched.stagers:
+            ack[q] += nfrag
         if fan_out:
             yield from self.bcast(comm, ctx, rview, root)
 
@@ -224,7 +254,8 @@ class Smhc(CollComponent):
             return
         me = comm.rank_of(ctx)
         st = self._state(comm, me)
-        parent, consumers = self._roles(me, 0)
+        sched = self._schedule(0)
+        parent, consumers = sched.roles[me]
         for c in consumers:
             yield P.WaitFlag(self.posted[c], st["posted"][c] + 1)
         if parent is not None:
@@ -232,10 +263,9 @@ class Smhc(CollComponent):
             yield P.WaitFlag(self.prod[parent], st["prod"][parent] + 1)
         if consumers:
             yield P.SetFlag(self.prod[me], st["prod"][me] + 1)
-        for q in range(size):
-            p, cons = self._roles(q, 0)
-            if p is not None or cons:
-                st["posted"][q] += 1
-            if cons:
-                st["prod"][q] += 1
-        # posted ledger: only non-root participants bump... handled above.
+        posted = st["posted"]
+        for q in sched.members:
+            posted[q] += 1
+        prod = st["prod"]
+        for q in sched.stagers:
+            prod[q] += 1

@@ -10,7 +10,7 @@ locality and congestion management matter.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ...shmem.segment import SharedSegment
 from ...sim import primitives as P
@@ -20,6 +20,22 @@ from .base import CollComponent, knomial_tree
 SMALL_MAX = 4 * 1024
 CHUNK = 64 * 1024
 RADIX = 4
+
+
+class KnomialSchedule(NamedTuple):
+    """One root's knomial tree for every rank, built once per root: every
+    op's ledger update replays the whole tree on every rank."""
+
+    parent: tuple            # parent[q] (None for the root)
+    children: tuple          # children[q], far subtree first
+    inner: tuple             # ranks with children (the root, when size > 1)
+
+    @classmethod
+    def build(cls, size: int, root: int, radix: int) -> "KnomialSchedule":
+        links = [knomial_tree(q, size, root, radix) for q in range(size)]
+        children = tuple(ch for _p, ch in links)
+        return cls(parent=tuple(p for p, _ch in links), children=children,
+                   inner=tuple(q for q, ch in enumerate(children) if ch))
 
 
 class Ucc(CollComponent):
@@ -52,6 +68,14 @@ class Ucc(CollComponent):
         # guarantee all readers finished before the next op republishes).
         self._views: dict[int, object] = {}
         self._scratch: dict[int, object] = {}
+        self._schedules: dict[int, KnomialSchedule] = {}
+
+    def _schedule(self, root: int) -> KnomialSchedule:
+        sched = self._schedules.get(root)
+        if sched is None:
+            sched = KnomialSchedule.build(self.comm.size, root, self.radix)
+            self._schedules[root] = sched
+        return sched
 
     def _ledger(self, comm, me) -> dict:
         st = comm.rank_state[me]
@@ -88,7 +112,8 @@ class Ucc(CollComponent):
             return
         me = comm.rank_of(ctx)
         led = self._ledger(comm, me)
-        parent, children = knomial_tree(me, size, root, self.radix)
+        sched = self._schedule(root)
+        parent, children = sched.parent[me], sched.children[me]
         nbytes = view.length
         if parent is not None:
             yield P.Trace("message", {
@@ -103,12 +128,12 @@ class Ucc(CollComponent):
             yield from self._bcast_large(comm, ctx, me, view, parent,
                                          children, led, nbytes)
         yield from self._finish(comm, ctx, me, root, children, led)
-        # Ledger: every rank with children produced one unit / S bytes.
+        # Ledger: every rank with children (the root included) produced
+        # one unit / S bytes.
         incr = 1 if nbytes <= self.small_max else nbytes
-        for q in range(size):
-            _, ch = knomial_tree(q, size, root, self.radix)
-            if ch or q == root:
-                led["bprod"][q] += incr
+        bprod = led["bprod"]
+        for q in sched.inner:
+            bprod[q] += incr
 
     def _bcast_small(self, comm, ctx, me, view, parent, children, led,
                      nbytes) -> Iterator:
@@ -169,7 +194,8 @@ class Ucc(CollComponent):
         size = comm.size
         led = self._ledger(comm, me)
         nbytes = sview.length
-        parent, children = knomial_tree(me, size, 0, self.radix)
+        sched = self._schedule(0)
+        parent, children = sched.parent[me], sched.children[me]
         # Reduce stage.
         srcs = []
         for child in children:
@@ -258,7 +284,8 @@ class Ucc(CollComponent):
             return
         led = self._ledger(comm, me)
         nbytes = sview.length
-        parent, children = knomial_tree(me, size, root, self.radix)
+        sched = self._schedule(root)
+        parent, children = sched.parent[me], sched.children[me]
         contrib = sview
         if children:
             dst = rview if me == root and rview is not None \
@@ -279,11 +306,7 @@ class Ucc(CollComponent):
             yield from comm.node.xpmem.expose(contrib.buf)
             yield P.SetFlag(self.prod[me], led["prod"][me] + 1)
             yield P.WaitFlag(self.bprod[parent], led["bprod"][parent] + 1)
-        for q in range(size):
-            led["prod"][q] += 1
-            _, ch = knomial_tree(q, size, root, self.radix)
-            if ch:
-                led["bprod"][q] += 1
+        self._bump_tree(led, sched)
         yield from self._finish(comm, ctx, me, root, children, led)
 
     def barrier(self, comm, ctx) -> Iterator:
@@ -293,7 +316,8 @@ class Ucc(CollComponent):
             return
         me = comm.rank_of(ctx)
         led = self._ledger(comm, me)
-        parent, children = knomial_tree(me, size, 0, self.radix)
+        sched = self._schedule(0)
+        parent, children = sched.parent[me], sched.children[me]
         for child in children:
             yield P.WaitFlag(self.prod[child], led["prod"][child] + 1)
         if parent is not None:
@@ -301,8 +325,15 @@ class Ucc(CollComponent):
             yield P.WaitFlag(self.bprod[parent], led["bprod"][parent] + 1)
         if children:
             yield P.SetFlag(self.bprod[me], led["bprod"][me] + 1)
-        for q in range(size):
-            led["prod"][q] += 1
-            _, ch = knomial_tree(q, size, 0, self.radix)
-            if ch:
-                led["bprod"][q] += 1
+        self._bump_tree(led, sched)
+
+    @staticmethod
+    def _bump_tree(led, sched: KnomialSchedule) -> None:
+        """Reduce/barrier ledger: every rank posted once; every rank with
+        children released its subtree once."""
+        prod = led["prod"]
+        for q in range(len(prod)):
+            prod[q] += 1
+        bprod = led["bprod"]
+        for q in sched.inner:
+            bprod[q] += 1

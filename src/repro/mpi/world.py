@@ -105,6 +105,10 @@ class Communicator:
         self.world = world
         self.node = world.node
         self.ranks = members
+        # ctx -> comm-relative rank; a repeated member keeps its first index.
+        self._index: dict[RankCtx, int] = {}
+        for i, member in enumerate(members):
+            self._index.setdefault(member, i)
         self.component = component
         # Per-rank scratch for components (indexed by comm-relative rank).
         self.rank_state: list[dict] = [dict() for _ in members]
@@ -120,10 +124,11 @@ class Communicator:
         return len(self.ranks)
 
     def rank_of(self, ctx: RankCtx) -> int:
-        for i, member in enumerate(self.ranks):
-            if member is ctx:
-                return i
-        raise MPIError(f"{ctx!r} is not a member of this communicator")
+        try:
+            return self._index[ctx]
+        except KeyError:
+            raise MPIError(
+                f"{ctx!r} is not a member of this communicator") from None
 
     def core_of(self, rank: int) -> int:
         return self.ranks[rank].core

@@ -254,7 +254,7 @@ class Xhc(CollComponent):
         # defers that collection to the slot's next use (_cico_entry).
         yield from self._finalize(comm, hier, me, led,
                                   wait_children=not small)
-        self._update_fan_ledger(comm, hier, me, led, nbytes)
+        self._update_fan_ledger(hier, led, nbytes)
         if small:
             led["cico_ops"] += 1
 
@@ -393,13 +393,16 @@ class Xhc(CollComponent):
                 for child, _level in hier.children(me):
                     yield P.WaitFlag(self.ack[child], led["ack"][child] + 1)
 
-    def _update_fan_ledger(self, comm, hier: Hierarchy, me: int, led: dict,
-                           nbytes: int) -> None:
-        for q in range(comm.size):
-            if hier.children(q) or q == hier.root:
-                led["avail"][q] += nbytes
-            if hier.parent(q) is not None:
-                led["ack"][q] += 1
+    @staticmethod
+    def _update_fan_ledger(hier: Hierarchy, led: dict, amount: int) -> None:
+        """Every fan-out producer published ``amount``; every non-root
+        rank acknowledged once."""
+        avail = led["avail"]
+        for q in hier.fan_producers:
+            avail[q] += amount
+        ack = led["ack"]
+        for q in hier.has_parent:
+            ack[q] += 1
 
     # -- allreduce (SSIV-B) -------------------------------------------------
 
@@ -844,12 +847,11 @@ class Xhc(CollComponent):
         # must gather everyone's ack before its send buffer is reusable.
         with comm.node.obs.span("xhc.finalize", rank=me):
             if me == root:
-                for q in range(comm.size):
-                    if q != root:
-                        yield P.WaitFlag(self.ack[q], led["ack"][q] + 1)
+                for q in hier.has_parent:
+                    yield P.WaitFlag(self.ack[q], led["ack"][q] + 1)
             else:
                 yield P.SetFlag(self.ack[me], led["ack"][me] + 1)
-        self._update_fan_ledger(comm, hier, me, led, total)
+        self._update_fan_ledger(hier, led, total)
 
     def allgather(self, comm, ctx, sview, rview) -> Iterator:
         """Publish, then pull every peer's block from its owner — reads are
@@ -949,23 +951,20 @@ class Xhc(CollComponent):
         me = comm.rank_of(ctx)
         led = self._ledger(comm, me)
         hier = self._hierarchy(comm, 0)
+        parent = hier.parent(me)
         # Fan-in: gather children's arrival (the ack flags double as
         # arrival flags; their ledger counts completed participations).
         for child, _level in hier.children(me):
             yield P.WaitFlag(self.ack[child], led["ack"][child] + 1)
-        if hier.parent(me) is not None:
+        if parent is not None:
             yield P.SetFlag(self.ack[me], led["ack"][me] + 1)
         # Fan-out: release cascades down the hierarchy.
         if me == hier.root:
             yield from self._set_avail(comm, hier, me, led["avail"][me] + 1)
         else:
-            yield from self._wait_avail(comm, hier.parent(me), me,
-                                        led["avail"][hier.parent(me)] + 1)
+            yield from self._wait_avail(comm, parent, me,
+                                        led["avail"][parent] + 1)
             if hier.children(me):
                 yield from self._set_avail(comm, hier, me,
                                            led["avail"][me] + 1)
-        for q in range(comm.size):
-            if hier.parent(q) is not None:
-                led["ack"][q] += 1
-            if hier.children(q) or q == hier.root:
-                led["avail"][q] += 1
+        self._update_fan_ledger(hier, led, 1)

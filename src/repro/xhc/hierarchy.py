@@ -70,6 +70,18 @@ class Hierarchy:
                             f"groups"
                         )
                     self.member_group[member] = group
+        # Navigation tables, derived once: the fan-out and barrier ledgers
+        # walk the whole hierarchy on every rank for every op.
+        self._children = [
+            [(m, group.level) for group in self.led_groups[r]
+             for m in group.nonleaders]
+            for r in range(nranks)]
+        # Ranks that publish fan-out data (inner nodes and the root).
+        self.fan_producers = tuple(
+            r for r in range(nranks) if self._children[r] or r == root)
+        # Ranks that pull from a parent (everyone but the root).
+        self.has_parent = tuple(
+            r for r in range(nranks) if self.member_group[r] is not None)
 
     # -- navigation -----------------------------------------------------------
 
@@ -84,11 +96,9 @@ class Hierarchy:
         return 0 if group is None else group.level
 
     def children(self, rank: int) -> list[tuple[int, int]]:
-        """(child_rank, level) pairs across all groups ``rank`` leads."""
-        out = []
-        for group in self.led_groups[rank]:
-            out.extend((m, group.level) for m in group.nonleaders)
-        return out
+        """(child_rank, level) pairs across all groups ``rank`` leads
+        (a shared table: callers must not mutate it)."""
+        return self._children[rank]
 
     def leaders(self) -> set[int]:
         """Ranks leading at least one group (includes the root)."""

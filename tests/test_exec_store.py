@@ -499,6 +499,70 @@ def test_result_cache_stats_snapshot(tmp_path):
     assert d["hits"] == 1 and d["hit_rate"] == pytest.approx(0.5)
 
 
+# -- ResultCache.save(): the ledger is rewritten only when something changed --
+
+
+def _saved_cache(tmp_path, n=2):
+    cache = ResultCache(tmp_path)
+    payloads = [RunRequest("epyc-1p", "bcast", 64 + i, 8).payload()
+                for i in range(n)]
+    for p in payloads:
+        cache.put(p, 1e-6)
+    cache.save()
+    return cache, payloads
+
+
+def test_clean_save_leaves_ledger_untouched_and_skips_scan(tmp_path,
+                                                           monkeypatch):
+    cache, payloads = _saved_cache(tmp_path)
+    ledger_path = cache.store.ledger_path
+    with open(ledger_path, "rb") as fh:
+        before = fh.read()
+    mtime_before = os.stat(ledger_path).st_mtime_ns
+    # An all-hit chunk: every lookup served, nothing new to flush.
+    assert all(cache.get(p) == pytest.approx(1e-6) for p in payloads)
+
+    def no_scan(self):
+        raise AssertionError("clean save walked the store")
+
+    monkeypatch.setattr(ShardedStore, "scan", no_scan)
+    cache.save()
+    cache.save()
+    with open(ledger_path, "rb") as fh:
+        assert fh.read() == before
+    assert os.stat(ledger_path).st_mtime_ns == mtime_before
+
+
+def test_dirty_save_rewrites_derived_totals(tmp_path):
+    cache, _payloads = _saved_cache(tmp_path, n=2)
+    assert cache.store.load_ledger()["entries"] == 2
+    cache.put(RunRequest("epyc-1p", "bcast", 4096, 8).payload(), 2e-6)
+    cache.save()
+    ledger = cache.store.load_ledger()
+    count, size = cache.store.totals()
+    assert ledger["entries"] == count == 3
+    assert ledger["bytes"] == size
+
+
+def test_save_after_quarantine_folds_in_the_count(tmp_path):
+    _saved_cache(tmp_path, n=2)
+    cache = ResultCache(tmp_path)
+    (digest, *_rest) = sorted(cache.store.digests(SIM_VERSION))
+    with open(cache.store.entry_path(SIM_VERSION, digest), "w") as fh:
+        fh.write("{corrupt")
+    payload = next(
+        p for p in (RunRequest("epyc-1p", "bcast", 64 + i, 8).payload()
+                    for i in range(2))
+        if cache_key(p) == digest)
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        assert cache.get(payload) is None
+    cache.save()                    # nothing dirty, but the store changed
+    ledger = cache.store.load_ledger()
+    assert ledger["quarantined"] == 1
+    assert ledger["entries"] == 1
+    assert cache.store.quarantined == 0     # folded, so a re-save is clean
+
+
 def test_memory_only_cache_stats_are_zeroed():
     from repro.exec import CacheStats
 

@@ -4,9 +4,11 @@ The perf work (single-pass source selection, CopyBatch, fast handler
 tables, inlined cache accounting) is only admissible because it provably
 does not move simulated time. These fixtures pin, as ``float.hex``
 strings, xhc-tree bcast+allreduce latencies for every modeled system at
-five sizes (``latency_<system>.json``) and the baseline components at
-each system's full rank count (``latency_baselines.json``) — any future
-"optimization" that drifts a result by even one ulp fails here.
+five sizes (``latency_<system>.json``), the baseline components at
+each system's full rank count (``latency_baselines.json``), and bcast
+and reduce at non-zero roots (``latency_roots.json``, which pins the
+per-root schedule tables) — any future "optimization" that drifts a
+result by even one ulp fails here.
 
 Regenerating a fixture is a deliberate act: it means simulated semantics
 changed, which also requires a SIM_VERSION bump (rule RC105) so exec's
@@ -115,4 +117,40 @@ def test_golden_baseline_latencies(system, kind, size):
         assert float.hex(got) == want_hex, (
             f"{system}/{kind}/{size}/{name}: simulated latency drifted "
             f"({float.hex(got)} != golden {want_hex})"
+        )
+
+
+ROOTS = _fixture("roots")
+ROOT_CELLS = [
+    (system, kind, int(root), int(size))
+    for system, kinds in ROOTS["latencies"].items()
+    for kind, roots in kinds.items()
+    for root, sizes in roots.items() for size in sizes]
+
+
+def test_root_fixture_covers_non_zero_roots():
+    """Roots 1 and n-1 for bcast, n-1 for reduce, on every system: the
+    root-0 goldens above cannot see a wrong per-root table."""
+    for system, nranks in ROOTS["nranks"].items():
+        kinds = ROOTS["latencies"][system]
+        assert set(kinds["bcast"]) == {"1", str(nranks - 1)}
+        assert set(kinds["reduce"]) == {str(nranks - 1)}
+
+
+@pytest.mark.parametrize(
+    "system, kind, root, size", ROOT_CELLS,
+    ids=["-".join(map(str, cell)) for cell in ROOT_CELLS])
+def test_golden_root_latencies(system, kind, root, size):
+    fix = ROOTS
+    expected = fix["latencies"][system][kind][str(root)][str(size)]
+    for name, want_hex in sorted(expected.items()):
+        got = run_collective(
+            kind, system, fix["nranks"][system],
+            lambda: make_component(name),
+            size, warmup=fix["warmup"], iters=fix["iters"],
+            modify=fix["modify"], mapping=fix["mapping"], root=root,
+        )
+        assert float.hex(got) == want_hex, (
+            f"{system}/{kind}/root {root}/{size}/{name}: simulated "
+            f"latency drifted ({float.hex(got)} != golden {want_hex})"
         )

@@ -126,6 +126,19 @@ def test_split_requires_fresh_components():
     assert comms[0].component is not comms[1].component
 
 
+def test_rank_of_rejects_a_split_siblings_rank():
+    """A split communicator indexes only its own members: every rank of
+    its sibling is a non-member, while its own map to 0..size-1."""
+    node = Node(small_topo())
+    world = World(node, 8)
+    comms = world.split(Tuned, lambda ctx: ctx.core % 2)
+    even, odd = comms[0], comms[1]
+    for ctx in odd.ranks:
+        with pytest.raises(MPIError, match="not a member"):
+            even.rank_of(ctx)
+    assert [odd.rank_of(ctx) for ctx in odd.ranks] == list(range(4))
+
+
 def test_channel_caching():
     node = Node(small_topo())
     world = World(node, 4)
