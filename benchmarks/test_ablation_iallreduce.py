@@ -14,6 +14,7 @@ from repro.bench.figures import FigureResult
 from repro.bench.report import render_rows
 from repro.mpi import FLOAT, SUM, World
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.topology import get_system
 from repro.xhc import Xhc
@@ -28,7 +29,7 @@ COMPUTE = 2e-3
 def _epoch(mode: str, nranks: int) -> float:
     """mode: 'blocking' | 'iallreduce-wait' (CNTK's actual pattern) |
     'iallreduce-overlap' (what the primitive could do)."""
-    node = Node(get_system("epyc-2p"), data_movement=False)
+    node = Node(get_system("epyc-2p"), options=RunOptions(data_movement=False))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
 

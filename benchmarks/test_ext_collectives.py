@@ -10,6 +10,7 @@ from repro.bench.figures import FigureResult
 from repro.bench.report import render_rows
 from repro.mpi import World
 from repro.node import Node
+from repro.options import RunOptions
 from repro.topology import get_system
 from repro.bench.components import COMPONENTS
 
@@ -18,7 +19,7 @@ from conftest import QUICK, regenerate
 
 def _latency(kind: str, comp: str, nranks: int, block: int,
              iters: int) -> float:
-    node = Node(get_system("epyc-1p"), data_movement=False)
+    node = Node(get_system("epyc-1p"), options=RunOptions(data_movement=False))
     world = World(node, nranks)
     comm = world.communicator(COMPONENTS[comp]())
     import numpy as np

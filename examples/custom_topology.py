@@ -14,6 +14,7 @@ from collections import Counter
 from repro.bench.report import render_rows
 from repro.mpi import World
 from repro.node import Node
+from repro.options import RunOptions
 from repro.topology import build_symmetric
 from repro.topology.distance import message_distance_label
 from repro.xhc import Xhc, XhcConfig, build_hierarchy
@@ -38,7 +39,7 @@ def main() -> None:
     print("\nBroadcast message distances per sensitivity (96 ranks, 1 MB):")
     rows = []
     for sensitivity in ("flat", "numa", "numa+socket"):
-        node = Node(topo, data_movement=False)
+        node = Node(topo, options=RunOptions(data_movement=False))
         world = World(node, topo.n_cores)
         comm = world.communicator(Xhc(hierarchy=sensitivity))
 

@@ -15,6 +15,7 @@ import numpy as np
 from repro.mpi import FLOAT, SUM, World
 from repro.mpi.colls import Tuned
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.topology import get_system
 from repro.xhc import Xhc
@@ -25,7 +26,7 @@ COMPUTE = 6e-3
 
 
 def train(component_factory, label):
-    node = Node(get_system("arm-n1"), data_movement=False)
+    node = Node(get_system("arm-n1"), options=RunOptions(data_movement=False))
     world = World(node, 160)
     comm = world.communicator(component_factory())
     spent = []

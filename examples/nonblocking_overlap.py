@@ -14,6 +14,7 @@ Run:  python examples/nonblocking_overlap.py
 
 from repro.mpi import FLOAT, SUM, World
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.topology import get_system
 from repro.xhc import Xhc
@@ -24,7 +25,7 @@ COMPUTE = 2e-3
 
 
 def epoch(mode: str) -> float:
-    node = Node(get_system("epyc-2p"), data_movement=False)
+    node = Node(get_system("epyc-2p"), options=RunOptions(data_movement=False))
     world = World(node, 64)
     comm = world.communicator(Xhc())
 

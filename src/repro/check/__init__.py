@@ -5,8 +5,9 @@ Two heads:
 * **dynamic sanitizer** — a vector-clock happens-before race detector
   (:mod:`repro.check.race`) plus wait-for-graph deadlock analysis
   (:mod:`repro.check.deadlock`), switched on per node with
-  ``Node(check='race'|'deadlock'|'full')``, mirroring the ``observe=``
-  knob. Findings land in ``node.check_report``.
+  ``Node(topo, options=RunOptions(check='race'|'deadlock'|'full'))``,
+  mirroring the ``observe`` field. Findings land in
+  ``node.check_report``.
 * **static lint** — repo-specific AST rules (:mod:`repro.check.lint`),
   runnable as ``python -m repro check --lint``.
 

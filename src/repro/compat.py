@@ -1,11 +1,11 @@
 """Optional-dependency gates.
 
-numpy is a ``[perf]`` extra, not a hard dependency: the event engine and
+numpy is a ``[perf]`` extra, not a hard dependency: both engines and
 every latency-only code path run without it. Anything that genuinely
-needs arrays — the array-mode engine, data movement, value validation —
-goes through :func:`get_numpy` / :func:`require_numpy` so a missing
-install fails with one clear :class:`~repro.errors.ConfigError` instead
-of an ImportError from deep inside a simulation.
+needs arrays — data movement, value validation — goes through
+:func:`get_numpy` / :func:`require_numpy` so a missing install fails
+with one clear :class:`~repro.errors.ConfigError` instead of an
+ImportError from deep inside a simulation.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ def get_numpy():
             _NUMPY = None
         _NUMPY_CHECKED = True
     return _NUMPY
-
-
-def have_numpy() -> bool:
-    return get_numpy() is not None
 
 
 def require_numpy(feature: str):

@@ -1,7 +1,7 @@
 """MPI datatypes (the subset the paper's collectives exercise).
 
 numpy is a ``[perf]`` extra, so the concrete dtype object is resolved
-lazily: latency-only runs (``data_movement=False`` on the event engine)
+lazily: latency-only runs (``data_movement=False`` on either engine)
 carry ``np_dtype is None`` through the primitives and never import
 numpy; anything that actually touches values gets the real dtype, or a
 clear :class:`~repro.errors.ConfigError` from the buffer allocation that

@@ -1,7 +1,7 @@
 """MPI reduction operations.
 
 Like :mod:`.datatypes`, the numpy ufunc is resolved lazily so that
-latency-only event-engine runs work without numpy installed: primitives
+latency-only runs on either engine work without numpy installed: primitives
 then carry ``op.ufunc is None``, which is fine because nothing applies
 it until values actually move.
 """

@@ -80,8 +80,6 @@ class Node:
                     'which is exactly what array mode elides — run the '
                     'event engine for instrumented runs (docs/performance.md)'
                 )
-            from .compat import require_numpy
-            require_numpy('RunOptions(engine="array")')
             from .sim.array_engine import ArrayEngine
             self.engine: Engine = ArrayEngine(self)
         else:
@@ -318,7 +316,7 @@ class Node:
         Mirrors the historical expression exactly —
         ``(lat + issue) + hit/eff [+ (lat2*0.1 + miss/bw2) | + miss/eff]``
         — including its grouping, which the goldens pin bit for bit (the
-        array engine's scalar replay copies it).
+        array engine's ``_eval_term_scalar`` copies it).
         """
         (lat_term, hit_bytes, bw_cap, route, miss_bytes,
          lat2_term, bw2_cap, route2, _) = terms
@@ -404,8 +402,8 @@ class Node:
         """Static copy-pricing entry: ``(terms, resources, complete)``
         without the dynamic bandwidth-share evaluation, or ``None`` for a
         zero-byte copy. This is the array engine's accumulation hook —
-        it collects term rows here and prices whole runs in one
-        vectorized sweep (:mod:`repro.sim.array_engine`).
+        it collects term rows here and prices them when it flushes
+        (:mod:`repro.sim.array_engine`).
         """
         if nbytes <= 0:
             return None

@@ -15,8 +15,9 @@ Four pieces, layered on the simulator (see docs/observability.md):
   event log), plus the Prometheus text exposition in
   :mod:`repro.obs.metrics`.
 
-Enable with ``Node(topo, observe=True)``; drive a one-shot observed run
-with :func:`repro.obs.runner.run_traced` or ``python -m repro trace``.
+Enable with ``Node(topo, options=RunOptions(observe=True))``; drive a
+one-shot observed run with :func:`repro.obs.runner.run_traced` or
+``python -m repro trace``.
 """
 
 from .critical_path import CriticalPathReport, PathStep, critical_path

@@ -50,15 +50,15 @@ class RunOptions:
         ``True``/``"full"`` — the dynamic sanitizer (docs/checking.md).
     ``engine``
         ``"event"`` (default) — the per-event heap engine, the numeric
-        reference. ``"array"`` — the vectorized array-mode engine
+        reference. ``"array"`` — the array-mode engine
         (:class:`repro.sim.array_engine.ArrayEngine`): zero-decision
-        pipeline segments are priced as numpy batches with bulk
+        pipeline segments are priced in batches with bulk
         bandwidth-contention sampling. Array-mode latencies differ from
         the event engine by the documented approximations
         (docs/performance.md); the engine name is therefore part of the
-        result-cache key (docs/api.md). Requires numpy (the ``[perf]``
-        extra) and is incompatible with ``observe``/``check``/
-        ``record_copies``.
+        result-cache key (docs/api.md). Neither engine needs numpy for
+        latency-only runs; the array engine is incompatible with
+        ``observe``/``check``/``record_copies``.
     """
 
     data_movement: bool = True

@@ -61,7 +61,7 @@ def run_engine_micro(rounds: int = 2000, nprocs: int = 8,
     ``nprocs`` processes on distinct cores run a flag ring: each round,
     process ``i`` stores its round number into its own flag, waits on its
     left neighbour's flag, and does a tiny compute. Exercises exactly the
-    per-event machinery the fast path optimizes (heap, handler dispatch,
+    per-event machinery the hot path optimizes (heap, handler dispatch,
     wait satisfaction, flag wake) with no pricing variance, so the
     events/second number isolates event-loop overhead.
     """

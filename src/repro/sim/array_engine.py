@@ -1,4 +1,4 @@
-"""The vectorized array-mode engine (``RunOptions(engine="array")``).
+"""The array-mode engine (``RunOptions(engine="array")``).
 
 The event engine (:class:`repro.sim.engine.Engine`) prices every
 primitive at its own heap event: ~8 events per pipelined chunk, plus one
@@ -29,14 +29,13 @@ bisections, with everything before the dispatch epoch folded away —
 instead of re-priced per 64 KiB quantum. Large copies are one row
 priced once.
 
-**Vectorized pricing.** At flush, each op's static terms (from
+**Deferred pricing.** At flush, each op's static terms (from
 ``Node.copy_terms_span`` / ``Node.reduce_terms`` — the same terms the
-event engine prices) are evaluated in a numpy sweep when the op is wide
-(CopyBatch, multi-source reduces); a scalar replay with the identical
-floating-point expression handles narrow ops, and the two are
-bit-identical (pinned by tests/test_array_engine.py), so batch size
-never changes results. Lowered chunk runs price their whole timeline in
-one closed-form sweep (``_chunkrun_sweep``).
+event engine prices) are evaluated with bandwidth shares sampled at the
+op's virtual time, in ``Node._eval_read``'s floating-point expression
+(``_eval_term_scalar``). Lowered chunk runs price their whole timeline
+in one closed-form sweep (``_chunkrun_sweep``). Like the event engine,
+this one needs no numpy for latency-only runs.
 
 The price of all this is a deliberate numeric model change
 (SIM_VERSION 3): no quantum-granularity re-pricing, run-granularity
@@ -57,7 +56,6 @@ import heapq
 from bisect import bisect_left
 from typing import Any, Generator, Optional
 
-from ..compat import require_numpy
 from ..errors import SimulationError
 from . import primitives as P
 from .engine import Engine, ProcState, SimProcess
@@ -86,11 +84,6 @@ class ArrayEngine(Engine):
     engine_kind = "array"
     lower_chunk_runs = True
 
-    #: Minimum number of term rows per flush for the numpy path; below
-    #: it a scalar replay of the identical expression runs. Test hook —
-    #: forcing it high proves scalar/vector bit-identity.
-    ARRAY_VEC_MIN = 16
-
     def __init__(self, pricer) -> None:
         # `now` is a property on this class; initialize its backing slot
         # and the accumulation marker before Engine.__init__ assigns it.
@@ -98,7 +91,6 @@ class ArrayEngine(Engine):
         self._acc_proc: Optional[SimProcess] = None
         super().__init__(pricer, record_copies=False, observe=None,
                          check=None)
-        self._np = require_numpy("ArrayEngine")
         # Dispatch heap: (virtual time, seq, process).
         self._ready: list[tuple] = []
         # Dispatch epoch for occupancy sampling: the vt of the most
@@ -452,10 +444,10 @@ class ArrayEngine(Engine):
         The run's timeline is the classic pipeline recurrence
         ``t_end[i] = max(t_avail[i], t_end[i-1]) + dur[i]`` over the
         producers' publication schedules, which is a prefix-max — so the
-        whole admissible prefix prices as one numpy sweep: availability
-        times come from ``searchsorted`` over the producers' set
-        histories, durations from one chunk-shaped pricing call, and the
-        per-chunk flag announcements are stamped back in bulk. When a
+        whole admissible prefix prices in one forward sweep: availability
+        times come from a cursor over the producers' set histories,
+        durations from one chunk-shaped pricing call, and the per-chunk
+        flag announcements are stamped back in bulk. When a
         producer has not yet published far enough, the satisfied prefix
         is processed and the process parks on the next threshold with
         its resume state in ``proc.seg``; returns False in that case,
@@ -632,14 +624,9 @@ class ArrayEngine(Engine):
                 # *future* publication times.)
                 continue
             specs.append((hist, base, lo, hi, flag.wait_key))
-        if n_ok < self.ARRAY_VEC_MIN:
-            tl, ends_l, busy_spans = self._sweep_scalar(
-                proc, prim, done, n_ok, specs, base_floor,
-                d_one, d_last, d0_extra)
-        else:
-            tl, ends_l, busy_spans = self._sweep_vector(
-                proc, prim, done, n_ok, specs, base_floor,
-                d_one, d_last, d0_extra)
+        tl, ends_l, busy_spans = self._sweep_scalar(
+            proc, prim, done, n_ok, specs, base_floor,
+            d_one, d_last, d0_extra)
         vt_new = tl[-1]
         if resources:
             for r in resources:
@@ -673,104 +660,19 @@ class ArrayEngine(Engine):
         if vt_new > self._now:
             self._now = vt_new
 
-    def _sweep_vector(self, proc: SimProcess, prim, done: int, n_ok: int,
-                      specs: list, base_floor: float, d_one: float,
-                      d_last: float, d0_extra: float):
-        """Numpy evaluation of the sweep timeline; returns
-        ``(t_end list, chunk-end list, coalesced busy spans)``."""
-        np = self._np
-        start = prim.start
-        stop = prim.stop
-        chunk = prim.chunk
-        d = np.full(n_ok, d_one)
-        d[-1] = d_last
-        d[0] += d0_extra
-        ends = np.arange(done + 1, done + n_ok + 1,
-                         dtype=np.int64) * chunk + start
-        if int(ends[-1]) > stop:
-            ends[-1] = stop
-        ta_list = []
-        for hist, base, lo, hi, key in specs:
-            eff = np.minimum(ends, hi)
-            targets = eff + (base - lo)
-            nh = len(hist)
-            ht = np.fromiter((p[0] for p in hist), np.float64, nh)
-            hv = np.fromiter((p[1] for p in hist), np.int64, nh)
-            if nh > 1:
-                if (np.diff(ht) < 0.0).any():
-                    # Histories are time-ordered per writing process; a
-                    # core hosting several writers of one flag could
-                    # interleave — sort before the monotone scan.
-                    order = np.argsort(ht, kind="stable")
-                    ht = ht[order]
-                    hv = hv[order]
-                np.maximum.accumulate(hv, out=hv)
-            pos = np.searchsorted(hv, targets)
-            ta = ht[np.minimum(pos, nh - 1)]
-            mask = (eff <= lo) | (pos >= nh)
-            if mask.any():
-                ta = np.where(mask, 0.0, ta)
-            ta_list.append((ta, key))
-        stackv = None
-        if not ta_list:
-            a = None
-        elif len(ta_list) == 1:
-            a = np.maximum(ta_list[0][0], base_floor)
-        else:
-            stackv = np.stack([t[0] for t in ta_list])
-            a = np.maximum(stackv.max(axis=0), base_floor)
-        # The pipeline recurrence as a prefix-max:
-        #   t_end[i] = c[i] + max_{j<=i}(a[j] - c[j-1]),  c = cumsum(d).
-        c = np.add.accumulate(d)
-        if a is None:
-            t_end = c + base_floor
-        else:
-            cprev = np.empty_like(c)
-            cprev[0] = 0.0
-            cprev[1:] = c[:-1]
-            t_end = np.maximum.accumulate(a - cprev) + c
-            tprev = np.empty_like(t_end)
-            tprev[0] = base_floor
-            tprev[1:] = t_end[:-1]
-            stall = a - tprev
-            np.maximum(stall, 0.0, out=stall)
-            stall_total = float(stall.sum())
-            if stall_total > 0.0:
-                proc.wait_time += stall_total
-                breakdown = proc.wait_breakdown
-                if stackv is None:
-                    key = ta_list[0][1]
-                    breakdown[key] = breakdown.get(key, 0.0) + stall_total
-                else:
-                    arg = stackv.argmax(axis=0)
-                    for j, (_ta, key) in enumerate(ta_list):
-                        s = float(stall[arg == j].sum())
-                        if s > 0.0:
-                            breakdown[key] = breakdown.get(key, 0.0) + s
-        if a is None:
-            spans = [(base_floor, float(t_end[-1]))]
-        else:
-            # Coalesced busy windows: a stall splits the run into groups
-            # of back-to-back chunks, and resources are occupied only
-            # inside the groups (the event engine holds a transfer's
-            # resources only while it runs, not across stalls).
-            gap = stall > 0.0
-            gap[0] = True
-            gs = np.nonzero(gap)[0]
-            heads = (t_end - d)[gs]
-            tails = t_end[np.append(gs[1:] - 1, n_ok - 1)]
-            spans = list(zip(heads.tolist(), tails.tolist()))
-        return t_end.tolist(), ends.tolist(), spans
-
     def _sweep_scalar(self, proc: SimProcess, prim, done: int, n_ok: int,
                       specs: list, base_floor: float, d_one: float,
                       d_last: float, d0_extra: float):
-        """Short-sweep replay of :meth:`_sweep_vector` in plain Python.
+        """The sweep timeline of ``n_ok`` chunks; returns ``(t_end list,
+        chunk-end list, coalesced busy spans)``.
 
-        Evaluates the identical floating-point operations in the same
-        left-to-right order (cumsum, prefix-max, first-max attribution),
-        so the two paths are bit-identical and the crossover threshold
-        (``ARRAY_VEC_MIN``) never changes simulated times."""
+        The recurrence is evaluated as a prefix-max,
+        ``t_end[i] = c[i] + max_{j<=i}(a[j] - c[j-1])`` with ``c`` the
+        running sum of the chunk durations, in left-to-right order; the
+        array goldens pin that floating-point order. A stall splits the
+        run into groups of back-to-back chunks, and resources are busy
+        only inside the groups (the event engine holds a transfer's
+        resources only while it runs, not across stalls)."""
         start = prim.start
         stop = prim.stop
         chunk = prim.chunk
@@ -852,9 +754,6 @@ class ArrayEngine(Engine):
                     if stall_by is not None:
                         stall_by[key_i] = stall_by.get(key_i, 0.0) + s
                     if i:
-                        # Same group boundaries (and the same FP
-                        # expressions for their endpoints) as the vector
-                        # path's coalesced busy windows.
                         spans.append((span_start, t_prev))
                         span_start = t_end - di
                 if i == 0:
@@ -920,9 +819,9 @@ class ArrayEngine(Engine):
 
     def _flush(self) -> None:
         """Evaluate the accumulated rows: a sequential walk advancing the
-        process's virtual time — pricing each op's terms at that time
-        (vectorized for wide ops), booking core/resource occupancy,
-        stamping set histories and waking parked processes."""
+        process's virtual time — pricing each op's terms at that time,
+        booking core/resource occupancy, stamping set histories and
+        waking parked processes."""
         ops = self._ops
         if not ops:
             return
@@ -939,14 +838,10 @@ class ArrayEngine(Engine):
             code = op[0]
             if code == _XFER:
                 _, lo, hi, const_add, resources, nbytes, in_kernel = op
-                d = 0.0
-                if hi > lo:
-                    # Shares sampled at this op's virtual time — the
-                    # event engine plans primitive k at now == end of
-                    # primitive k-1, which is exactly the walking vt.
-                    for x in self._eval_rows(terms_list, lo, hi, vt):
-                        d += x
-                d += const_add
+                # Shares sampled at this op's virtual time — the event
+                # engine plans primitive k at now == end of primitive
+                # k-1, which is exactly the walking vt.
+                d = self._eval_rows(terms_list, lo, hi, vt) + const_add
                 if d < eps:
                     start = vt
                 else:
@@ -1066,25 +961,20 @@ class ArrayEngine(Engine):
             self._now = wake_t
         heapq.heappush(self._ready, (wake_t, next(self._seq), proc))
 
-    # -- pricing sweep ---------------------------------------------------
+    # -- pricing ---------------------------------------------------------
 
     def _eval_rows(self, terms_list: list, lo: int, hi: int,
-                   t0: float) -> list:
-        """Durations for one op's term rows ``[lo, hi)``, with bandwidth
-        shares sampled at ``t0`` — the op's virtual time, which is the
-        event engine's plan time for the same primitive. The numpy sweep
-        and the scalar replay evaluate the identical floating-point
-        expression (``Node._eval_read``'s grouping), so they are
-        bit-identical and batch size never changes simulated times."""
+                   t0: float) -> float:
+        """Summed duration of one op's term rows ``[lo, hi)``, with
+        bandwidth shares sampled at ``t0`` — the op's virtual time, which
+        is the event engine's plan time for the same primitive."""
         epoch = self._epoch
         shares: dict = {}
-        rows = terms_list[lo:hi]
-        for terms in rows:
+        d = 0.0
+        for terms in terms_list[lo:hi]:
             self._fill_shares(terms, shares, t0, epoch)
-        if hi - lo < self.ARRAY_VEC_MIN:
-            return [self._eval_term_scalar(terms, shares)
-                    for terms in rows]
-        return self._eval_terms_vector(rows, shares)
+            d += self._eval_term_scalar(terms, shares)
+        return d
 
     @staticmethod
     def _eval_term_scalar(terms: tuple, shares: dict) -> float:
@@ -1108,66 +998,3 @@ class ArrayEngine(Engine):
             else:
                 duration = duration + miss_bytes / eff_bw
         return duration
-
-    def _eval_terms_vector(self, terms_list: list, shares: dict) -> list:
-        np = self._np
-        n = len(terms_list)
-        idx: dict = {}
-        svals: list[float] = []
-        for r in shares:
-            idx[r] = len(svals)
-            svals.append(shares[r])
-        sentinel = len(svals)
-        svals.append(float("inf"))
-        lat = [0.0] * n
-        hit = [0.0] * n
-        bwc = [0.0] * n
-        miss = [0.0] * n
-        lat2 = [0.0] * n
-        bw2c = [0.0] * n
-        has2 = [False] * n
-        flat: list[int] = []
-        ptr = [0] * (n + 1)
-        flat2: list[int] = []
-        ptr2 = [0] * (n + 1)
-        for i, terms in enumerate(terms_list):
-            (lat[i], hit[i], bwc[i], route, miss[i],
-             lat2[i], bw2c[i], route2, _) = terms
-            if route:
-                for r in route:
-                    flat.append(idx[r])
-            else:
-                flat.append(sentinel)
-            ptr[i + 1] = len(flat)
-            if route2 is not None:
-                has2[i] = True
-                for r in route2:
-                    flat2.append(idx[r])
-            else:
-                flat2.append(sentinel)
-            ptr2[i + 1] = len(flat2)
-        shr = np.array(svals)
-        eff = np.minimum(
-            np.asarray(bwc),
-            np.minimum.reduceat(shr[np.asarray(flat)],
-                                np.asarray(ptr[:-1])))
-        hit_a = np.asarray(hit)
-        dur = np.asarray(lat) + hit_a / eff
-        miss_a = np.asarray(miss)
-        m = miss_a > 0
-        if m.any():
-            has2_a = np.asarray(has2)
-            extra = np.zeros(n)
-            sel = m & has2_a
-            if sel.any():
-                bw2eff = np.minimum(
-                    np.asarray(bw2c),
-                    np.minimum.reduceat(shr[np.asarray(flat2)],
-                                        np.asarray(ptr2[:-1])))
-                extra[sel] = (np.asarray(lat2)[sel]
-                              + miss_a[sel] / bw2eff[sel])
-            sel2 = m & ~has2_a
-            if sel2.any():
-                extra[sel2] = miss_a[sel2] / eff[sel2]
-            dur = dur + extra
-        return dur.tolist()

@@ -4,8 +4,11 @@ The engine owns the event queue and the simulated processes; pricing of
 memory traffic is delegated to a *pricer* (the :class:`repro.node.Node`),
 which implements:
 
-``plan_copy(core, prim, now)``
-    -> ``(duration, [resources], complete_cb)``
+``plan_copy_span(core, src_buf, src_off, src_len, dst_buf, dst_off,
+nbytes, bw_factor)``
+    -> ``(duration, [resources], complete_cb)``; takes buffer offsets
+    rather than a ``Copy``, so an oversized copy is priced one
+    ``COPY_QUANTUM`` at a time without allocating sub-views
 ``plan_reduce(core, prim, now)``
     -> same shape
 ``line_read(core, line, t)``
@@ -13,20 +16,13 @@ which implements:
 ``syscall_cost(kind)``, ``page_fault_cost(npages)``, ``store_cost``,
 ``atomic_cost(core, line, now)`` -> ``(start, duration)``
 
-A pricer may additionally expose ``plan_copy_span(core, src_buf, src_off,
-src_len, dst_buf, dst_off, nbytes, bw_factor)`` — the allocation-free copy
-pricing entry the fast path uses to split oversized copies without
-materializing per-quantum ``Copy``/``BufView`` objects. It must price
-exactly like ``plan_copy`` over the equivalent sub-views (the golden
-latency tests pin this); pricers without it fall back to ``plan_copy``.
-
 Event-loop layout (see docs/performance.md): heap entries are
 ``(time, seq, payload)`` where the payload is either a callback or a
 :class:`SimProcess` — a process payload means "resume with ``None``",
 which covers the overwhelming majority of events without allocating a
-closure per event. Handler dispatch goes through one of two tables:
-``_HANDLERS`` carries the observe/race/record hooks, ``_HANDLERS_FAST``
-is the branch-free variant selected when all of those are off.
+closure per event. Handler dispatch goes through one table,
+``_HANDLERS``; the observe, race, deadlock-probe and record_copies hooks
+inside the handlers each sit behind a boolean cached at construction.
 """
 
 from __future__ import annotations
@@ -112,8 +108,8 @@ class Engine:
     Observability is opt-in through the single ``observe`` knob:
 
     * ``None``/``False`` (default) — no recording beyond zero-cost
-      ``Trace`` annotations; the hot paths run the branch-free fast
-      handler table.
+      ``Trace`` annotations; each hook in the handlers costs one test of
+      a cached boolean.
     * ``True`` / ``"full"`` — attach an :class:`~repro.obs.spans.Observer`
       recording spans, waits (with wakers), copy spans and metrics; also
       enables the legacy per-copy trace records.
@@ -166,8 +162,7 @@ class Engine:
         self.events_processed = 0
         self._running = False
         self._current_proc: SimProcess | None = None
-        # Allocation-free copy pricing, when the pricer provides it.
-        self._plan_span = getattr(pricer, "plan_copy_span", None)
+        self._plan_span = pricer.plan_copy_span
         if observe is None or observe is False:
             self.obs: "Observer | NullObserver" = NULL_OBSERVER
         elif observe is True or observe == "full":
@@ -201,7 +196,6 @@ class Engine:
                 f"'deadlock' or 'full'"
             )
         self._race = self.checker is not None
-        self._handlers = self._pick_handlers()
         # Progress counter for the watchdog: bumped every time a process
         # generator actually advances. A window of watchdog_every events
         # with no progress means the run is spinning (livelock) or every
@@ -221,13 +215,6 @@ class Engine:
         # roles), but their compute/copy work serializes on the core just
         # as it does inside a real single-threaded progress loop.
         self._core_busy: dict[int, float] = {}
-
-    def _pick_handlers(self) -> dict:
-        """The fast table only when every per-event hook is off."""
-        if (self._observe or self._race or self._dl_proactive
-                or self.record_copies):
-            return self._HANDLERS
-        return self._HANDLERS_FAST
 
     # CPU work shorter than this slips between booked work for free: a
     # few hundred nanoseconds of cache lookup or flag handling interleaves
@@ -260,7 +247,6 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
-        self._handlers = self._pick_handlers()
         progress_mark = self._progress
         next_watch = self.events_processed + self.watchdog_every
         heap = self._heap
@@ -389,20 +375,13 @@ class Engine:
             proc.result = stop.value
             proc.finish_time = self.now
             return
-        handler = self._handlers.get(prim.__class__)
+        handler = _HANDLERS.get(prim.__class__)
         if handler is None:
             self._unknown_primitive(proc, prim)
             return
         handler(self, proc, prim)
 
     # -- primitive dispatch ------------------------------------------------
-
-    def _dispatch(self, proc: SimProcess, prim: Any) -> None:  # hot-path
-        handler = self._handlers.get(prim.__class__)
-        if handler is None:
-            self._unknown_primitive(proc, prim)
-            return
-        handler(self, proc, prim)
 
     def _unknown_primitive(self, proc: SimProcess, prim: Any) -> None:
         raise SimulationError(
@@ -445,154 +424,35 @@ class Engine:
     # changing set of concurrent users (approximate fluid fair sharing).
     COPY_QUANTUM = 64 * 1024
 
-    # -- copy: full path (observe/race/record hooks live here) -------------
+    # -- copies and reduces ------------------------------------------------
+    #
+    # The race, observe and record_copies hooks each sit behind a boolean
+    # cached at construction, so an uninstrumented run pays one test per
+    # hook and allocates nothing beyond the completion closures.
 
-    def _h_copy(self, proc: SimProcess, prim: P.Copy) -> None:
-        self._full_copy(proc, prim, None)
-
-    def _full_copy(self, proc: SimProcess, prim: P.Copy,
-                   then: Optional[Callable[[], None]]) -> None:
+    def _h_copy(self, proc: SimProcess, prim: P.Copy,
+                then: Optional[Callable[[], None]] = None) -> None:  # hot-path
         if self._race:
             self.checker.on_copy(proc, prim)
-        if prim.nbytes > self.COPY_QUANTUM:
-            self._copy_quantum(proc, prim, 0, then)
-            return
-        duration, resources, complete = self.pricer.plan_copy(
-            proc.core, prim, self.now
-        )
-        self._start_transfer(proc, prim, duration, resources, complete, then)
-
-    def _copy_quantum(self, proc: SimProcess, prim: P.Copy, done: int,
-                      then: Optional[Callable[[], None]] = None) -> None:
-        total = prim.nbytes
-        n = min(self.COPY_QUANTUM, total - done)
-        sub = P.Copy(src=prim.src.sub(done, n), dst=prim.dst.sub(done, n),
-                     bw_factor=prim.bw_factor, in_kernel=prim.in_kernel)
-        duration, resources, complete = self.pricer.plan_copy(
-            proc.core, sub, self.now
-        )
-        pool = self.pricer.resources
-        start = self._cpu_start(proc.core, duration)
-
-        def begin() -> None:
-            for res in resources:
-                res.acquire()
-            if prim.in_kernel:
-                pool.kernel_ops += 1
-
-        def finish() -> None:
-            for res in resources:
-                res.release()
-                res.bytes_served += n
-            if prim.in_kernel:
-                pool.kernel_ops -= 1
-            if complete is not None:
-                complete()
-            if done + n < total:
-                self._copy_quantum(proc, prim, done + n, then)
-            else:
-                if self.record_copies:
-                    self.trace.append(
-                        (self.now, "copy",
-                         {"core": proc.core, "nbytes": total})
-                    )
-                if then is None:
-                    self._resume(proc, None)
-                else:
-                    then()
-
-        if self._observe and self.obs.record_copies:
-            self.obs.record(proc, "copy", "copy", start, start + duration,
-                            nbytes=n)
-        if start > self.now:
-            self._schedule(start, begin)
-        else:
-            begin()
-        self._schedule(start + duration, finish)
-
-    def _h_reduce(self, proc: SimProcess, prim: P.Reduce) -> None:
-        if self._race:
-            self.checker.on_reduce(proc, prim)
-        duration, resources, complete = self.pricer.plan_reduce(
-            proc.core, prim, self.now
-        )
-        self._start_transfer(proc, prim, duration, resources, complete, None)
-
-    def _start_transfer(self, proc, prim, duration, resources, complete,
-                        then) -> None:
-        """Book the core, then hold the path resources only while the
-        transfer actually runs — a transfer queued behind other work on
-        its core must not inflate everyone else's contention meanwhile."""
-        in_kernel = getattr(prim, "in_kernel", False)
-        pool = self.pricer.resources
-        start = self._cpu_start(proc.core, duration)
-
-        def begin() -> None:
-            for res in resources:
-                res.acquire()
-            if in_kernel:
-                pool.kernel_ops += 1
-
-        def finish() -> None:
-            for res in resources:
-                res.release()
-                res.bytes_served += prim.nbytes
-            if in_kernel:
-                pool.kernel_ops -= 1
-            if complete is not None:
-                complete()
-            if self.record_copies:
-                self.trace.append(
-                    (self.now, "copy",
-                     {"core": proc.core, "nbytes": prim.nbytes})
-                )
-            if then is None:
-                self._resume(proc, None)
-            else:
-                then()
-
-        if self._observe and self.obs.record_copies:
-            self.obs.record(
-                proc, "reduce" if isinstance(prim, P.Reduce) else "copy",
-                "copy", start, start + duration, nbytes=prim.nbytes)
-        if start > self.now:
-            self._schedule(start, begin)
-        else:
-            begin()
-        self._schedule(start + duration, finish)
-
-    # -- copy: fast path (observe/check/record all off) ---------------------
-    #
-    # Identical event schedule and pricing calls to the full path, minus
-    # the per-event hook branches and per-quantum Copy/BufView allocations.
-    # Bit-identity of the simulated times is pinned by the golden latency
-    # tests and the fast/full equivalence tests.
-
-    def _hf_copy(self, proc: SimProcess, prim: P.Copy) -> None:  # hot-path
-        self._fast_copy(proc, prim, None)
-
-    def _fast_copy(self, proc: SimProcess, prim: P.Copy,
-                   then: Optional[Callable[[], None]]) -> None:  # hot-path
         src = prim.src
         dst = prim.dst
         nbytes = src.length
         if dst.length < nbytes:
             nbytes = dst.length
-        plan_span = self._plan_span
-        if plan_span is None:
-            self._full_copy(proc, prim, then)
-            return
         if nbytes > self.COPY_QUANTUM:
-            self._fast_quantum(proc, prim, nbytes, 0, then)
+            self._copy_slice(proc, prim, nbytes, 0, then)
             return
-        duration, resources, complete = plan_span(
+        duration, resources, complete = self._plan_span(
             proc.core, src.buf, src.offset, src.length,
             dst.buf, dst.offset, nbytes, prim.bw_factor)
-        self._fast_transfer(proc, prim.in_kernel, nbytes, duration,
-                            resources, complete, then)
+        self._transfer(proc, "copy", prim.in_kernel, nbytes, duration,
+                       resources, complete, then)
 
-    def _fast_quantum(self, proc: SimProcess, prim: P.Copy, total: int,
-                      done: int, then) -> None:  # hot-path
+    def _copy_slice(self, proc: SimProcess, prim: P.Copy, total: int,
+                    done: int, then) -> None:  # hot-path
+        """Price and run the next ``COPY_QUANTUM`` of an oversized copy;
+        the last slice records the whole copy and resumes the process
+        (or runs ``then``)."""
         n = total - done
         if n > self.COPY_QUANTUM:
             n = self.COPY_QUANTUM
@@ -614,28 +474,38 @@ class Engine:
             if complete is not None:
                 complete()
             if done + n < total:
-                self._fast_quantum(proc, prim, total, done + n, then)
-            elif then is None:
+                self._copy_slice(proc, prim, total, done + n, then)
+                return
+            if self.record_copies:
+                self.trace.append(
+                    (self.now, "copy",
+                     {"core": proc.core, "nbytes": total})  # lint: disable=RC106
+                )
+            if then is None:
                 self._resume(proc, None)
             else:
                 then()
 
-        if start > self.now:
-            def begin() -> None:
-                for res in resources:
-                    res.acquire()
-                if in_kernel:
-                    pool.kernel_ops += 1
-            self._schedule(start, begin)
-        else:
-            for res in resources:
-                res.acquire()
-            if in_kernel:
-                pool.kernel_ops += 1
-        self._schedule(start + duration, finish)
+        if self._observe and self.obs.record_copies:
+            self.obs.record(proc, "copy", "copy", start, start + duration,
+                            nbytes=n)
+        self._hold(start, duration, resources, in_kernel, finish)
 
-    def _fast_transfer(self, proc, in_kernel, nbytes, duration, resources,
-                       complete, then) -> None:  # hot-path
+    def _h_reduce(self, proc: SimProcess, prim: P.Reduce,
+                  then: Optional[Callable[[], None]] = None) -> None:  # hot-path
+        if self._race:
+            self.checker.on_reduce(proc, prim)
+        duration, resources, complete = self.pricer.plan_reduce(
+            proc.core, prim, self.now
+        )
+        self._transfer(proc, "reduce", False, prim.nbytes, duration,
+                       resources, complete, then)
+
+    def _transfer(self, proc: SimProcess, kind: str, in_kernel: bool,
+                  nbytes: int, duration: float, resources, complete,
+                  then) -> None:  # hot-path
+        """Run one priced copy or reduce of ``nbytes`` on ``proc``'s core,
+        then resume the process (or run ``then``)."""
         pool = self.pricer.resources
         start = self._cpu_start(proc.core, duration)
 
@@ -647,11 +517,29 @@ class Engine:
                 pool.kernel_ops -= 1
             if complete is not None:
                 complete()
+            if self.record_copies:
+                self.trace.append(
+                    (self.now, "copy",
+                     {"core": proc.core, "nbytes": nbytes})  # lint: disable=RC106
+                )
             if then is None:
                 self._resume(proc, None)
             else:
                 then()
 
+        if self._observe and self.obs.record_copies:
+            self.obs.record(proc, kind, "copy", start, start + duration,
+                            nbytes=nbytes)
+        self._hold(start, duration, resources, in_kernel, finish)
+
+    def _hold(self, start: float, duration: float, resources,
+              in_kernel: bool, finish: Callable[[], None]) -> None:  # hot-path
+        """Hold the path resources only while the transfer actually runs,
+        from ``start`` (the core's booked slot) until ``finish`` releases
+        them at ``start + duration`` — a transfer queued behind other
+        work on its core must not inflate everyone else's contention
+        meanwhile."""
+        pool = self.pricer.resources
         heap = self._heap
         seq = self._seq
         if start > self.now:
@@ -694,10 +582,7 @@ class Engine:
             then = lambda: self._batch_step(proc, steps, i + 1)  # noqa: E731
         cls = step.__class__
         if cls is P.Copy:
-            if self._handlers is self._HANDLERS_FAST:
-                self._fast_copy(proc, step, then)
-            else:
-                self._full_copy(proc, step, then)
+            self._h_copy(proc, step, then)
         elif cls is P.SetFlag:
             self._set_flag_exec(proc, step, then)
         elif cls is P.SetFlagGroup:
@@ -713,13 +598,7 @@ class Engine:
             else:
                 self._compute_slice(proc, seconds, then)
         elif cls is P.Reduce:
-            if self._race:
-                self.checker.on_reduce(proc, step)
-            duration, resources, complete = self.pricer.plan_reduce(
-                proc.core, step, self.now
-            )
-            self._start_transfer(proc, step, duration, resources, complete,
-                                 then)
+            self._h_reduce(proc, step, then)
         else:
             raise SimulationError(
                 f"CopyBatch steps must be Copy/Compute/Reduce/SetFlag/"  # lint: disable=RC106
@@ -779,38 +658,18 @@ class Engine:
         cost = self.pricer.store_cost * len(prim.flags)
         self._schedule(self.now + cost, proc if then is None else then)
 
-    def _h_wait_flag(self, proc: SimProcess, prim: P.WaitFlag) -> None:
-        flag = prim.flag
-        if flag.satisfied(prim.value, prim.cmp):
-            if self._race:
-                self.checker.on_acquire(proc, flag)
-            t = self.pricer.line_read(proc.core, flag.line, self.now)
-            self._schedule(t, proc)
-        else:
-            proc.state = _BLOCKED
-            proc.blocked_obj = flag
-            proc.blocked_value = prim.value
-            proc.blocked_since = self.now
-            if self._observe:
-                self.obs.begin_wait(proc, flag.name, "flag")
-            flag.waiters.append((proc, prim.value, prim.cmp))
-            if self._dl_proactive:
-                self._deadlock_probe()
-
-    def _hf_wait_flag(self, proc: SimProcess, prim: P.WaitFlag) -> None:  # hot-path
+    def _h_wait_flag(self, proc: SimProcess, prim: P.WaitFlag) -> None:  # hot-path
         flag = prim.flag
         value = prim.value
         cmp = prim.cmp
         # Inlined Flag.satisfied for the ubiquitous ">=" compare.
         if (flag.value >= value) if cmp == ">=" else flag.satisfied(value, cmp):
+            if self._race:
+                self.checker.on_acquire(proc, flag)
             t = self.pricer.line_read(proc.core, flag.line, self.now)
             heapq.heappush(self._heap, (t, next(self._seq), proc))
         else:
-            proc.state = _BLOCKED
-            proc.blocked_obj = flag
-            proc.blocked_value = value
-            proc.blocked_since = self.now
-            flag.waiters.append((proc, value, cmp))
+            self._block(proc, flag, value, cmp, "flag")
 
     def _h_atomic_rmw(self, proc: SimProcess, prim: P.AtomicRMW) -> None:
         atom = prim.atom
@@ -833,37 +692,29 @@ class Engine:
 
         self._schedule(start + duration, finish)
 
-    def _h_wait_atomic(self, proc: SimProcess, prim: P.WaitAtomic) -> None:
-        atom = prim.atom
-        if atom.satisfied(prim.value, prim.cmp):
-            if self._race:
-                self.checker.on_acquire(proc, atom)
-            t = self.pricer.line_read(proc.core, atom.line, self.now)
-            self._schedule(t, proc)
-        else:
-            proc.state = _BLOCKED
-            proc.blocked_obj = atom
-            proc.blocked_value = prim.value
-            proc.blocked_since = self.now
-            if self._observe:
-                self.obs.begin_wait(proc, atom.name, "atomic")
-            atom.waiters.append((proc, prim.value, prim.cmp))
-            if self._dl_proactive:
-                self._deadlock_probe()
-
-    def _hf_wait_atomic(self, proc: SimProcess, prim: P.WaitAtomic) -> None:  # hot-path
+    def _h_wait_atomic(self, proc: SimProcess, prim: P.WaitAtomic) -> None:  # hot-path
         atom = prim.atom
         value = prim.value
         cmp = prim.cmp
         if (atom.value >= value) if cmp == ">=" else atom.satisfied(value, cmp):
+            if self._race:
+                self.checker.on_acquire(proc, atom)
             t = self.pricer.line_read(proc.core, atom.line, self.now)
             heapq.heappush(self._heap, (t, next(self._seq), proc))
         else:
-            proc.state = _BLOCKED
-            proc.blocked_obj = atom
-            proc.blocked_value = value
-            proc.blocked_since = self.now
-            atom.waiters.append((proc, value, cmp))
+            self._block(proc, atom, value, cmp, "atomic")
+
+    def _block(self, proc: SimProcess, obj: Flag | Atomic, value: int,
+               cmp: str, kind: str) -> None:  # hot-path
+        proc.state = _BLOCKED
+        proc.blocked_obj = obj
+        proc.blocked_value = value
+        proc.blocked_since = self.now
+        if self._observe:
+            self.obs.begin_wait(proc, obj.name, kind)
+        obj.waiters.append((proc, value, cmp))
+        if self._dl_proactive:
+            self._deadlock_probe()
 
     def _wake_waiters(self, obj: Flag | Atomic) -> None:  # hot-path
         still_blocked = None
@@ -911,11 +762,8 @@ class Engine:
             self.obs.instant(proc, prim.label, prim.meta)
         self._resume(proc, None)
 
-    _HANDLERS: dict = {}
-    _HANDLERS_FAST: dict = {}
 
-
-Engine._HANDLERS = {
+_HANDLERS = {
     P.Compute: Engine._h_compute,
     P.Copy: Engine._h_copy,
     P.CopyBatch: Engine._h_copy_batch,
@@ -929,12 +777,3 @@ Engine._HANDLERS = {
     P.PageFaults: Engine._h_page_faults,
     P.Trace: Engine._h_trace,
 }
-
-# The fast table shares every handler that carries no per-event hook and
-# swaps in stripped variants for the four hottest ones.
-Engine._HANDLERS_FAST = dict(Engine._HANDLERS)
-Engine._HANDLERS_FAST.update({
-    P.Copy: Engine._hf_copy,
-    P.WaitFlag: Engine._hf_wait_flag,
-    P.WaitAtomic: Engine._hf_wait_atomic,
-})

@@ -152,7 +152,7 @@ class ChunkRun:
     timeline is a prefix-max recurrence over the producers' publication
     schedules. Components emit a ChunkRun only when the engine
     advertises ``lower_chunk_runs`` (the array engine, which prices the
-    run as one vectorized sweep); the event engine refuses it rather
+    run as one closed-form sweep); the event engine refuses it rather
     than approximate the per-chunk event sequence.
     """
 

@@ -3,9 +3,9 @@
 Collects per-core busy time, event counts by primitive kind, flag traffic
 and XPMEM counters into one report — the first thing to look at when a
 collective is slower than expected. On an observed run (``Node(...,
-observe=True)``) the report also carries the full metrics-registry
-snapshot, so every counter any subsystem registered rides along without
-this module having to know about it.
+options=RunOptions(observe=True))``) the report also carries the full
+metrics-registry snapshot, so every counter any subsystem registered
+rides along without this module having to know about it.
 """
 
 from __future__ import annotations

@@ -5,12 +5,14 @@ import pytest
 
 from repro.errors import MemoryModelError
 from repro.node import Node
+from repro.options import RunOptions
 
 from conftest import small_topo
 
 
 def space(core=0, rank=0, data=True):
-    return Node(small_topo(), data_movement=data).new_address_space(rank, core)
+    node = Node(small_topo(), options=RunOptions(data_movement=data))
+    return node.new_address_space(rank, core)
 
 
 def test_alloc_first_touch_numa():

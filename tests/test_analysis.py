@@ -7,6 +7,7 @@ from repro.analysis import (chain_bcast_estimate, flat_bcast_estimate,
                             p2p_estimate, ring_allreduce_estimate)
 from repro.memory.model import model_for
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.topology import Distance, get_system
 
@@ -14,7 +15,7 @@ from conftest import small_topo
 
 
 def simulate_copy(topo, reader_core, src_core, nbytes):
-    node = Node(topo, data_movement=False)
+    node = Node(topo, options=RunOptions(data_movement=False))
     src = node.new_address_space(0, src_core).alloc("src", nbytes)
     dst = node.new_address_space(1, reader_core).alloc("dst", nbytes)
     out = {}
@@ -44,7 +45,7 @@ def test_flat_fanout_agreement():
     topo = get_system("epyc-1p")
     model = model_for(topo)
     nbytes = 1 << 20
-    node = Node(topo, data_movement=False)
+    node = Node(topo, options=RunOptions(data_movement=False))
     src = node.new_address_space(0, 0).alloc("src", nbytes)
     finish = {}
 

@@ -1,10 +1,9 @@
-"""Array-mode engine unit tests: gating, determinism, vectorization.
+"""Array-mode engine unit tests: gating and determinism.
 
 Complements tests/test_engine_parity.py (which pins latencies and
 event-vs-array deltas): this file covers the opt-in surface itself —
-numpy gating, instrumentation incompatibility, run(until=...) refusal,
-bit-stable determinism, and the scalar/vector sweep equivalence that
-makes ``ARRAY_VEC_MIN`` a pure performance knob.
+instrumentation incompatibility, run(until=...) refusal, bit-stable
+determinism, and that both engines run without numpy.
 """
 
 import subprocess
@@ -13,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import compat
 from repro.bench.osu import run_collective
 from repro.errors import ConfigError, SimulationError
 from repro.node import Node
@@ -30,16 +28,6 @@ def _bcast_latency(size=65536, **opt_kw):
         options=RunOptions(engine="array", **opt_kw))
 
 
-def test_array_engine_requires_numpy(monkeypatch):
-    """engine="array" without numpy is a ConfigError naming the perf
-    extra, raised at Node construction — not an ImportError mid-run."""
-    monkeypatch.setattr(compat, "_NUMPY", None)
-    monkeypatch.setattr(compat, "_NUMPY_CHECKED", True)
-    with pytest.raises(ConfigError, match=r"repro\[perf\]"):
-        Node(get_system("epyc-1p"),
-             options=RunOptions(engine="array", data_movement=False))
-
-
 @pytest.mark.parametrize("kw", [
     {"observe": True},
     {"check": True},
@@ -48,14 +36,12 @@ def test_array_engine_requires_numpy(monkeypatch):
 def test_array_engine_rejects_instrumentation(kw):
     """Observation/checking walk per-event state the batched pricer
     never materializes; the combination is refused up front."""
-    pytest.importorskip("numpy")
     with pytest.raises(ConfigError, match="instrumented|observe|check"):
         Node(get_system("epyc-1p"),
              options=RunOptions(engine="array", **kw))
 
 
 def test_array_engine_rejects_run_until():
-    pytest.importorskip("numpy")
     node = Node(get_system("epyc-1p"), options=RunOptions(engine="array"))
     with pytest.raises(SimulationError, match="until"):
         node.engine.run(until=1.0)
@@ -69,47 +55,25 @@ def test_unknown_engine_name():
 def test_array_engine_deterministic():
     """Two identical runs agree to the bit (float.hex), including all
     heap/dict iteration inside the batched pricer."""
-    pytest.importorskip("numpy")
     a = _bcast_latency()
     b = _bcast_latency()
     assert float.hex(a) == float.hex(b)
-
-
-def test_scalar_and_vector_sweeps_agree():
-    """ARRAY_VEC_MIN only selects an implementation: forcing every run
-    through the scalar sweep (threshold above any run length) or through
-    the vector sweep (threshold 1) yields bit-identical latencies. The
-    span endpoints and pricing expressions are deliberately written with
-    identical FP operation order in both paths; this is the guard."""
-    pytest.importorskip("numpy")
-    from repro.sim.array_engine import ArrayEngine
-    baseline = _bcast_latency()
-    results = {}
-    saved = ArrayEngine.ARRAY_VEC_MIN
-    try:
-        for label, threshold in (("scalar", 1 << 30), ("vector", 1)):
-            ArrayEngine.ARRAY_VEC_MIN = threshold
-            results[label] = _bcast_latency()
-    finally:
-        ArrayEngine.ARRAY_VEC_MIN = saved
-    assert float.hex(results["scalar"]) == float.hex(baseline)
-    assert float.hex(results["vector"]) == float.hex(baseline)
 
 
 def test_array_engine_handles_small_and_large_sizes():
     """Smoke both regimes: tiny messages (no lowerable runs — pure
     event-equivalent walking) and large ones (ChunkRun sweeps park and
     resume processes across stalls) complete and return positive time."""
-    pytest.importorskip("numpy")
     for size in (64, 512, 1 << 20):
         lat = _bcast_latency(size=size)
         assert lat > 0.0
 
 
-def test_event_engine_never_imports_numpy():
-    """The default engine must stay stdlib-pure: a fresh interpreter
-    that builds a Node, runs a collective, and touches the result cache
-    with engine="event" may not have numpy in sys.modules."""
+@pytest.mark.parametrize("engine", ["event", "array"])
+def test_event_engine_never_imports_numpy(engine):
+    """Both engines stay stdlib-pure: a fresh interpreter that builds a
+    Node and runs a latency-only collective may not have numpy in
+    sys.modules."""
     code = (
         "import sys\n"
         "from repro.bench.osu import run_collective\n"
@@ -117,10 +81,10 @@ def test_event_engine_never_imports_numpy():
         "from repro.options import RunOptions\n"
         "lat = run_collective('bcast', 'epyc-1p', 8, Xhc, 4096,\n"
         "    warmup=0, iters=1,\n"
-        "    options=RunOptions(engine='event', data_movement=False))\n"
+        f"    options=RunOptions(engine={engine!r}, data_movement=False))\n"
         "assert lat > 0.0\n"
         "bad = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
-        "assert not bad, f'event engine pulled in {bad}'\n"
+        f"assert not bad, f'{engine} engine pulled in {{bad}}'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

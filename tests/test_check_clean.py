@@ -9,6 +9,7 @@ import pytest
 from repro.mpi import World
 from repro.mpi.colls import Tuned
 from repro.node import Node
+from repro.options import RunOptions
 from repro.xhc import Xhc
 
 from conftest import small_topo
@@ -67,8 +68,9 @@ def _program(kind, nranks, block, root, iters):
 
 
 def _run_checked(kind, factory, block, nranks=8, root=0, iters=2):
-    node = Node(small_topo(), data_movement=False, observe="spans",
-                check="full")
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe="spans",
+                                   check="full"))
     world = World(node, nranks)
     comm = world.communicator(factory())
     comm.run(_program(kind, nranks, block, root, iters))
@@ -103,7 +105,7 @@ def test_scatter_release_regression():
     root's post-scatter overwrite of its send buffer stays race-free, and
     the data every rank received is correct."""
     nranks = 8
-    node = Node(small_topo(), check="full")
+    node = Node(small_topo(), options=RunOptions(check="full"))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
     got = {}
@@ -137,7 +139,7 @@ def test_scatter_release_regression():
 
 def test_overhead_paths_disabled_by_default():
     """check=None leaves no per-event checker work behind the flag."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     assert node.engine.checker is None
     assert node.engine._race is False
     assert node.engine._dl_proactive is False

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.sim.syncobj import Flag
 
@@ -30,7 +31,7 @@ def _circular_wait(node):
 
 def test_drain_reports_cycle_even_unchecked():
     """check=None still names the wait-for cycle at queue drain."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     _circular_wait(node)
     with pytest.raises(DeadlockError, match="wait-for cycle") as exc_info:
         node.engine.run()
@@ -43,7 +44,8 @@ def test_drain_reports_cycle_even_unchecked():
 def test_proactive_raises_at_block_time():
     """check='deadlock' raises when the cycle closes, not at drain — a
     third process with pending work does not mask it."""
-    node = Node(small_topo(), data_movement=False, check="deadlock")
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, check="deadlock"))
     _circular_wait(node)
 
     def busy():
@@ -61,7 +63,8 @@ def test_proactive_raises_at_block_time():
 def test_no_false_positive_when_waker_alive():
     """A pending (not yet blocked) writer on the owner core keeps the
     proactive analysis quiet."""
-    node = Node(small_topo(), data_movement=False, check="deadlock")
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, check="deadlock"))
     flag = Flag("ok.f", owner_core=0)
 
     def writer():
@@ -80,7 +83,7 @@ def test_no_false_positive_when_waker_alive():
 def test_watchdog_flags_livelock_spin():
     """An unbounded compute slices forever; the watchdog turns the former
     pytest hang into a SimulationError."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     node.engine.watchdog_every = 5_000
 
     def spinner():
@@ -94,7 +97,7 @@ def test_watchdog_flags_livelock_spin():
 def test_watchdog_reports_deadlock_behind_a_spin():
     """Blocked-forever processes are reported as a DeadlockError with the
     cycle even while an unrelated event chain keeps the queue busy."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     node.engine.watchdog_every = 5_000
     _circular_wait(node)
     with pytest.raises(DeadlockError, match="wait-for cycle") as exc_info:
@@ -108,7 +111,7 @@ def test_watchdog_reports_deadlock_behind_a_spin():
 def test_dead_end_wait_is_reported():
     """A wait whose owner core has no alive process: no cycle, but still
     a deadlock (dead-end chain)."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     flag = Flag("never.f", owner_core=5)
 
     def waiter():
@@ -124,7 +127,8 @@ def test_in_flight_wakeup_is_not_a_deadlock():
     BLOCKED+waking; the analysis must not count it as stuck."""
     from repro.check.deadlock import find_deadlock
 
-    node = Node(small_topo(), data_movement=False, check="deadlock")
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, check="deadlock"))
     flag = Flag("wk.f", owner_core=0)
     seen = []
 

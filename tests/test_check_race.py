@@ -4,6 +4,7 @@ protocols are clean (repro.check.race wired through Node(check=...))."""
 import pytest
 
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.sim.syncobj import Flag
 
@@ -11,7 +12,8 @@ from conftest import small_topo
 
 
 def _two_rank_node(check="race"):
-    node = Node(small_topo(), data_movement=False, check=check)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, check=check))
     s0 = node.new_address_space(rank=0, core=0)
     s1 = node.new_address_space(rank=1, core=1)
     return node, s0, s1
@@ -207,7 +209,7 @@ def test_use_after_detach_is_flagged():
 
 
 def test_check_off_has_no_checker():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     assert node.engine.checker is None
     assert node.check_report.ok
 
@@ -215,13 +217,15 @@ def test_check_off_has_no_checker():
 def test_unknown_check_mode_rejected():
     from repro.errors import SimulationError
     with pytest.raises(SimulationError, match="check mode"):
-        Node(small_topo(), data_movement=False, check="everything")
+        Node(small_topo(),
+             options=RunOptions(data_movement=False, check="everything"))
 
 
 def test_findings_carry_span_context():
     """With observe on, findings name the enclosing span."""
-    node = Node(small_topo(), data_movement=False, observe="spans",
-                check="race")
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe="spans",
+                                   check="race"))
     s0 = node.new_address_space(rank=0, core=0)
     s1 = node.new_address_space(rank=1, core=1)
     shared = s0.alloc("pub", 64, shared=True)

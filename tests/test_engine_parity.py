@@ -89,7 +89,6 @@ def _run(fix: dict, kind: str, size: int, engine: str) -> float:
 @pytest.mark.parametrize("kind", ("bcast", "allreduce"))
 def test_array_golden_latencies(system, kind):
     """Array-engine latencies are pinned bit-exact, like the event ones."""
-    np = pytest.importorskip("numpy")  # noqa: F841 — array engine dep
     fix = _fixture(system, "array")
     assert fix["engine"] == "array"
     for size_str, want_hex in sorted(fix["latencies"][kind].items(),
@@ -111,7 +110,6 @@ def test_engine_delta_envelope(system, kind):
     this stays honest even when either fixture is regenerated: moving one
     without re-checking the deltas fails here.
     """
-    pytest.importorskip("numpy")
     ev = _fixture(system, "event")["latencies"][kind]
     ar = _fixture(system, "array")["latencies"][kind]
     assert set(ev) == set(ar)
@@ -173,7 +171,6 @@ def test_array_golden_baseline_latencies(system, kind, size):
     array engine, pinned bit-exact. All but xhc-flat bypass ChunkRun
     lowering, so their answers rest on the engine's occupancy sampling
     and line-port accounting rather than on the closed-form sweep."""
-    pytest.importorskip("numpy")
     fix = ARRAY_BASELINES
     expected = fix["latencies"][system][kind][str(size)]
     for name, want_hex in sorted(expected.items()):
@@ -196,7 +193,6 @@ def test_cluster_1024_rank_bcast_wall_bound():
     seconds of wall time on the array engine (the event engine takes
     ~5x longer). The bound is generous (CI machines vary) but still
     catches an order-of-magnitude regression."""
-    pytest.importorskip("numpy")
     from repro.cluster import build_cluster
     from repro.xhc.component import Xhc
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.memory.cache import CacheKind, CacheLevel, CacheSystem
 from repro.memory.model import model_for
 from repro.node import Node
+from repro.options import RunOptions
 
 from conftest import small_topo
 
@@ -16,7 +17,7 @@ def make_system():
 
 
 def alloc_buf(node_or_sys, size, rank=0, core=0):
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     return node.new_address_space(rank, core).alloc("b", size)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.sim.syncobj import Atomic, Flag, Line
 from repro.topology import Distance, get_system
@@ -27,7 +28,7 @@ def test_read_time_grows_with_distance():
     """The Fig. 1a ordering: local < cache-local < intra < cross < socket."""
     times = []
     for reader in (1, 2, 4, 8):  # cache-local .. cross-socket on mini topo
-        node = Node(small_topo(), data_movement=False)
+        node = Node(small_topo(), options=RunOptions(data_movement=False))
         src = node.new_address_space(0, 0).alloc("src", 1 << 20)
         times.append(copy_time(node, reader, src))
     assert times == sorted(times)
@@ -35,7 +36,7 @@ def test_read_time_grows_with_distance():
 
 
 def test_reread_hits_cache():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     src = node.new_address_space(0, 0).alloc("src", 1 << 16)
     first = copy_time(node, 2, src)
     second = copy_time(node, 2, src)
@@ -43,7 +44,7 @@ def test_reread_hits_cache():
 
 
 def test_write_invalidates_reader_cache():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     owner = node.new_address_space(0, 0)
     src = owner.alloc("src", 1 << 16)
     scratch = owner.alloc("scr", 1 << 16)
@@ -55,7 +56,7 @@ def test_write_invalidates_reader_cache():
     node.engine.run()
     # ...so the re-read is expensive again.
     warm = copy_time(node, 2, src)
-    node2 = Node(small_topo(), data_movement=False)
+    node2 = Node(small_topo(), options=RunOptions(data_movement=False))
     src2 = node2.new_address_space(0, 0).alloc("src", 1 << 16)
     cold = copy_time(node2, 2, src2)
     assert warm == pytest.approx(cold, rel=0.3)
@@ -64,7 +65,7 @@ def test_write_invalidates_reader_cache():
 def test_line_read_llc_assist():
     """After one member of an LLC group fetches a flag line, its peers pay
     only a cache-local hit (SSV-D1's implicit hierarchy-in-hardware)."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     line = Line(owner_core=0)
     # Core 2 (different LLC group than 0, same numa) fetches first.
     t1 = node.line_read(2, line, 0.0) - 0.0
@@ -75,7 +76,7 @@ def test_line_read_llc_assist():
 
 
 def test_line_read_serializes_at_home():
-    node = Node(get_system("arm-n1"), data_movement=False)
+    node = Node(get_system("arm-n1"), options=RunOptions(data_movement=False))
     line = Line(owner_core=0)
     finish = [node.line_read(core, line, 0.0) for core in range(20, 30)]
     # No shared LLC on ARM: each fetch queues at the home point.
@@ -84,7 +85,7 @@ def test_line_read_serializes_at_home():
 
 
 def test_holder_rereads_are_cheap():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     line = Line(owner_core=0)
     node.line_read(5, line, 0.0)
     t = node.line_read(5, line, 1.0) - 1.0
@@ -92,7 +93,7 @@ def test_holder_rereads_are_cheap():
 
 
 def test_atomic_contention_inflates_cost():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     line = Line(owner_core=0)
     _, base = node.atomic_cost(1, line, 0.0)
     line.pending_rmw = 10
@@ -101,7 +102,7 @@ def test_atomic_contention_inflates_cost():
 
 
 def test_syscall_kinds_and_kernel_lock():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     plain = node.syscall_cost("generic")
     assert node.syscall_cost("cma") == pytest.approx(plain)
     node.resources.kernel_ops = 8

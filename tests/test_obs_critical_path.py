@@ -5,13 +5,15 @@ import pytest
 from repro.mpi import World
 from repro.node import Node
 from repro.obs import CriticalPathReport, critical_path
+from repro.options import RunOptions
 from repro.xhc import Xhc
 
 from conftest import small_topo
 
 
 def run_coll(coll="bcast", observe=True, nranks=8, size=65536):
-    node = Node(small_topo(), data_movement=False, observe=observe)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=observe))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
 

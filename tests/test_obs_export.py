@@ -8,6 +8,7 @@ from repro.mpi import World
 from repro.node import Node
 from repro.obs import (flame_view, from_chrome_trace, to_chrome_trace,
                        validate_chrome_trace, write_chrome_trace)
+from repro.options import RunOptions
 from repro.xhc import Xhc
 
 from conftest import small_topo
@@ -15,7 +16,8 @@ from conftest import small_topo
 
 @pytest.fixture(scope="module")
 def observed_node():
-    node = Node(small_topo(), data_movement=False, observe=True)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=True))
     world = World(node, 8)
     comm = world.communicator(Xhc())
 
@@ -104,7 +106,7 @@ def test_flame_view(observed_node):
 
 
 def test_export_with_observability_disabled():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     with pytest.raises(ValueError):
         to_chrome_trace(node)
     assert "disabled" in flame_view(node)

@@ -8,6 +8,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                NULL_METRIC, NULL_METRICS,
                                NullMetricsRegistry, prometheus_name,
                                validate_prometheus)
+from repro.options import RunOptions
 from repro.sim.trace import bytes_by_distance
 from repro.xhc import Xhc
 
@@ -15,7 +16,8 @@ from conftest import small_topo
 
 
 def run_bcast(observe=True, nranks=8, size=4096):
-    node = Node(small_topo(), data_movement=False, observe=observe)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=observe))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
 

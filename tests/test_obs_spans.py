@@ -6,13 +6,15 @@ from repro.mpi import World
 from repro.node import Node
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.obs.spans import SETUP_TRACK, WaitRecord
+from repro.options import RunOptions
 from repro.xhc import Xhc
 
 from conftest import small_topo
 
 
 def run_bcast(observe=True, nranks=8, size=4096):
-    node = Node(small_topo(), data_movement=False, observe=observe)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=observe))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
 
@@ -27,7 +29,7 @@ def run_bcast(observe=True, nranks=8, size=4096):
 
 
 def test_default_node_has_null_observer():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     assert node.obs is NULL_OBSERVER
     assert not node.obs.enabled
     # All no-ops, shared handles.
@@ -39,7 +41,8 @@ def test_default_node_has_null_observer():
 
 
 def test_span_nesting_and_tracks():
-    node = Node(small_topo(), data_movement=False, observe=True)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=True))
     obs = node.obs
     assert isinstance(obs, Observer)
     # Outside any simulated process -> SETUP_TRACK.
@@ -62,7 +65,8 @@ def test_wait_record_group():
 
 
 def test_flush_open_closes_dangling_spans():
-    node = Node(small_topo(), data_movement=False, observe=True)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=True))
     ctx = node.obs.span("left.open")
     ctx.__enter__()
     assert not node.obs.spans
@@ -72,7 +76,8 @@ def test_flush_open_closes_dangling_spans():
 
 
 def test_span_limit_drops_not_grows():
-    node = Node(small_topo(), data_movement=False, observe=True)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=True))
     node.obs.span_limit = 2
     for i in range(5):
         with node.obs.span(f"s{i}"):
@@ -155,7 +160,8 @@ def test_flag_allocator_reports_to_registry():
 def test_invalid_observe_value_rejected():
     from repro.errors import SimulationError
     with pytest.raises(SimulationError):
-        Node(small_topo(), data_movement=False, observe="loud")
+        Node(small_topo(),
+             options=RunOptions(data_movement=False, observe="loud"))
 
 
 def test_span_tree_groups_and_sorts():

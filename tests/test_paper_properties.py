@@ -140,9 +140,10 @@ def test_regcache_hit_ratio_high_in_apps():
     """SSV-D3: stable buffers make the registration cache >99% effective."""
     from repro.mpi import World, SUM, FLOAT
     from repro.node import Node
+    from repro.options import RunOptions
     from repro.topology import get_system
     from repro.sim import primitives as P
-    node = Node(get_system("epyc-1p"), data_movement=False)
+    node = Node(get_system("epyc-1p"), options=RunOptions(data_movement=False))
     world = World(node, 16)
     from repro.xhc import Xhc
     comm = world.communicator(Xhc())

@@ -2,10 +2,10 @@
 
 Every optimization in the hot-path pass claims to be invisible to
 simulated time. These tests check each claim in isolation — batching,
-the fast handler table, smsc step emission, the bounded topology memo —
-so a future regression names its culprit instead of just failing a
-golden snapshot. (Source selection has its differential test in
-tests/test_property_fuzz.py.)
+the handlers' instrumentation hooks, smsc step emission, the bounded
+topology memo — so a future regression names its culprit instead of
+just failing a golden snapshot. (Source selection has its differential
+test in tests/test_property_fuzz.py.)
 """
 
 import numpy as np
@@ -26,8 +26,19 @@ def _hex(x: float) -> str:
 
 # -- CopyBatch: batched steps == the same steps yielded one at a time -------
 
-def _batch_world():
-    node = Node(small_topo())
+# Every instrumentation hook the engine's handlers carry; none may move
+# simulated time.
+HOOKS = [
+    pytest.param({"record_copies": True}, id="record_copies"),
+    pytest.param({"observe": "spans"}, id="observe-spans"),
+    pytest.param({"observe": "full"}, id="observe-full"),
+    pytest.param({"check": "race"}, id="check-race"),
+    pytest.param({"check": "deadlock"}, id="check-deadlock"),
+]
+
+
+def _batch_world(options=None):
+    node = Node(small_topo(), options=options)
     a_sp = node.new_address_space(0, 0)
     b_sp = node.new_address_space(1, 1)
     src = a_sp.alloc("src", 64 * 1024)
@@ -66,38 +77,26 @@ def test_copybatch_bit_identical_to_unbatched():
     assert _hex(t_batched) == _hex(t_unbatched)
 
 
-def test_copybatch_runs_on_full_handler_table_too():
-    """Observed runs route batches through the instrumented handlers;
-    the simulated end time still matches the fast path exactly."""
+@pytest.mark.parametrize("hooks", HOOKS)
+def test_copybatch_prices_identically_with_hooks(hooks):
+    """A batch's steps cross the same race, observe and record hooks as
+    yielded steps; with any of them on, the simulated end time still
+    matches the plain run exactly."""
     node_a, steps_a, _ = _batch_world()
 
     def batched_a():
         yield P.CopyBatch(steps_a)
     node_a.engine.spawn(batched_a(), core=1)
-    t_fast = node_a.engine.run()
+    t_plain = node_a.engine.run()
 
-    node_b = Node(small_topo(), options=RunOptions(record_copies=True))
-    a_sp = node_b.new_address_space(0, 0)
-    b_sp = node_b.new_address_space(1, 1)
-    src = a_sp.alloc("src", 64 * 1024)
-    dst = b_sp.alloc("dst", 64 * 1024)
-    acc = b_sp.alloc("acc", 64 * 1024)
-    flag = Flag("t.avail", owner_core=1)
-    steps_b = (
-        P.Copy(src=src.whole(), dst=dst.whole()),
-        P.Compute(3e-6),
-        P.Reduce(srcs=(src.whole(), dst.whole()), dst=acc.whole(),
-                 op=np.add, dtype=np.float32),
-        P.SetFlag(flag, 7),
-        P.Copy(src=acc.view(0, 4096), dst=dst.view(0, 4096)),
-    )
+    node_b, steps_b, _ = _batch_world(RunOptions(**hooks))
 
     def batched_b():
         yield P.CopyBatch(steps_b)
     node_b.engine.spawn(batched_b(), core=1)
-    t_full = node_b.engine.run()
+    t_hooked = node_b.engine.run()
 
-    assert _hex(t_full) == _hex(t_fast)
+    assert _hex(t_hooked) == _hex(t_plain)
 
 
 def test_copybatch_rejects_waits():
@@ -132,7 +131,7 @@ def test_empty_copybatch_is_a_noop():
     assert node.engine.run() == pytest.approx(1e-6)
 
 
-# -- fast vs instrumented handler tables ------------------------------------
+# -- instrumentation hooks leave prices unchanged ---------------------------
 
 def _collective_latency(**kwargs):
     from repro.bench.components import make_component
@@ -142,16 +141,11 @@ def _collective_latency(**kwargs):
         65536, warmup=1, iters=2, **kwargs)
 
 
-def test_fast_and_full_tables_price_identically():
+@pytest.mark.parametrize("hooks", HOOKS)
+def test_hooked_run_prices_identically(hooks):
     plain = _collective_latency()
-    recorded = _collective_latency(options=RunOptions(record_copies=True))
-    assert _hex(recorded) == _hex(plain)
-
-
-def test_observed_run_prices_identically():
-    plain = _collective_latency()
-    observed = _collective_latency(options=RunOptions(observe="spans"))
-    assert _hex(observed) == _hex(plain)
+    hooked = _collective_latency(options=RunOptions(**hooks))
+    assert _hex(hooked) == _hex(plain)
 
 
 # -- wait interning ---------------------------------------------------------

@@ -56,7 +56,7 @@ def test_p2p_random_message_streams(sizes, data):
 def test_cache_directory_consistency(writes):
     """After arbitrary read/write traffic, the holders directory agrees
     with per-cache contents and totals never exceed capacity."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     sp = node.new_address_space(0, 0)
     bufs = [sp.alloc(f"b{i}", 1 << 18) for i in range(3)]
     caches = node.caches
@@ -250,7 +250,7 @@ def test_xhc_config_space_correctness(nranks, size, chunk, threshold, ring):
 @given(delays=st.lists(st.integers(0, 200), min_size=4, max_size=4))
 def test_barrier_under_arbitrary_skew(delays):
     """No arrival pattern lets a rank escape a barrier early."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     world = World(node, 4)
     comm = world.communicator(Xhc())
     after = {}

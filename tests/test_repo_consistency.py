@@ -66,3 +66,13 @@ def test_public_modules_have_docstrings():
                  "repro.validate", "repro.cli"):
         mod = importlib.import_module(name)
         assert mod.__doc__ and len(mod.__doc__.strip()) > 30, name
+
+
+def test_pyproject_version_matches_package_version():
+    """docs/api.md counts its deprecation window from ``__version__``;
+    the packaged version must say the same."""
+    import repro
+    text = (ROOT / "pyproject.toml").read_text()
+    m = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert m is not None, "pyproject.toml declares no version"
+    assert m.group(1) == repro.__version__

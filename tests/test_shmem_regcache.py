@@ -1,13 +1,15 @@
 """Registration cache: hits, misses, LRU capacity, statistics."""
 
 from repro.node import Node
+from repro.options import RunOptions
 from repro.shmem.regcache import RegistrationCache
 
 from conftest import small_topo
 
 
 def bufs(n, size=64):
-    sp = Node(small_topo(), data_movement=False).new_address_space(0, 0)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
+    sp = node.new_address_space(0, 0)
     return [sp.alloc(f"b{i}", size) for i in range(n)]
 
 

@@ -4,13 +4,15 @@ import pytest
 
 from repro.errors import ShmemError
 from repro.node import Node
+from repro.options import RunOptions
 from repro.shmem.segment import SharedSegment
 
 from conftest import small_topo
 
 
 def make_space():
-    return Node(small_topo(), data_movement=False).new_address_space(0, 0)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
+    return node.new_address_space(0, 0)
 
 
 def test_reserve_and_region():

@@ -4,13 +4,14 @@ import pytest
 
 from repro.errors import ShmemError
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 
 from conftest import small_topo
 
 
 def setup():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     sp = node.new_address_space(0, 0)
     return node, sp.alloc("buf", 64 * 1024)
 
@@ -47,7 +48,7 @@ def test_attach_pays_syscall_plus_page_faults():
 
 
 def test_shared_segments_attach_without_exposure():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     sp = node.new_address_space(0, 0)
     shared = sp.alloc("seg", 4096, shared=True)
     drive(node, node.xpmem.attach(shared))  # no raise

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.sim.syncobj import Atomic, Flag
 
@@ -11,7 +12,7 @@ from conftest import small_topo
 
 
 def fresh_node():
-    return Node(small_topo(), data_movement=True)
+    return Node(small_topo(), options=RunOptions(data_movement=True))
 
 
 def test_compute_advances_time():

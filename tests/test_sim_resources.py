@@ -56,7 +56,7 @@ def test_pool_structure_arm():
 def test_contention_slows_concurrent_readers():
     """Many readers of one source take longer per-reader than one reader."""
     def read_time(n_readers):
-        node = Node(small_topo(), data_movement=False)
+        node = Node(small_topo(), options=RunOptions(data_movement=False))
         src_space = node.new_address_space(0, 0)
         src = src_space.alloc("src", 1 << 20)
         times = {}
@@ -74,7 +74,7 @@ def test_contention_slows_concurrent_readers():
 
 
 def test_bytes_served_accounting():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     sp0 = node.new_address_space(0, 0)
     sp1 = node.new_address_space(1, 4)  # a different NUMA node
     src = sp0.alloc("src", 1 << 16)

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.mpi import World
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim.trace import (Timeline, bytes_by_distance,
                              count_message_distances, message_matrix,
                              messages, resource_report)
@@ -13,8 +14,9 @@ from conftest import small_topo
 
 
 def run_bcast(record_copies=False, nranks=8, size=4096):
-    node = Node(small_topo(), data_movement=False,
-                record_copies=record_copies)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False,
+                                   record_copies=record_copies))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
 
@@ -96,7 +98,8 @@ def test_resource_report_sorted():
 def test_observe_full_feeds_timeline():
     # observe=True implies copy recording: the legacy Timeline keeps
     # working without passing record_copies separately.
-    node = Node(small_topo(), data_movement=False, observe=True)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=True))
     world = World(node, 8)
     comm = world.communicator(Xhc())
 

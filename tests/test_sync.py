@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.sync import AtomicAllocator, FlagAllocator, flat_barrier, rmb, wmb
 from repro.sync.barriers import FlatBarrierState
@@ -34,7 +35,7 @@ def test_unknown_placement():
 
 def test_shared_line_write_invalidates_sibling_readers():
     """Writing one flag of a shared line evicts readers of all of them."""
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     a, b = FlagAllocator().flag_group(["a", "b"], owner_core=0,
                                       placement="shared")
     done = []
@@ -59,7 +60,7 @@ def test_memory_barriers_are_cheap_compute():
 
 
 def test_flat_barrier_synchronizes():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     cores = list(range(6))
     state = FlatBarrierState(cores)
     after = {}
@@ -75,7 +76,7 @@ def test_flat_barrier_synchronizes():
 
 
 def test_flat_barrier_multiple_episodes():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     cores = [0, 1, 2]
     state = FlatBarrierState(cores)
     def prog(i):

@@ -6,6 +6,7 @@ from repro.mpi import World
 from repro.mpi.colls import Tuned
 from repro.mpi.colls.base import CollComponent
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.sim.stats import collect_stats
 from repro.validate import validate_component
@@ -53,7 +54,7 @@ def test_unsupported_component_reported_not_raised():
 
 
 def test_collect_stats():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     world = World(node, 8)
     comm = world.communicator(Xhc())
 
@@ -74,14 +75,14 @@ def test_collect_stats():
 
 
 def test_stats_empty_engine():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     stats = collect_stats(node)
     assert stats.mean_core_utilization == 0.0
     assert stats.events == 0
 
 
 def test_stats_render_lists_xpmem_detaches():
-    node = Node(small_topo(), data_movement=False)
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
     text = collect_stats(node).render()
     assert "xpmem make/attach" in text
     assert "xpmem detaches" in text
@@ -89,7 +90,8 @@ def test_stats_render_lists_xpmem_detaches():
 
 def test_collect_stats_carries_metrics_snapshot():
     def run(observe):
-        node = Node(small_topo(), data_movement=False, observe=observe)
+        node = Node(small_topo(),
+                    options=RunOptions(data_movement=False, observe=observe))
         world = World(node, 8)
         comm = world.communicator(Xhc())
 
