@@ -8,24 +8,32 @@ A blocked process waits on a flag or an atomic. Who could unblock it?
 * an :class:`~repro.sim.syncobj.Atomic` can be bumped by anyone alive.
 
 A set of blocked processes is *stuck* when every candidate waker of every
-member is itself in the set (greatest fixpoint). This is sound here
-because new processes are only ever spawned onto the spawner's own core,
-so a stuck core cannot grow a fresh writer. The engine consults this
-module in three places: at event-queue drain (always — the classic
-"everyone still blocked" deadlock), from the run-loop watchdog (always —
-catches spins that would otherwise hang pytest), and proactively at every
-block when constructed with ``check='deadlock'`` or ``'full'`` (reports
-the cycle the moment it closes, while the rest of the node still runs).
+member is itself in the set (greatest fixpoint). Its complement, the
+processes that can still run, is a least fixpoint and is found in one
+worklist pass: every alive process that is not waiting is free, a flag
+waiter is freed once its owner core has a free process, and an atomic
+waiter once any process is free. This is sound here because new
+processes are only ever spawned onto the spawner's own core, so a stuck
+core cannot grow a fresh writer. The engine consults this module in
+three places: at event-queue drain (always — the classic "everyone still
+blocked" deadlock), from the run-loop watchdog (always — catches spins
+that would otherwise hang pytest), and proactively at every block when
+constructed with ``check='deadlock'`` or ``'full'`` (reports the cycle
+the moment it closes, while the rest of the node still runs).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..sim.engine import ProcState
 from .report import Finding
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine, SimProcess
+
+_BLOCKED = ProcState.BLOCKED
+_DONE = ProcState.DONE
 
 
 class DeadlockInfo:
@@ -65,7 +73,7 @@ def _candidate_wakers(engine: "Engine",
     owner_core = getattr(obj, "owner_core", None)
     out = []
     for p in engine.processes:
-        if p is proc or p.state.name == "DONE":
+        if p is proc or p.state is _DONE:
             continue
         if owner_core is not None and p.core != owner_core:
             continue
@@ -74,28 +82,39 @@ def _candidate_wakers(engine: "Engine",
 
 
 def find_deadlock(engine: "Engine") -> DeadlockInfo | None:
-    """Greatest-fixpoint stuck-set analysis; ``None`` when every blocked
-    process still has a reachable waker."""
-    blocked = [
-        p for p in engine.processes
-        if p.state.name == "BLOCKED" and not p.waking
-    ]
-    if not blocked:
-        return None
-    stuck = set(blocked)
-    changed = True
-    while changed:
-        changed = False
-        for p in list(stuck):
-            for cand in _candidate_wakers(engine, p):
-                if cand not in stuck:
-                    stuck.discard(p)
-                    changed = True
-                    break
+    """Stuck-set analysis; ``None`` when every blocked process still has
+    a reachable waker.
+
+    One pass indexes the waiters by the core that can wake them; the
+    worklist then holds cores known to have a free process, and popping
+    a core frees every waiter on a flag it owns.
+    """
+    work: list[int] = []              # cores with a free process
+    by_owner: dict[int, list] = {}    # flag waiters by the flag's owner core
+    on_atomic: list = []              # waiters any other process may wake
+    for p in engine.processes:
+        state = p.state
+        if state is _DONE:
+            continue
+        if state is _BLOCKED and not p.waking:
+            owner = getattr(p.blocked_obj, "owner_core", None)
+            if owner is None:
+                on_atomic.append(p)
+            else:
+                by_owner.setdefault(owner, []).append(p)
+        else:
+            work.append(p.core)
+    if work:
+        work.extend(p.core for p in on_atomic)
+        on_atomic = []
+    while work:
+        for p in by_owner.pop(work.pop(), ()):
+            work.append(p.core)
+    stuck = on_atomic + [p for waiters in by_owner.values() for p in waiters]
     if not stuck:
         return None
     ordered = sorted(stuck, key=lambda p: p.pid)
-    return DeadlockInfo(ordered, _extract_cycle(engine, stuck))
+    return DeadlockInfo(ordered, _extract_cycle(engine, set(stuck)))
 
 
 def _extract_cycle(engine: "Engine",

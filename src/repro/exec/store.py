@@ -15,8 +15,8 @@ more than ~1/256th of the population::
 Properties the serving layer (and concurrent sweeps) rely on:
 
 * **Atomic writes** — every entry (and the ledger) is written to a
-  ``*.tmp`` sibling and ``os.replace``'d into place, so a killed worker
-  or daemon can never leave a half-written entry behind.
+  per-writer ``*.tmp`` sibling and ``os.replace``'d into place, so a
+  killed worker or daemon can never leave a half-written entry behind.
 * **Corruption is a miss, not a crash** — an unparseable entry file is
   moved to ``quarantine/`` with a warning and treated as absent.
 * **The filesystem is the source of truth** — ``ledger.json`` is an
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import warnings
 
 OBJECTS_DIR = "objects"
@@ -47,11 +48,15 @@ LEDGER_VERSION = 1
 
 
 def _atomic_write_json(path: str, payload: dict, *, indent=None) -> int:
-    """Write JSON via ``*.tmp`` + ``os.replace``; returns bytes written."""
+    """Write JSON via ``*.tmp`` + ``os.replace``; returns bytes written.
+
+    The temp name carries the writing process and thread, so two writers
+    of one path never replace each other's temp file.
+    """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     data = json.dumps(payload, indent=indent, sort_keys=True)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w") as fh:
             fh.write(data)

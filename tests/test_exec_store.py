@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -91,6 +92,39 @@ def test_failed_write_leaves_no_partial_entry(tmp_path, monkeypatch):
         _atomic_write_json(str(tmp_path / "x" / "entry.json"), {"a": 1})
     monkeypatch.setattr(json, "dumps", real_dumps)
     assert list(os.listdir(tmp_path / "x")) == []
+
+
+def test_two_writers_of_one_path_do_not_share_a_temp_file(tmp_path,
+                                                         monkeypatch):
+    # A second writer (another thread) writes the same path between the
+    # first writer's write and its replace; both must complete.
+    path = str(tmp_path / "x" / "entry.json")
+    real_replace = os.replace
+    temps, errors = [], []
+
+    def second_writer():
+        try:
+            _atomic_write_json(path, {"writer": 2})
+        except BaseException as exc:
+            errors.append(exc)
+
+    def interleaving_replace(src, dst):
+        temps.append(src)
+        if len(temps) == 1:
+            thread = threading.Thread(target=second_writer)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interleaving_replace)
+    _atomic_write_json(path, {"writer": 1})
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert errors == []
+    assert len(temps) == 2 and all(t.endswith(".tmp") for t in temps)
+    with open(path) as fh:
+        assert json.load(fh) == {"writer": 1}
+    assert os.listdir(tmp_path / "x") == ["entry.json"]
 
 
 # -- corruption quarantine ---------------------------------------------------
