@@ -135,7 +135,7 @@ class SmColl(CollComponent):
                     srcs.append(self.slots[r].sub(0, n))
                 dst = (rview if rview is not None else sview).sub(off, n)
                 yield P.Reduce(srcs=tuple(srcs + [piece_in]), dst=dst,
-                               op=op.ufunc, dtype=dtype.np_dtype)
+                               op=op, dtype=dtype)
                 if fan_out:
                     if frag_i > 0:
                         yield P.WaitAtomic(self.done[root],

@@ -228,7 +228,7 @@ class Smhc(CollComponent):
                 dst = (rview.sub(off, n) if me == root and rview is not None
                        else self.slot[me].sub(0, n))
                 yield P.Reduce(srcs=tuple(srcs + [sview.sub(off, n)]),
-                               dst=dst, op=op.ufunc, dtype=dtype.np_dtype)
+                               dst=dst, op=op, dtype=dtype)
                 yield P.SetFlag(self.ack[me], ack_base[me] + frag_i + 1)
                 if parent is not None:  # leader forwards its partial sum
                     yield P.SetFlag(self.posted[me],

@@ -136,8 +136,8 @@ class Tuned(CollComponent):
                 newrank = -1
             else:
                 yield from comm.recv(ctx, tmp, me + 1, tag=4)
-                yield P.Reduce(srcs=(tmp,), dst=rview, op=op.ufunc,
-                               dtype=dtype.np_dtype, accumulate=True)
+                yield P.Reduce(srcs=(tmp,), dst=rview, op=op, dtype=dtype,
+                               accumulate=True)
                 newrank = me // 2
         else:
             newrank = me - rem
@@ -149,8 +149,8 @@ class Tuned(CollComponent):
                 peer = (peer_new * 2 if peer_new < rem else peer_new + rem)
                 yield from p2p.sendrecv(ctx, comm, rview, peer, tmp, peer,
                                         tag=5)
-                yield P.Reduce(srcs=(tmp,), dst=rview, op=op.ufunc,
-                               dtype=dtype.np_dtype, accumulate=True)
+                yield P.Reduce(srcs=(tmp,), dst=rview, op=op, dtype=dtype,
+                               accumulate=True)
                 mask <<= 1
 
         # Post-phase: hand the result back to the folded odd ranks.
@@ -197,7 +197,7 @@ class Tuned(CollComponent):
             yield from p2p.sendrecv(ctx, comm, slice_view(rview, send_idx),
                                     nxt, recv_tmp, prv, tag=7)
             yield P.Reduce(srcs=(recv_tmp,), dst=slice_view(rview, recv_idx),
-                           op=op.ufunc, dtype=dtype.np_dtype, accumulate=True)
+                           op=op, dtype=dtype, accumulate=True)
         # Allgather: circulate the finished slices.
         for s in range(size - 1):
             send_idx = (me - s + 1) % size
@@ -221,8 +221,8 @@ class Tuned(CollComponent):
         parent, children = binomial_tree(me, size, root)
         for child in children:
             yield from comm.recv(ctx, tmp, child, tag=9)
-            yield P.Reduce(srcs=(tmp,), dst=acc, op=op.ufunc,
-                           dtype=dtype.np_dtype, accumulate=True)
+            yield P.Reduce(srcs=(tmp,), dst=acc, op=op, dtype=dtype,
+                           accumulate=True)
         if parent is not None:
             yield from comm.send(ctx, acc, parent, tag=9)
 
@@ -347,8 +347,7 @@ class Tuned(CollComponent):
                 ctx, comm, acc.sub(send_idx * block, block), nxt,
                 tmp, prv, tag=15)
             yield P.Reduce(srcs=(tmp,), dst=acc.sub(recv_idx * block, block),
-                           op=op.ufunc, dtype=dtype.np_dtype,
-                           accumulate=True)
+                           op=op, dtype=dtype, accumulate=True)
         yield P.Copy(src=acc.sub(me * block, block), dst=rview)
 
     # -- barrier -----------------------------------------------------------

@@ -204,7 +204,7 @@ class Ucc(CollComponent):
         if srcs:
             yield P.Reduce(srcs=tuple(srcs + [sview]),
                            dst=self.slot[me].sub(0, nbytes),
-                           op=op.ufunc, dtype=dtype.np_dtype)
+                           op=op, dtype=dtype)
         else:
             yield P.Copy(src=sview, dst=self.slot[me].sub(0, nbytes))
         yield P.SetFlag(self.prod[me], led["prod"][me] + 1)
@@ -252,7 +252,7 @@ class Ucc(CollComponent):
             lview = self._views[left]
             yield from ctx.smsc.reduce_from(
                 [slc(lview, j)], slc(rview, j),
-                op=op.ufunc, dtype=dtype.np_dtype, accumulate=True,
+                op=op, dtype=dtype, accumulate=True,
             )
             yield P.SetFlag(self.step[me], step_base + s + 1)
         yield P.SetFlag(self.rsdone[me], rs_base[me] + 1)
@@ -295,7 +295,7 @@ class Ucc(CollComponent):
                 yield P.WaitFlag(self.prod[child], led["prod"][child] + 1)
                 srcs.append(self._views[child].sub(0, nbytes))
             yield from ctx.smsc.reduce_from(
-                srcs + [sview], dst, op=op.ufunc, dtype=dtype.np_dtype
+                srcs + [sview], dst, op=op, dtype=dtype
             )
             # Tell the children their contributions were consumed, so their
             # scratch buffers are safe to reuse next op.

@@ -93,8 +93,7 @@ class Xbrc(CollComponent):
                 # truly-single-copy reduction XPMEM enables, SSII-B).
                 yield P.WaitFlag(self.posted[root], base + 1)
                 dst = self._rviews[root].sub(off, n)
-            yield from ctx.smsc.reduce_from(srcs, dst, op=op.ufunc,
-                                            dtype=dtype.np_dtype)
+            yield from ctx.smsc.reduce_from(srcs, dst, op=op, dtype=dtype)
         yield P.SetFlag(self.done[me], base + 1)
 
         if root is None:

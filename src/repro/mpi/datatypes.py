@@ -1,18 +1,16 @@
 """MPI datatypes (the subset the paper's collectives exercise).
 
-numpy is a ``[perf]`` extra, so the concrete dtype object is resolved
-lazily: latency-only runs (``data_movement=False`` on either engine)
-carry ``np_dtype is None`` through the primitives and never import
-numpy; anything that actually touches values gets the real dtype, or a
-clear :class:`~repro.errors.ConfigError` from the buffer allocation that
-needed it first.
+Primitives carry the :class:`Datatype` itself, never a numpy dtype, so
+latency-only runs (``data_movement=False`` on either engine) never
+import numpy. Only code that moves values reads :attr:`Datatype.np_dtype`;
+without numpy installed that raises a :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..compat import get_numpy
+from ..compat import require_numpy
 from ..errors import MPIError
 
 
@@ -21,7 +19,6 @@ class Datatype:
     name: str
     itemsize: int
     np_name: str
-    _cache: list = field(default_factory=list, repr=False, compare=False)
 
     def count_of(self, nbytes: int) -> int:
         if nbytes % self.itemsize:
@@ -32,13 +29,8 @@ class Datatype:
 
     @property
     def np_dtype(self):
-        """The numpy dtype, or ``None`` when numpy is not installed
-        (pure-latency runs never dereference it)."""
-        if not self._cache:
-            np = get_numpy()
-            self._cache.append(
-                None if np is None else np.dtype(self.np_name))
-        return self._cache[0]
+        """The numpy dtype (data plane only)."""
+        return require_numpy(f"moving {self.name} values").dtype(self.np_name)
 
 
 BYTE = Datatype("MPI_BYTE", 1, "uint8")

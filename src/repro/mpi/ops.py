@@ -1,32 +1,27 @@
 """MPI reduction operations.
 
-Like :mod:`.datatypes`, the numpy ufunc is resolved lazily so that
-latency-only runs on either engine work without numpy installed: primitives
-then carry ``op.ufunc is None``, which is fine because nothing applies
-it until values actually move.
+Like :mod:`.datatypes`, primitives carry the :class:`ReduceOp` itself;
+only code that moves values reads :attr:`ReduceOp.ufunc`, which raises a
+:class:`~repro.errors.ConfigError` when numpy is not installed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..compat import get_numpy
+from ..compat import require_numpy
 
 
 @dataclass(frozen=True)
 class ReduceOp:
     name: str
     ufunc_name: str
-    _cache: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def ufunc(self):
-        """The numpy ufunc, or ``None`` when numpy is not installed."""
-        if not self._cache:
-            np = get_numpy()
-            self._cache.append(
-                None if np is None else getattr(np, self.ufunc_name))
-        return self._cache[0]
+        """The numpy ufunc (data plane only)."""
+        return getattr(require_numpy(f"applying {self.name} to values"),
+                       self.ufunc_name)
 
     def __call__(self, a, b):
         return self.ufunc(a, b)

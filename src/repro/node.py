@@ -21,7 +21,7 @@ tests/test_golden_latency.py.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConfigError, SimulationError
 from .memory.address_space import AddressSpace, Buffer, BufView
@@ -34,6 +34,10 @@ from .sim.resources import Resource, ResourcePool
 from .sim.syncobj import Line
 from .topology.distance import Distance, distance_row
 from .topology.objects import ObjKind, Topology
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .mpi.datatypes import Datatype
+    from .mpi.ops import ReduceOp
 
 _NO_RESOURCES: list = []
 
@@ -511,8 +515,9 @@ class Node:
                 src_buf.data[src_end - nbytes:src_end]
 
     def commit_reduce_span(self, core: int, srcs, dst: "BufView",
-                           off: int, nbytes: int, op=None,
-                           dtype=None) -> None:
+                           off: int, nbytes: int,
+                           op: "ReduceOp | None" = None,
+                           dtype: "Datatype | None" = None) -> None:
         """:meth:`commit_copy_span` for a direct reduction: the
         ``complete`` effects of :meth:`reduce_terms` over the
         ``[off, off+nbytes)`` slice of full-payload operand views."""
@@ -530,10 +535,12 @@ class Node:
 
     @staticmethod
     def _apply_reduce(prim: P.Reduce) -> None:
-        from .compat import require_numpy
-        np = require_numpy("value-accurate reduction (data_movement)")
-        dtype = prim.dtype if prim.dtype is not None else np.float32
-        op = prim.op if prim.op is not None else np.add
+        """Move the values: the only place a reduction's MPI op and
+        datatype are resolved to a numpy ufunc and dtype."""
+        from .mpi.datatypes import FLOAT
+        from .mpi.ops import SUM
+        op = (prim.op if prim.op is not None else SUM).ufunc
+        dtype = (prim.dtype if prim.dtype is not None else FLOAT).np_dtype
         dst = prim.dst.as_dtype(dtype)
         arrays = [s.as_dtype(dtype) for s in prim.srcs]
         if any(a is None for a in arrays) or dst is None:

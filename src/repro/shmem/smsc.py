@@ -17,7 +17,7 @@ simulated process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..errors import ShmemError
 from ..sim import primitives as P
@@ -25,6 +25,8 @@ from .regcache import RegistrationCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..memory.address_space import BufView
+    from ..mpi.datatypes import Datatype
+    from ..mpi.ops import ReduceOp
     from ..node import Node
     from .xpmem import XpmemService
 
@@ -205,8 +207,8 @@ class SmscEndpoint:
         return lookups * self.node.model.regcache_lookup_cost
 
     def reduce_from_steps(self, srcs: Sequence["BufView"], dst: "BufView",
-                          op: Callable[..., Any] | None = None,
-                          dtype: Any = None,
+                          op: "ReduceOp | None" = None,
+                          dtype: "Datatype | None" = None,
                           accumulate: bool = False) -> "tuple | None":
         """The direct reduction as a tuple of primitives, when every
         operand is already addressable (own/shared memory or a cached
@@ -295,8 +297,8 @@ class SmscEndpoint:
         self,
         srcs: Sequence["BufView"],
         dst: "BufView",
-        op: Callable[..., Any] | None = None,
-        dtype: Any = None,
+        op: "ReduceOp | None" = None,
+        dtype: "Datatype | None" = None,
         accumulate: bool = False,
     ) -> Iterator:
         """Reduce peers' buffers directly into ``dst`` (XPMEM only)."""

@@ -8,10 +8,12 @@ resumes the generator (``AtomicRMW`` sends the pre-increment value back).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..memory.address_space import BufView
+    from ..mpi.datatypes import Datatype
+    from ..mpi.ops import ReduceOp
     from .syncobj import Atomic, Flag
 
 
@@ -78,12 +80,18 @@ class Reduce:
     directly from peers' buffers (each priced like a :class:`Copy` read)
     and combined at ``reduce_bw``. ``accumulate=True`` reduces the sources
     *into* dst's current contents instead of overwriting.
+
+    ``op`` and ``dtype`` are the MPI :class:`~repro.mpi.ops.ReduceOp` and
+    :class:`~repro.mpi.datatypes.Datatype` the collective was called with
+    (``None`` means ``SUM`` and ``FLOAT``). Pricing never reads them; only
+    the data plane resolves them to a numpy ufunc and dtype, so
+    latency-only runs never import numpy.
     """
 
     srcs: tuple["BufView", ...]
     dst: "BufView"
-    op: Callable[..., Any] | None = None  # numpy ufunc, e.g. np.add
-    dtype: Any = None                      # element dtype, default float32
+    op: "ReduceOp | None" = None
+    dtype: "Datatype | None" = None
     accumulate: bool = False
 
     @property
@@ -142,8 +150,9 @@ class ChunkRun:
       expresses a producer responsible for the sub-range ``[lo, hi)``;
     * the chunk body runs: ``copy = (src, dst)`` copies
       ``src.sub(o, n) -> dst.sub(o, n)``, or ``reduce = (srcs, dst, op,
-      dtype)`` reduces the same slices, plus ``const_cost`` seconds of
-      fixed CPU work (e.g. registration-cache lookups);
+      dtype)`` reduces the same slices (``op``/``dtype`` as in
+      :class:`Reduce`), plus ``const_cost`` seconds of fixed CPU work
+      (e.g. registration-cache lookups);
     * every ``(flags, base)`` entry of ``sets`` publishes
       ``base + (e - start)`` to each flag.
 

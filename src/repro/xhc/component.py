@@ -568,8 +568,6 @@ class Xhc(CollComponent):
         ready_bases = {p: led["ready"][p][level] for p in peers}
         done_base = led["done"][me]
         done_flag = self.done[me]
-        ufunc = op.ufunc
-        np_dtype = dtype.np_dtype
         src_bases = None
         pos = lo
         with comm.node.obs.span("xhc.reduce.work", rank=me, level=level,
@@ -601,8 +599,7 @@ class Xhc(CollComponent):
                         waits=tuple((self.ready[p][level], ready_bases[p],
                                      0, hi) for p in peers),
                         sets=(((done_flag,), done_base),),
-                        reduce=(tuple(src_bases), dst_base, ufunc,
-                                np_dtype),
+                        reduce=(tuple(src_bases), dst_base, op, dtype),
                         const_cost=const)
                     return
                 # Fall through: the loop re-waits chunk 0 (satisfied) and
@@ -629,15 +626,15 @@ class Xhc(CollComponent):
                 done_prim = P.SetFlag(done_flag, done_base + (pos - lo))
                 if small:
                     yield P.CopyBatch((
-                        P.Reduce(srcs=tuple(srcs), dst=dst, op=ufunc,
-                                 dtype=np_dtype),
+                        P.Reduce(srcs=tuple(srcs), dst=dst, op=op,
+                                 dtype=dtype),
                         done_prim))
                 else:
-                    steps = ctx.smsc.reduce_from_steps(srcs, dst, op=ufunc,
-                                                       dtype=np_dtype)
+                    steps = ctx.smsc.reduce_from_steps(srcs, dst, op=op,
+                                                       dtype=dtype)
                     if steps is None:
-                        yield from ctx.smsc.reduce_from(srcs, dst, op=ufunc,
-                                                        dtype=np_dtype)
+                        yield from ctx.smsc.reduce_from(srcs, dst, op=op,
+                                                        dtype=dtype)
                         yield done_prim
                     else:
                         yield P.CopyBatch(steps + (done_prim,))
@@ -934,8 +931,7 @@ class Xhc(CollComponent):
                 for q in range(size)
             ]
             yield from ctx.smsc.reduce_from(srcs, rview.sub(pos, n),
-                                            op=op.ufunc,
-                                            dtype=dtype.np_dtype)
+                                            op=op, dtype=dtype)
             pos += n
         yield from self.barrier(comm, ctx)
 

@@ -55,9 +55,10 @@ def run_bcast(component_factory, *, topo=None, nranks=8, size=256, root=0,
 
 def run_allreduce(component_factory, *, topo=None, nranks=8, size=256,
                   iters=2, mapping="core", smsc=None, data_movement=True,
-                  op=SUM, dtype=FLOAT):
+                  op=SUM, dtype=FLOAT, engine="event"):
     topo = topo if topo is not None else small_topo()
-    node = Node(topo, options=RunOptions(data_movement=data_movement))
+    node = Node(topo, options=RunOptions(data_movement=data_movement,
+                                         engine=engine))
     world = World(node, nranks, mapping=mapping, smsc=smsc)
     comm = world.communicator(component_factory())
     out = {}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.mpi import FLOAT, SUM
 from repro.node import Node
 from repro.sim import primitives as P
 from repro.sim.syncobj import Atomic, Flag, Line
@@ -156,8 +157,8 @@ def test_reduce_accumulate_data_plane():
     dst.view().as_dtype(np.float32)[:] = 10.0
 
     def prog():
-        yield P.Reduce(srcs=(a.whole(),), dst=dst.whole(), op=np.add,
-                       dtype=np.float32, accumulate=True)
+        yield P.Reduce(srcs=(a.whole(),), dst=dst.whole(), op=SUM,
+                       dtype=FLOAT, accumulate=True)
     node.engine.spawn(prog(), core=0)
     node.engine.run()
     assert np.all(dst.view().as_dtype(np.float32) == 13.0)

@@ -8,10 +8,10 @@ just failing a golden snapshot. (Source selection has its differential
 test in tests/test_property_fuzz.py.)
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.mpi import FLOAT, SUM
 from repro.node import Node
 from repro.options import RunOptions
 from repro.sim import primitives as P
@@ -49,7 +49,7 @@ def _batch_world(options=None):
         P.Copy(src=src.whole(), dst=dst.whole()),
         P.Compute(3e-6),
         P.Reduce(srcs=(src.whole(), dst.whole()), dst=acc.whole(),
-                 op=np.add, dtype=np.float32),
+                 op=SUM, dtype=FLOAT),
         P.SetFlag(flag, 7),
         P.Copy(src=acc.view(0, 4096), dst=dst.view(0, 4096)),
     )
@@ -260,19 +260,19 @@ def test_reduce_from_steps_matches_generator_path():
 
     # Cold operands must decline (the attach generator has to run)...
     assert ep_b.reduce_from_steps([src_b.whole()], dst_b.whole(),
-                                  op=np.add, dtype=np.float32) is None
+                                  op=SUM, dtype=FLOAT) is None
     # ...so warm both worlds identically through the generator path.
     drive(node_a, ep_a.reduce_from([src_a.whole()], dst_a.whole(),
-                                   op=np.add, dtype=np.float32))
+                                   op=SUM, dtype=FLOAT))
     drive(node_b, ep_b.reduce_from([src_b.whole()], dst_b.whole(),
-                                   op=np.add, dtype=np.float32))
+                                   op=SUM, dtype=FLOAT))
 
     t_gen = drive(node_a, ep_a.reduce_from([src_a.whole()],
-                                           dst_a.whole(), op=np.add,
-                                           dtype=np.float32))
+                                           dst_a.whole(), op=SUM,
+                                           dtype=FLOAT))
 
     steps = ep_b.reduce_from_steps([src_b.whole()], dst_b.whole(),
-                                   op=np.add, dtype=np.float32)
+                                   op=SUM, dtype=FLOAT)
     assert steps is not None
 
     def prog():
@@ -295,7 +295,7 @@ def test_reduce_from_steps_declines_unmapped_operands():
     ep = SmscEndpoint(node, 1, SmscConfig(mechanism="xpmem"))
     hits, misses = ep.regcache.hits, ep.regcache.misses
     assert ep.reduce_from_steps([src.whole()], dst.whole(),
-                                op=np.add, dtype=np.float32) is None
+                                op=SUM, dtype=FLOAT) is None
     # Declining has no side effects on the cache accounting.
     assert (ep.regcache.hits, ep.regcache.misses) == (hits, misses)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShmemError
+from repro.mpi import FLOAT, SUM
 from repro.node import Node
 from repro.shmem.smsc import SmscConfig, SmscEndpoint
 
@@ -101,7 +102,7 @@ def test_xpmem_direct_reduce():
     src.view().as_dtype(np.float32)[:] = 2.0
     src2.view().as_dtype(np.float32)[:] = 3.0
     drive(node, ep.reduce_from([src.whole(), src2.whole()], dst.whole(),
-                               op=np.add, dtype=np.float32))
+                               op=SUM, dtype=FLOAT))
     assert np.all(dst.view().as_dtype(np.float32) == 5.0)
 
 
