@@ -71,7 +71,12 @@ class Access:
 
 
 class RaceChecker:
-    """Per-engine happens-before state and findings."""
+    """Per-engine happens-before state and findings.
+
+    Like :class:`~repro.obs.spans.Observer`, it holds its engine strongly
+    only while :meth:`Engine.run` executes and through a
+    ``weakref.proxy`` otherwise, so the pair forms no reference cycle.
+    """
 
     def __init__(self, engine: "Engine", max_history: int = 512,
                  max_findings: int = 200) -> None:

@@ -131,10 +131,15 @@ class ResultCache:
                 self.store.migrate_flat(legacy_flat)
 
     def __len__(self) -> int:
+        """Entries in the store's current generation plus unflushed puts.
+
+        ``entries`` also keeps what the store has since evicted, so it
+        does not count; an entry another process wrote and this one read
+        is in the store's digest set (``ShardedStore.read`` adds it)."""
         if self.store is None:
             return len(self.entries)
-        return len(self.store.digests(SIM_VERSION)
-                   | self._dirty | set(self.entries))
+        stored = self.store.digests(SIM_VERSION)
+        return len(stored) + len(self._dirty - stored)
 
     @property
     def hit_rate(self) -> float:

@@ -135,6 +135,9 @@ class ShardedStore:
             os.utime(path)  # refresh LRU recency on every hit
         except OSError:  # pragma: no cover - raced with an eviction
             pass
+        known = self._digests.get(version)
+        if known is not None:
+            known.add(digest)  # another process may have written it
         return entry
 
     def write(self, version: int, digest: str, entry: dict) -> str:

@@ -11,20 +11,24 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class CollComponent:
-    """Base class: one instance serves exactly one communicator."""
+    """Base class: one instance serves exactly one communicator.
+
+    The communicator owns its component and passes itself to every entry
+    point, so the component keeps no reference back to it.
+    """
 
     name = "base"
 
     def __init__(self) -> None:
-        self.comm: "Communicator | None" = None
+        self._bound = False
 
     def setup(self, comm: "Communicator") -> None:
-        if self.comm is not None:
+        if self._bound:
             raise MPIError(
                 f"component {self.name!r} already bound to a communicator; "
                 f"create a fresh instance per communicator"
             )
-        self.comm = comm
+        self._bound = True
         self._setup(comm)
 
     def _setup(self, comm: "Communicator") -> None:

@@ -47,7 +47,7 @@ class Smhc(CollComponent):
 
     def _setup(self, comm) -> None:
         topo = comm.node.topo
-        n = comm.size
+        n = self._size = comm.size
         self.slot = []
         self.rslot = []
         self.prod = []     # staging-slot fragment counters (single writer)
@@ -76,8 +76,7 @@ class Smhc(CollComponent):
     def _schedule(self, root: int) -> StagingSchedule:
         sched = self._schedules.get(root)
         if sched is None:
-            roles = tuple(self._roles(q, root)
-                          for q in range(self.comm.size))
+            roles = tuple(self._roles(q, root) for q in range(self._size))
             sched = StagingSchedule(
                 roles=roles,
                 stagers=tuple(q for q, (_p, cons) in enumerate(roles)

@@ -49,7 +49,7 @@ class Ucc(CollComponent):
         self.chunk = chunk
 
     def _setup(self, comm) -> None:
-        n = comm.size
+        n = self._size = comm.size
         self.slot = []      # cico staging, one per rank
         self.prod = []      # reduce/bcast-stage production counters
         self.bprod = []     # fan-out stage production counters
@@ -73,7 +73,7 @@ class Ucc(CollComponent):
     def _schedule(self, root: int) -> KnomialSchedule:
         sched = self._schedules.get(root)
         if sched is None:
-            sched = KnomialSchedule.build(self.comm.size, root, self.radix)
+            sched = KnomialSchedule.build(self._size, root, self.radix)
             self._schedules[root] = sched
         return sched
 

@@ -104,7 +104,7 @@ def _send_eager(ctx, ch: Channel, view: "BufView", seq: int) -> Iterator:
 
 def _send_rndv_post(ctx, ch: Channel, view: "BufView", seq: int) -> Iterator:
     if ctx.smsc.enabled:
-        yield from ctx.world.node.xpmem.expose(view.buf)
+        yield from ctx.node.xpmem.expose(view.buf)
     ch.descriptors[("r", seq)] = (view.length, view)
     # Keep the RTS flag monotonic when several nonblocking sends race.
     yield P.WaitFlag(ch.rts, seq)
@@ -235,7 +235,7 @@ def isend(ctx: "RankCtx", comm: "Communicator", view: "BufView",
             yield from _send_rndv_finish(ctx, ch, view, seq, pipe_base)
         yield P.SetFlag(req.flag, 1)
 
-    ctx.world.node.engine.spawn(
+    ctx.node.engine.spawn(
         _runner(), core=ctx.core, name=f"isend.{ctx.rank}->{dst}"
     )
     return req

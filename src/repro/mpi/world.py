@@ -25,10 +25,14 @@ if True:  # typing-only imports that are also used at runtime
 
 
 class RankCtx:
-    """Per-rank execution context (address space, SMSC endpoint, core)."""
+    """Per-rank execution context (address space, SMSC endpoint, core).
+
+    It refers to its node, not to the :class:`World` that owns it, so a
+    world and its ranks form no reference cycle.
+    """
 
     def __init__(self, world: "World", rank: int, core: int) -> None:
-        self.world = world
+        self.node = world.node
         self.rank = rank
         self.core = core
         self.space: AddressSpace = world.node.new_address_space(rank, core)
@@ -40,7 +44,7 @@ class RankCtx:
     @property
     def now(self) -> float:
         """Current simulated time (valid while this rank is running)."""
-        return self.world.node.engine.now
+        return self.node.engine.now
 
     def __repr__(self) -> str:
         return f"<rank {self.rank} on core {self.core}>"

@@ -131,7 +131,12 @@ class WaitRecord:
 
 
 class Observer:
-    """Collects spans, waits, instants and metrics for one engine run."""
+    """Collects spans, waits, instants and metrics for one engine run.
+
+    ``engine`` is the engine itself while :meth:`Engine.run` executes and
+    a ``weakref.proxy`` to it otherwise: the engine owns its observer, so
+    a strong reference held past the run would make a reference cycle.
+    """
 
     def __init__(self, engine: "Engine", record_copies: bool = True,
                  span_limit: int = 2_000_000) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import ShmemError
+from ..memory.model import PAGE_SIZE
 from ..sim import primitives as P
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,7 +24,9 @@ class XpmemService:
     """Node-global registry of exposed address ranges."""
 
     def __init__(self, node: "Node") -> None:
-        self.node = node
+        # The node owns this service; holding its engine rather than the
+        # node keeps the ownership graph acyclic (docs/architecture.md).
+        self.engine = node.engine
         self._exposed: set[int] = set()
         self.makes = 0
         self.attaches = 0
@@ -59,18 +62,17 @@ class XpmemService:
             )
         self.attaches += 1
         self._m_attaches.inc()
-        checker = self.node.engine.checker
-        if checker is not None:
-            checker.on_attach(self.node.engine._current_proc, buf)
-        with self.node.obs.span("xpmem.attach", cat="shmem",
-                                nbytes=buf.size):
+        engine = self.engine
+        if engine.checker is not None:
+            engine.checker.on_attach(engine._current_proc, buf)
+        with engine.obs.span("xpmem.attach", cat="shmem", nbytes=buf.size):
             yield P.Syscall("xpmem_attach")
-            yield P.PageFaults(self.node.pages_of(buf.size))
+            yield P.PageFaults((buf.size + PAGE_SIZE - 1) // PAGE_SIZE)
 
     def detach(self, buf: "Buffer") -> Iterator:
         self.detaches += 1
         self._m_detaches.inc()
-        checker = self.node.engine.checker
-        if checker is not None:
-            checker.on_detach(self.node.engine._current_proc, buf)
+        engine = self.engine
+        if engine.checker is not None:
+            engine.checker.on_detach(engine._current_proc, buf)
         yield P.Syscall("xpmem_detach")

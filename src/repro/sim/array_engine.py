@@ -144,6 +144,7 @@ class ArrayEngine(Engine):
         self._running = True
         ready = self._ready
         try:
+            self._bind_run()
             while ready:
                 vt, _, proc = heapq.heappop(ready)
                 if proc.state is _DONE:  # pragma: no cover - defensive
@@ -154,6 +155,7 @@ class ArrayEngine(Engine):
             return self._now
         finally:
             self._running = False
+            self._unbind_run()
 
     # -- dispatch --------------------------------------------------------
 

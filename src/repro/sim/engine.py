@@ -23,6 +23,14 @@ which covers the overwhelming majority of events without allocating a
 closure per event. Handler dispatch goes through one table,
 ``_HANDLERS``; the observe, race, deadlock-probe and record_copies hooks
 inside the handlers each sit behind a boolean cached at construction.
+
+Ownership (see docs/architecture.md): the Node owns its engine, and the
+engine owns its observer and checker. The three back-references — the
+engine's ``pricer`` and the observer's and checker's ``engine`` — are
+``weakref.proxy`` objects except while :meth:`Engine.run` executes,
+which swaps in the strong references the handlers read per event and
+swaps the proxies back when it returns or raises. A finished run's
+object graph is therefore freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import weakref
 from typing import Any, Callable, Generator, Optional
 
 from ..errors import DeadlockError, SimulationError
@@ -152,7 +161,13 @@ class Engine:
     def __init__(self, pricer, record_copies: bool = False,
                  observe: "bool | str | Observer | None" = None,
                  check: "bool | str | None" = None) -> None:
-        self.pricer = pricer
+        # The pricer (the Node) owns this engine, so the engine holds it
+        # strongly only while run() executes (see _bind_run) and through
+        # a proxy otherwise.
+        self._pricer_ref = weakref.ref(pricer)
+        self._pricer_proxy = weakref.proxy(pricer)
+        self.pricer = self._pricer_proxy
+        self._plan_span = None
         self.now = 0.0
         self._seq = itertools.count()
         self._heap: list[tuple] = []
@@ -162,16 +177,16 @@ class Engine:
         self.events_processed = 0
         self._running = False
         self._current_proc: SimProcess | None = None
-        self._plan_span = pricer.plan_copy_span
+        self._proxy = weakref.proxy(self)
         if observe is None or observe is False:
             self.obs: "Observer | NullObserver" = NULL_OBSERVER
         elif observe is True or observe == "full":
-            self.obs = Observer(self, record_copies=True)
+            self.obs = Observer(self._proxy, record_copies=True)
         elif observe == "spans":
-            self.obs = Observer(self, record_copies=False)
+            self.obs = Observer(self._proxy, record_copies=False)
         elif isinstance(observe, Observer):
             self.obs = observe
-            self.obs.engine = self
+            self.obs.engine = self._proxy
         else:
             raise SimulationError(
                 f"unknown observe mode {observe!r}; expected True, False, "
@@ -187,8 +202,8 @@ class Engine:
             self._dl_proactive = False
         elif check in ("race", "deadlock", "full"):
             from ..check.race import RaceChecker
-            self.checker = (RaceChecker(self) if check in ("race", "full")
-                            else None)
+            self.checker = (RaceChecker(self._proxy)
+                            if check in ("race", "full") else None)
             self._dl_proactive = check in ("deadlock", "full")
         else:
             raise SimulationError(
@@ -253,6 +268,7 @@ class Engine:
         pop = heapq.heappop
         resume = self._resume
         try:
+            self._bind_run()
             if until is None:
                 # The common drain-to-quiescence loop, with the bounded
                 # variant's per-event `until` comparison compiled out.
@@ -274,11 +290,13 @@ class Engine:
                                       + self.watchdog_every)
             else:
                 while heap:
-                    t, _, fn = pop(heap)
-                    if t > until:
-                        heapq.heappush(heap, (t, next(self._seq), fn))
+                    # Peek rather than pop and re-push: a re-pushed entry
+                    # would take a fresh sequence number and lose its FIFO
+                    # tie-break against events at the same time.
+                    if heap[0][0] > until:
                         self.now = until
                         return self.now
+                    t, _, fn = pop(heap)
                     if t < self.now - 1e-18:
                         raise SimulationError("time went backwards")  # pragma: no cover
                     self.now = t
@@ -297,6 +315,33 @@ class Engine:
             return self.now
         finally:
             self._running = False
+            self._unbind_run()
+
+    def _bind_run(self) -> None:
+        """Hold the pricer strongly, and hand the observer and checker
+        this engine itself, for the duration of run(): the handlers read
+        them on every event, which must not pay a proxy dereference."""
+        pricer = self._pricer_ref()
+        if pricer is None:
+            raise SimulationError(
+                "the engine's Node has been freed; keep a reference to "
+                "the Node while using node.engine")
+        self.pricer = pricer
+        self._plan_span = pricer.plan_copy_span
+        if self._observe:
+            self.obs.engine = self
+        if self._race:
+            self.checker.engine = self
+
+    def _unbind_run(self) -> None:
+        """Undo :meth:`_bind_run` when run() returns or raises, so a
+        finished run leaves no reference cycle through the engine."""
+        self.pricer = self._pricer_proxy
+        self._plan_span = None
+        if self._observe:
+            self.obs.engine = self._proxy
+        if self._race:
+            self.checker.engine = self._proxy
 
     def alive(self) -> list[SimProcess]:
         return [p for p in self.processes if p.state is not ProcState.DONE]

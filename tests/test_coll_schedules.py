@@ -109,8 +109,9 @@ def test_hierarchy_tables_match_per_rank_navigation(system, nranks, mapping,
 
 
 class UccReplay:
-    def __init__(self, comp, size):
-        self.c, self.size = comp, size
+    def __init__(self, comp, comm):
+        self.c, self.size = comp, comm.size
+        size = comm.size
         self.led = {k: [0] * size
                     for k in ("prod", "bprod", "step", "rsdone", "ack")}
 
@@ -163,8 +164,9 @@ class UccReplay:
 
 
 class SmhcReplay:
-    def __init__(self, comp, size):
-        self.c, self.size = comp, size
+    def __init__(self, comp, comm):
+        self.c, self.size = comp, comm.size
+        size = comm.size
         self.led = {k: [0] * size for k in ("prod", "posted", "ack")}
 
     def bcast(self, root, nbytes):
@@ -205,14 +207,15 @@ class SmhcReplay:
 
 
 class XhcReplay:
-    def __init__(self, comp, size):
-        self.c, self.size = comp, size
+    def __init__(self, comp, comm):
+        self.c, self.comm, self.size = comp, comm, comm.size
+        size = comm.size
         self.led = {k: [0] * size for k in ("avail", "done", "ack", "arrive")}
         self.led["ready"] = [[0] * (comp.n_levels + 1) for _ in range(size)]
         self.led["cico_ops"] = 0
 
     def _hier(self, root):
-        return self.c._hierarchy(self.c.comm, root)
+        return self.c._hierarchy(self.comm, root)
 
     def _cico(self, nbytes):
         if nbytes <= self.c.cfg.cico_threshold:
@@ -310,7 +313,7 @@ def test_ledgers_equal_reference_replay(system, nranks, mapping, name):
                 yield from comm_.barrier(ctx)
 
     comm.run(program)
-    replay = replay_cls(comp, comm.size)
+    replay = replay_cls(comp, comm)
     for kind, root, nbytes in ops:
         if kind in ("bcast", "reduce"):
             getattr(replay, kind)(root, nbytes)

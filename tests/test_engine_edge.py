@@ -104,6 +104,25 @@ def test_run_until_then_resume():
     assert t2 == pytest.approx(20e-6)
 
 
+@pytest.mark.parametrize("split", [None, 5e-6])
+def test_run_until_keeps_same_time_fifo_order(split):
+    """Stopping at ``until`` must not reorder the events that share the
+    first time past it: a split run finishes them in the unsplit order."""
+    node = fresh()
+    order = []
+
+    def prog(name):
+        yield P.Compute(10e-6)
+        order.append(name)
+
+    node.engine.spawn(prog("a"), core=0)
+    node.engine.spawn(prog("b"), core=1)
+    if split is not None:
+        assert node.engine.run(until=split) == pytest.approx(split)
+    assert node.engine.run() == pytest.approx(10e-6)
+    assert order == ["a", "b"]
+
+
 def test_zero_byte_copy_is_free():
     node = fresh()
     sp = node.new_address_space(0, 0)

@@ -444,6 +444,35 @@ def test_cache_eviction_bounds_apply_on_save(tmp_path):
     assert info["max_entries"] == 2
 
 
+def test_cache_len_drops_evicted_entries(tmp_path):
+    """``len()`` (and ``stats().entries``) count what the store holds
+    plus unflushed puts, not every entry this process ever touched."""
+    cache = ResultCache(tmp_path, max_entries=2)
+    for i in range(5):
+        cache.put(RunRequest("epyc-1p", "bcast", 64 + i, 8).payload(), 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cache.save()
+        assert len(cache) == min(i + 1, 2)
+    assert cache.stats().entries == 2
+    cache.put(RunRequest("epyc-1p", "bcast", 4096, 8).payload(), 1e-6)
+    assert len(cache) == 3          # two stored, one not yet flushed
+
+
+def test_cache_len_counts_entries_another_process_wrote(tmp_path):
+    cache = ResultCache(tmp_path)
+    mine = RunRequest("epyc-1p", "bcast", 64, 8).payload()
+    cache.put(mine, 1e-6)
+    cache.save()                    # the digest set is scanned now
+    theirs = RunRequest("epyc-1p", "bcast", 128, 8).payload()
+    other = ResultCache(tmp_path)
+    other.put(theirs, 2e-6)
+    other.save()
+    assert len(cache) == 1          # not seen yet
+    assert cache.get(theirs) == pytest.approx(2e-6)
+    assert len(cache) == 2
+
+
 def test_store_info_shape(tmp_path):
     cache = ResultCache(tmp_path, max_bytes=1 << 20)
     cache.put(RunRequest("epyc-1p", "bcast", 64, 8).payload(), 1e-6)
