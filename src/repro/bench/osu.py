@@ -18,7 +18,6 @@ from ..node import Node
 from ..options import RunOptions
 from ..shmem.smsc import SmscConfig
 from ..sim import primitives as P
-from ..topology import get_system
 
 DEFAULT_SIZES = (4, 16, 64, 256, 1024, 4096, 16384, 65536,
                  262144, 1048576, 4194304)
@@ -99,9 +98,10 @@ def run_collective(
 ) -> float:
     """One (configuration, size) cell: mean per-rank collective latency."""
     if node is None:
+        from ..exec.worker import get_topology
         if options is None:
             options = RunOptions(data_movement=data_movement)
-        node = Node(get_system(system), options=options)
+        node = Node(get_topology(system), options=options)
     world = World(node, nranks, mapping=mapping, smsc=smsc)
     comm = world.communicator(component_factory())
     samples: list[float] = []
@@ -253,7 +253,8 @@ def osu_latency(
 ) -> float:
     """Ping-pong one-way latency between two pinned ranks (osu_latency)."""
     if node is None:
-        node = Node(get_system(system),
+        from ..exec.worker import get_topology
+        node = Node(get_topology(system),
                     options=RunOptions(data_movement=False))
     world = World(node, 2, mapping=list(cores), smsc=smsc)
     from ..mpi.colls import Tuned

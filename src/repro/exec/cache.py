@@ -149,13 +149,18 @@ class ResultCache:
     def get(self, payload: dict) -> float | None:
         digest = cache_key(payload)
         entry = self.entries.get(digest)
-        if entry is None and self.store is not None:
-            entry = self.store.read(SIM_VERSION, digest)
+        if self.store is not None:
             if entry is not None:
-                if entry.get("sim_version", SIM_VERSION) != SIM_VERSION:
-                    entry = None  # stale generation; never serve it
-                else:
-                    self.entries[digest] = entry
+                # A memory hit refreshes LRU recency as a disk read does,
+                # or the hottest entries would be the first evicted.
+                self.store.touch(SIM_VERSION, digest)
+            else:
+                entry = self.store.read(SIM_VERSION, digest)
+                if entry is not None:
+                    if entry.get("sim_version", SIM_VERSION) != SIM_VERSION:
+                        entry = None  # stale generation; never serve it
+                    else:
+                        self.entries[digest] = entry
         if entry is None:
             self.misses += 1
             return None
@@ -177,8 +182,10 @@ class ResultCache:
         """Flush dirty entries to the sharded store, run eviction, and
         refresh the ledger if any of that (or a quarantine) changed the
         store since the last ledger write. A save with nothing to flush
-        leaves ``ledger.json`` untouched and never walks the store. A
-        no-op without a backing path."""
+        leaves ``ledger.json`` untouched and never walks the store; one
+        that flushed only new entries walks it only when
+        :meth:`ShardedStore.save_ledger` must rescan. A no-op without a
+        backing path."""
         if self.store is None:
             return
         wrote = bool(self._dirty)

@@ -20,10 +20,16 @@ Properties the serving layer (and concurrent sweeps) rely on:
 * **Corruption is a miss, not a crash** — an unparseable entry file is
   moved to ``quarantine/`` with a warning and treated as absent.
 * **The filesystem is the source of truth** — ``ledger.json`` is an
-  advisory summary, recomputed from a shard scan on every
-  :meth:`save_ledger`, so two processes writing and evicting the same
-  root cannot double-count bytes or lose entries: whichever ledger write
-  lands last describes the actual files.
+  advisory summary. :meth:`save_ledger` derives its totals from a scan
+  of every shard on an instance's first save, after an eviction or a
+  quarantine, after a write replaced an existing entry, and whenever
+  ``ledger.json`` is not the file this instance last wrote (another
+  process saved since). Otherwise it adds the sizes of this instance's
+  own new entries to the totals it last wrote, so one save costs the
+  same on a 10,000-entry store as on a 50-entry one. Entries another
+  process wrote after this instance's last scan are missing from its
+  ledger until some process scans again, so the last ledger written can
+  lag the files.
 * **LRU eviction** — when ``max_entries``/``max_bytes`` bounds are set,
   the oldest entries (by file mtime; reads refresh it) are unlinked
   until the store fits. Stale ``SIM_VERSION`` generations age out the
@@ -47,25 +53,49 @@ ENTRY_SUFFIX = ".json"
 LEDGER_VERSION = 1
 
 
-def _atomic_write_json(path: str, payload: dict, *, indent=None) -> int:
-    """Write JSON via ``*.tmp`` + ``os.replace``; returns bytes written.
+def _atomic_write_json(path: str, payload: dict, *,
+                       indent=None) -> os.stat_result:
+    """Write JSON via ``*.tmp`` + ``os.replace``; returns the written
+    file's stat (``st_size`` is its length).
 
     The temp name carries the writing process and thread, so two writers
-    of one path never replace each other's temp file.
+    of one path never replace each other's temp file. The directory is
+    created only when opening the temp file finds it missing, so a write
+    into an existing directory makes no extra system call.
     """
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    data = json.dumps(payload, indent=indent, sort_keys=True)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(data)
+        try:
+            fh = open(tmp, "w")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            fh = open(tmp, "w")
+        with fh:
+            fh.write(json.dumps(payload, indent=indent, sort_keys=True))
+            fh.flush()
+            # Renaming keeps the inode, size and mtime, so this is also
+            # the stat of ``path`` once the replace below lands.
+            st = os.fstat(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return len(data)
+    return st
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    """What identifies one version of a file that is only ever replaced
+    whole: a rewrite gets a new inode (and usually mtime)."""
+    return (st.st_mtime_ns, st.st_size, st.st_ino)
+
+
+def _touch(path: str) -> None:
+    """Refresh a file's mtime (LRU recency); a missing file is ignored."""
+    try:
+        os.utime(path)
+    except OSError:  # never flushed, or raced with an eviction
+        pass
 
 
 class ShardedStore:
@@ -93,8 +123,14 @@ class ShardedStore:
         self.quarantined_total = 0
         # {version: set(digests)} — lazily scanned, incrementally updated
         # by our own writes/evictions; external writers are picked up on
-        # the next refresh() / save_ledger().
+        # the next refresh().
         self._digests: dict[int, set[str]] = {}
+        # The (entries, bytes) of the last ledger this instance wrote and
+        # that file's stamp; None makes the next save_ledger() rescan.
+        # ``_added`` is what this instance's writes added since.
+        self._ledger_totals: tuple[int, int] | None = None
+        self._ledger_stamp: tuple[int, int, int] | None = None
+        self._added = [0, 0]
 
     # -- paths ------------------------------------------------------------
 
@@ -131,21 +167,35 @@ class ShardedStore:
             self.quarantine(path, str(exc))
             self._digests.get(version, set()).discard(digest)
             return None
-        try:
-            os.utime(path)  # refresh LRU recency on every hit
-        except OSError:  # pragma: no cover - raced with an eviction
-            pass
+        _touch(path)  # refresh LRU recency on every hit
         known = self._digests.get(version)
         if known is not None:
             known.add(digest)  # another process may have written it
         return entry
 
+    def touch(self, version: int, digest: str) -> None:
+        """Refresh one entry's LRU recency, as a read does. An entry that
+        is not on disk (never flushed, or evicted) is ignored."""
+        _touch(self.entry_path(version, digest))
+
     def write(self, version: int, digest: str, entry: dict) -> str:
-        """Atomically persist one entry; returns its path."""
+        """Atomically persist one entry; returns its path.
+
+        Past the generation's first write, which scans its digest set,
+        this costs the same however large the store is: the digest set
+        gains the digest and the pending ledger totals gain the entry.
+        Replacing an existing file makes the next save rescan instead,
+        because the old file's size is not known.
+        """
         path = self.entry_path(version, digest)
-        _atomic_write_json(path, entry)
-        self._digests.setdefault(version, self._scan_digests(version))
-        self._digests[version].add(digest)
+        replaced = os.path.exists(path)
+        size = _atomic_write_json(path, entry).st_size
+        if replaced:
+            self._ledger_totals = None
+        else:
+            self._added[0] += 1
+            self._added[1] += size
+        self.digests(version).add(digest)
         return path
 
     def contains(self, version: int, digest: str) -> bool:
@@ -177,8 +227,10 @@ class ShardedStore:
         return self._digests[version]
 
     def refresh(self) -> None:
-        """Drop scan caches (pick up entries other processes wrote)."""
+        """Drop scan caches (pick up entries other processes wrote); the
+        next :meth:`save_ledger` rescans too."""
         self._digests.clear()
+        self._ledger_totals = None
 
     def count(self, version: int) -> int:
         return len(self.digests(version))
@@ -269,6 +321,7 @@ class ShardedStore:
             os.replace(path, dest)
         except FileNotFoundError:  # pragma: no cover - raced
             return None
+        self._ledger_totals = None
         self.quarantined += 1
         self.quarantined_total += 1
         warnings.warn(
@@ -281,26 +334,46 @@ class ShardedStore:
     # -- ledger -----------------------------------------------------------
 
     def load_ledger(self) -> dict:
+        return self._read_ledger()[0]
+
+    def _read_ledger(self) -> "tuple[dict, tuple[int, int, int] | None]":
+        """The ledger on disk and its stamp (``{}, None`` when absent)."""
         try:
             with open(self.ledger_path) as fh:
+                stamp = _stamp(os.fstat(fh.fileno()))
                 ledger = json.load(fh)
             if isinstance(ledger, dict):
-                return ledger
+                return ledger, stamp
         except FileNotFoundError:
             pass
         except (json.JSONDecodeError, OSError):
             self.quarantine(self.ledger_path, "unreadable ledger")
-        return {}
+        return {}, None
+
+    def _write_ledger(self, ledger: dict) -> None:
+        self._ledger_stamp = _stamp(
+            _atomic_write_json(self.ledger_path, ledger, indent=1))
+        self._ledger_totals = (ledger["entries"], ledger["bytes"])
+        self._added = [0, 0]
 
     def save_ledger(self) -> dict:
-        """Recompute totals from the filesystem and persist the summary.
+        """Persist the totals and counters; returns the ledger written.
 
-        Totals are *derived*, never incremented, so concurrent writers
-        cannot double-count: the last ledger written describes the files
-        that actually exist.
+        The totals are derived from a scan of every shard on this
+        instance's first save, after an eviction or a quarantine, after a
+        write replaced an existing entry, and when ``ledger.json`` is not
+        the file this instance last wrote (another process saved since).
+        Otherwise they are the totals this instance last wrote plus its
+        own new entries, so the save does not walk the store. Either way
+        no entry is counted twice; entries another process wrote after
+        this instance's last scan are left out until some process scans.
         """
-        previous = self.load_ledger()
-        count, size = self.totals()
+        previous, stamp = self._read_ledger()
+        if self._ledger_totals is None or stamp != self._ledger_stamp:
+            count, size = self.totals()
+        else:
+            count = self._ledger_totals[0] + self._added[0]
+            size = self._ledger_totals[1] + self._added[1]
         ledger = {
             "ledger_version": LEDGER_VERSION,
             "entries": count,
@@ -314,7 +387,7 @@ class ShardedStore:
         }
         self.evictions = 0
         self.quarantined = 0
-        _atomic_write_json(self.ledger_path, ledger, indent=1)
+        self._write_ledger(ledger)
         return ledger
 
     # -- migration --------------------------------------------------------
@@ -360,5 +433,5 @@ class ShardedStore:
         migrated[key] = stamp
         ledger = self.save_ledger()
         ledger["migrated"] = migrated
-        _atomic_write_json(self.ledger_path, ledger, indent=1)
+        self._write_ledger(ledger)
         return imported

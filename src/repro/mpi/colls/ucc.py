@@ -115,6 +115,8 @@ class Ucc(CollComponent):
         sched = self._schedule(root)
         parent, children = sched.parent[me], sched.children[me]
         nbytes = view.length
+        if nbytes > self.small_max:
+            ctx.smsc.require(self.name, "bcast", nbytes)
         if parent is not None:
             yield P.Trace("message", {
                 "src": comm.core_of(parent), "dst": ctx.core,
@@ -185,6 +187,7 @@ class Ucc(CollComponent):
             yield from self._allreduce_small(comm, ctx, me, sview, rview,
                                              op, dtype)
         else:
+            ctx.smsc.require(self.name, "allreduce", nbytes, reduce=True)
             yield from self._allreduce_ring(comm, ctx, me, sview, rview,
                                             op, dtype)
 
@@ -284,6 +287,7 @@ class Ucc(CollComponent):
             return
         led = self._ledger(comm, me)
         nbytes = sview.length
+        ctx.smsc.require(self.name, "reduce", nbytes, reduce=True)
         sched = self._schedule(root)
         parent, children = sched.parent[me], sched.children[me]
         contrib = sview

@@ -64,6 +64,8 @@ class Xbrc(CollComponent):
             return
         base = self._next_base(comm, me)
         nbytes = sview.length
+        ctx.smsc.require(self.name, "allreduce" if root is None else "reduce",
+                         nbytes, reduce=True)
         slices = partition(nbytes, size, minimum=self.min_slice,
                            align=dtype.itemsize)
 

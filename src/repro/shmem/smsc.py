@@ -10,6 +10,10 @@ the configured mechanisms:
   contention, and **no** direct reduction (copy-only semantics, SSII-B).
 * ``None`` — SMSC disabled; callers must fall back to copy-in-copy-out.
 
+A component that has no such fallback for an operation calls
+:meth:`SmscEndpoint.require` before the operation yields anything, so a
+run the mechanism cannot serve is refused instead of failing midway.
+
 All methods are generators to be driven with ``yield from`` inside a
 simulated process.
 """
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ..errors import ShmemError
+from ..errors import ConfigError, ShmemError
 from ..sim import primitives as P
 from .regcache import RegistrationCache
 
@@ -82,6 +86,24 @@ class SmscEndpoint:
     def can_reduce(self) -> bool:
         """Only XPMEM permits reducing directly from peers' buffers."""
         return self.config.mechanism == "xpmem"
+
+    def require(self, component: str, collective: str, nbytes: int,
+                reduce: bool = False) -> None:
+        """Refuse an operation this endpoint's mechanism cannot serve.
+
+        ``reduce=True`` asks for direct reduction from peers' buffers
+        (XPMEM only); otherwise any mechanism serves the single copies.
+        Raises :class:`~repro.errors.ConfigError` naming the component,
+        the collective, the size and the mechanism needed.
+        """
+        mech = self._mech
+        if mech == "xpmem" or (mech is not None and not reduce):
+            return
+        need = ("xpmem for direct reduction" if reduce
+                else "a single-copy mechanism (xpmem, cma or knem)")
+        raise ConfigError(
+            f"{component} {collective} of {nbytes} bytes needs {need}; "
+            f"the SMSC mechanism is {mech!r}")
 
     # -- mapping ------------------------------------------------------------
 

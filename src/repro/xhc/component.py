@@ -218,6 +218,8 @@ class Xhc(CollComponent):
         hier = self._hierarchy(comm, root)
         nbytes = view.length
         small = nbytes <= self.cfg.cico_threshold
+        if not small:
+            ctx.smsc.require(self.name, "bcast", nbytes)
         parent = hier.parent(me)
         if parent is not None:
             yield P.Trace("message", {
@@ -307,8 +309,7 @@ class Xhc(CollComponent):
         got = 0
         with comm.node.obs.span("xhc.fanout", rank=me, parent=parent,
                                 level=level, nbytes=nbytes, chunk=chunk):
-            if (not small and comm.node.engine.lower_chunk_runs
-                    and ctx.smsc.enabled):
+            if not small and comm.node.engine.lower_chunk_runs:
                 # Lowered form (array engine): the wait/copy/announce loop
                 # is zero-decision, so after the first chunk's wait (which
                 # licenses reading the parent's publication) the whole
@@ -431,6 +432,9 @@ class Xhc(CollComponent):
         if nbytes == 0:
             return
         small = nbytes <= self.cfg.cico_threshold
+        if not small:
+            ctx.smsc.require(self.name, "allreduce" if fan_out else "reduce",
+                             nbytes, reduce=True)
         parity = led["cico_ops"] % self.cfg.cico_ring
 
         # Step 1 — preparation: publish buffers, announce source readiness.
@@ -572,8 +576,7 @@ class Xhc(CollComponent):
         pos = lo
         with comm.node.obs.span("xhc.reduce.work", rank=me, level=level,
                                 lo=lo, hi=hi):
-            if (not small and comm.node.engine.lower_chunk_runs
-                    and ctx.smsc.can_reduce):
+            if not small and comm.node.engine.lower_chunk_runs:
                 # Lowered form: wait for the first chunk (so every peer's
                 # publication exists), resolve the operand views, then
                 # reduce the whole assigned range as one ChunkRun.
@@ -791,6 +794,7 @@ class Xhc(CollComponent):
         led = self._ledger(comm, me)
         hier = self._hierarchy(comm, root)
         block = sview.length
+        ctx.smsc.require(self.name, "gather", block)
         self._pub_ctb[me] = sview
         yield from comm.node.xpmem.expose(sview.buf)
         yield P.SetFlag(self.ready[me][0], led["ready"][me][0] + block)
@@ -825,6 +829,7 @@ class Xhc(CollComponent):
         led = self._ledger(comm, me)
         hier = self._hierarchy(comm, root)
         block = rview.length
+        ctx.smsc.require(self.name, "scatter", block)
         total = block * comm.size
         if me == root:
             self._pub_fan[me] = sview
@@ -855,6 +860,8 @@ class Xhc(CollComponent):
         spread across all sources, so no single point congests."""
         me = comm.rank_of(ctx)
         block = sview.length
+        if comm.size > 1:
+            ctx.smsc.require(self.name, "allgather", block)
         yield P.Copy(src=sview, dst=rview.sub(me * block, block))
         if comm.size == 1:
             return
@@ -880,6 +887,8 @@ class Xhc(CollComponent):
         size = comm.size
         me = comm.rank_of(ctx)
         block = sview.length // size
+        if size > 1:
+            ctx.smsc.require(self.name, "alltoall", block)
         yield P.Copy(src=sview.sub(me * block, block),
                      dst=rview.sub(me * block, block))
         if size == 1:
@@ -911,6 +920,7 @@ class Xhc(CollComponent):
         if size == 1:
             yield P.Copy(src=sview, dst=rview)
             return
+        ctx.smsc.require(self.name, "reduce_scatter", block, reduce=True)
         led = self._ledger(comm, me)
         self._pub_ctb[me] = sview
         yield from comm.node.xpmem.expose(sview.buf)

@@ -634,3 +634,155 @@ def test_memory_only_cache_stats_are_zeroed():
     assert stats == CacheStats(hits=0, misses=0, entries=0,
                                evictions=0, quarantined=0)
     assert stats.hit_rate == 0.0
+
+
+# -- bookkeeping cost does not grow with the store ----------------------------
+
+
+def _count_calls(monkeypatch, obj, name):
+    calls = []
+    real = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+def _no_scan(self):
+    raise AssertionError("save walked the store")
+
+
+def _ledger_matches_files(store):
+    ledger = store.load_ledger()
+    assert (ledger["entries"], ledger["bytes"]) == store.totals()
+
+
+def test_writes_scan_shards_once_per_generation(tmp_path, monkeypatch):
+    _fill(ShardedStore(tmp_path), 40)
+    store = ShardedStore(tmp_path)
+    scans = _count_calls(monkeypatch, ShardedStore, "_scan_digests")
+    listings = _count_calls(monkeypatch, os, "scandir")
+    for i in range(40, 60):
+        digest, entry = _entry(tag=i)
+        store.write(SIM_VERSION, digest, entry)
+    assert len(listings) == 1
+    assert store.count(SIM_VERSION) == 60
+    assert len(scans) == 1
+
+
+def test_dirty_save_after_own_writes_does_not_walk_the_store(tmp_path,
+                                                           monkeypatch):
+    cache, _payloads = _saved_cache(tmp_path, n=3)
+    monkeypatch.setattr(ShardedStore, "scan", _no_scan)
+    for i in range(4):
+        cache.put(RunRequest("epyc-1p", "bcast", 8192 + i, 8).payload(),
+                  2e-6)
+        cache.save()
+    monkeypatch.undo()
+    _ledger_matches_files(cache.store)
+    assert cache.store.load_ledger()["entries"] == 7
+
+
+def test_ledger_saved_by_another_instance_forces_a_rescan(tmp_path,
+                                                          monkeypatch):
+    mine = ShardedStore(tmp_path)
+    _fill(mine, 3)
+    mine.save_ledger()
+    other = ShardedStore(tmp_path)
+    digest, entry = _entry(tag=100)
+    other.write(SIM_VERSION, digest, entry)
+    other.save_ledger()
+    digest, entry = _entry(tag=101)
+    mine.write(SIM_VERSION, digest, entry)
+    scans = _count_calls(monkeypatch, ShardedStore, "scan")
+    ledger = mine.save_ledger()
+    assert len(scans) == 1
+    assert ledger["entries"] == 5
+    _ledger_matches_files(mine)
+
+
+def test_save_after_eviction_rescans(tmp_path, monkeypatch):
+    store = ShardedStore(tmp_path, max_entries=3)
+    digests = _fill(store, 3)
+    store.save_ledger()
+    for i, digest in enumerate(digests):
+        path = store.entry_path(SIM_VERSION, digest)
+        os.utime(path, ns=(1_000_000 * i, 1_000_000 * i))
+    _fill(store, 5)             # two new entries over the bound
+    with pytest.warns(RuntimeWarning, match="evicted 2"):
+        assert store.evict() == 2
+    scans = _count_calls(monkeypatch, ShardedStore, "scan")
+    ledger = store.save_ledger()
+    assert len(scans) == 1
+    assert ledger["entries"] == 3
+    _ledger_matches_files(store)
+
+
+def test_save_after_quarantine_rescans(tmp_path, monkeypatch):
+    store = ShardedStore(tmp_path)
+    digests = _fill(store, 3)
+    store.save_ledger()
+    with open(store.entry_path(SIM_VERSION, digests[0]), "w") as fh:
+        fh.write("{corrupt")
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        assert store.read(SIM_VERSION, digests[0]) is None
+    scans = _count_calls(monkeypatch, ShardedStore, "scan")
+    ledger = store.save_ledger()
+    assert len(scans) == 1
+    assert ledger["entries"] == 2
+    assert ledger["quarantined"] == 1
+    _ledger_matches_files(store)
+
+
+def test_rewriting_an_existing_digest_keeps_the_ledger_exact(tmp_path):
+    store = ShardedStore(tmp_path)
+    digests = _fill(store, 3)
+    store.save_ledger()
+    _digest, longer = _entry(latency=1.25e-6, tag=0)
+    longer["note"] = "x" * 100
+    store.write(SIM_VERSION, digests[0], longer)
+    assert store.save_ledger()["entries"] == 3
+    _ledger_matches_files(store)
+
+
+def test_write_recreates_a_shard_directory_removed_since(tmp_path):
+    store = ShardedStore(tmp_path)
+    digest, entry = _entry()
+    path = store.write(SIM_VERSION, digest, entry)
+    os.unlink(path)
+    os.rmdir(os.path.dirname(path))
+    store.write(SIM_VERSION, digest, entry)
+    assert store.read(SIM_VERSION, digest) == entry
+
+
+def test_memory_hits_refresh_lru_recency(tmp_path):
+    cache = ResultCache(tmp_path, max_entries=2)
+    hot, cold, new = (RunRequest("epyc-1p", "bcast", 64 + i, 8).payload()
+                      for i in range(3))
+    for payload in (hot, cold):
+        cache.put(payload, 1e-6)
+    cache.save()
+    for payload, stamp in ((hot, 1), (cold, 2)):
+        path = cache.store.entry_path(SIM_VERSION, cache_key(payload))
+        os.utime(path, ns=(stamp * 1_000_000, stamp * 1_000_000))
+    for _ in range(5):
+        assert cache.get(hot) == pytest.approx(1e-6)   # served from memory
+    cache.put(new, 1e-6)
+    with pytest.warns(RuntimeWarning, match="evicted 1"):
+        cache.save()
+    assert cache.store.digests(SIM_VERSION) == {cache_key(hot),
+                                                cache_key(new)}
+
+
+def test_memory_hit_on_an_unflushed_entry_is_harmless(tmp_path):
+    cache = ResultCache(tmp_path)
+    payload = RunRequest("epyc-1p", "bcast", 64, 8).payload()
+    cache.put(payload, 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.get(payload) == pytest.approx(1e-6)
+    assert not os.path.exists(
+        cache.store.entry_path(SIM_VERSION, cache_key(payload)))

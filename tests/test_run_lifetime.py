@@ -121,3 +121,20 @@ def test_engine_holds_its_node_weakly_outside_run():
     del node
     with pytest.raises(SimulationError, match="keep a reference"):
         engine.run()
+
+
+def test_nodeless_osu_helpers_reuse_the_memoized_topology():
+    """``run_collective`` and ``osu_latency`` without ``node=`` take their
+    topology from the exec worker's memo instead of building a fresh,
+    cyclic one per call, so with the memo warm a call leaves nothing for
+    the collector."""
+    from repro.bench.osu import osu_latency, run_collective
+    from repro.exec.worker import get_topology
+
+    get_topology("epyc-1p")
+    with collector_off():
+        assert run_collective("bcast", "epyc-1p", 8, COMPONENTS["xhc-tree"],
+                              1024, iters=2) > 0
+        assert gc.collect() == 0
+        assert osu_latency("epyc-1p", (0, 1), 1024, iters=2) > 0
+        assert gc.collect() == 0

@@ -112,3 +112,72 @@ def test_local_and_shared_buffers_skip_mapping():
     shared = node.new_address_space(3, 6).alloc("seg", 1024, shared=True)
     t = drive(node, ep.copy_from(shared.view(0, 256), dst.view(0, 256)))
     assert ep.regcache.misses == 0
+
+
+# -- components refuse what the mechanism cannot serve -----------------------
+
+# (component, collective, largest size served without single copy);
+# xbrc reduces directly from peers at every size.
+THRESHOLDS = [
+    ("xhc-tree", "bcast", 1024),        # XhcConfig.cico_threshold
+    ("xhc-flat", "bcast", 1024),
+    ("xhc-tree", "allreduce", 1024),
+    ("xhc-flat", "allreduce", 1024),
+    ("ucc", "bcast", 4096),             # Ucc.small_max
+    ("ucc", "allreduce", 4096),
+    ("xbrc", "allreduce", 0),
+]
+
+
+def _refusal_request(component, collective, size, mechanism):
+    from repro.exec import RunRequest
+    return RunRequest("epyc-1p", collective, size, 8, component=component,
+                      iters=1, smsc=SmscConfig(mechanism=mechanism))
+
+
+@pytest.mark.parametrize("mechanism", [None, "cma"])
+@pytest.mark.parametrize("component, collective, served", THRESHOLDS,
+                         ids=[f"{c}-{k}" for c, k, _ in THRESHOLDS])
+def test_request_the_mechanism_cannot_serve_is_refused(component, collective,
+                                                       served, mechanism):
+    from repro.errors import ConfigError
+    from repro.exec.worker import execute
+
+    needs_xpmem = collective == "allreduce"
+    # A kernel copy (cma) serves single copies, not direct reductions.
+    refused = mechanism is None or needs_xpmem
+    for size in (served, served + 1):
+        if size == 0:
+            continue
+        request = _refusal_request(component, collective, size, mechanism)
+        if size <= served or not refused:
+            assert execute(request).latency_s > 0
+            continue
+        with pytest.raises(ConfigError) as info:
+            execute(request)
+        message = str(info.value)
+        assert f"{collective} of {size} bytes" in message
+        assert component.split("-")[0] in message
+        assert repr(mechanism) in message
+        assert ("xpmem for direct reduction" if needs_xpmem
+                else "single-copy mechanism") in message
+
+
+@pytest.mark.parametrize("component", ["xhc-tree", "ucc", "xbrc"])
+def test_refusal_comes_before_the_op_yields_anything(component):
+    from repro.bench.components import make_component
+    from repro.errors import ConfigError
+    from repro.mpi import World
+    from repro.options import RunOptions
+    from repro.topology import get_system
+
+    node = Node(get_system("epyc-1p"),
+                options=RunOptions(data_movement=False))
+    world = World(node, 8, smsc=SmscConfig(mechanism=None))
+    comm = world.communicator(make_component(component))
+    for ctx in world.ranks:
+        sbuf = ctx.alloc("s", 65536)
+        rbuf = ctx.alloc("r", 65536)
+        op = comm.allreduce(ctx, sbuf.whole(), rbuf.whole(), SUM, FLOAT)
+        with pytest.raises(ConfigError):
+            next(op)
