@@ -15,8 +15,8 @@ COMPONENTS: dict[str, Callable[[], object]] = {
     "smhc-flat": lambda: Smhc(tree=False),
     "smhc-tree": lambda: Smhc(tree=True),
     "xbrc": Xbrc,
-    "xhc-flat": lambda: Xhc(hierarchy="flat"),
-    "xhc-tree": lambda: Xhc(hierarchy="numa+socket"),
+    "xhc-flat": lambda: Xhc(hierarchy="flat", name="xhc-flat"),
+    "xhc-tree": lambda: Xhc(hierarchy="numa+socket", name="xhc-tree"),
     # Not in the paper's figure sets: uses the decision table produced by
     # ``python -m repro tune`` (falls back to xhc-tree's config without one).
     "xhc-tuned": TunedXhc,

@@ -179,12 +179,13 @@ class ResultCache:
         self._dirty.add(digest)
 
     def save(self) -> None:
-        """Flush dirty entries to the sharded store, run eviction, and
-        refresh the ledger if any of that (or a quarantine) changed the
-        store since the last ledger write. A save with nothing to flush
-        leaves ``ledger.json`` untouched and never walks the store; one
-        that flushed only new entries walks it only when
-        :meth:`ShardedStore.save_ledger` must rescan. A no-op without a
+        """Flush dirty entries to the sharded store, evict if that wrote
+        any, and refresh the ledger if any of that (or a quarantine)
+        changed the store since the last ledger write. A save with
+        nothing to flush leaves ``ledger.json`` untouched and never walks
+        the store, bounded or not; one that flushed only new entries
+        walks it only when :meth:`ShardedStore.save_ledger` must rescan
+        or a bound asks :meth:`ShardedStore.evict` to. A no-op without a
         backing path."""
         if self.store is None:
             return
@@ -192,7 +193,8 @@ class ResultCache:
         for digest in sorted(self._dirty):
             self.store.write(SIM_VERSION, digest, self.entries[digest])
         self._dirty.clear()
-        self.store.evict()
+        if wrote:
+            self.store.evict()
         if wrote or self.store.evictions or self.store.quarantined:
             self.store.save_ledger()
 

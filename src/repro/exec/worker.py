@@ -70,7 +70,7 @@ def resolve_component(component: str,
         if isinstance(chunk, list):
             kwargs["chunk_size"] = tuple(chunk)
         cfg = XhcConfig(**kwargs)
-        return lambda: Xhc(config=cfg)
+        return lambda: Xhc(config=cfg, name=component)
     from ..bench.components import make_component
     return lambda: make_component(component)
 

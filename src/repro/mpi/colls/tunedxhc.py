@@ -73,7 +73,7 @@ class TunedXhc(CollComponent):
         inner = self._delegates.get(cfg)
         if inner is None:
             try:
-                inner = Xhc(config=cfg)
+                inner = Xhc(config=cfg, name=self.name)
                 inner.setup(comm)
             except ConfigError:
                 # A per-level chunk tuple tuned at a different rank count
@@ -82,7 +82,7 @@ class TunedXhc(CollComponent):
                 # every rank degrades to the fallback in lockstep.
                 inner = self._delegates.get(self.fallback)
                 if inner is None:
-                    inner = Xhc(config=self.fallback)
+                    inner = Xhc(config=self.fallback, name=self.name)
                     inner.setup(comm)
                     self._delegates[self.fallback] = inner
             self._delegates[cfg] = inner

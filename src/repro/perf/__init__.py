@@ -1,9 +1,9 @@
 """repro.perf — simulator performance measurement and regression guard.
 
-The hot-path work (single-pass source selection, CopyBatch,
-allocation-free handlers, inlined cache accounting — see
-docs/performance.md) is only worth having if it is *measured* and
-*protected*. This package is the measurement side:
+The hot-path work (single-pass source selection, the event engine's
+in-engine ChunkRun expansion, allocation-free handlers, inlined cache
+accounting — see docs/performance.md) is only worth having if it is
+*measured* and *protected*. This package is the measurement side:
 
 * :func:`~repro.perf.harness.run_engine_micro` — a synthetic event storm
   through the bare engine; reports events/second. CI asserts a floor on

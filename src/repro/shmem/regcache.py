@@ -35,14 +35,6 @@ class RegistrationCache:
         self._m_evictions = metrics.counter(
             "regcache.evictions", "registration-cache LRU evictions")
 
-    def contains(self, buf: "Buffer") -> bool:
-        """Pure peek: cached-ness without touching LRU or statistics.
-
-        Used by batch-planning fast paths that must decide whether a
-        lookup *would* hit before committing to the accounted
-        :meth:`lookup` call."""
-        return buf.id in self._entries
-
     def lookup(self, buf: "Buffer") -> bool:
         """True (and refresh LRU) if an attachment to ``buf`` is cached."""
         if buf.id in self._entries:

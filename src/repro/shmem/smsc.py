@@ -14,8 +14,13 @@ A component that has no such fallback for an operation calls
 :meth:`SmscEndpoint.require` before the operation yields anything, so a
 run the mechanism cannot serve is refused instead of failing midway.
 
-All methods are generators to be driven with ``yield from`` inside a
-simulated process.
+A pipelined loop over peer buffers goes down as one
+:class:`~repro.sim.primitives.ChunkRun` only when the endpoint
+:attr:`~SmscEndpoint.lowers`; the ``*_run_account`` methods then do the
+registration-cache and metric accounting its chunks would have done.
+
+The mapping and transfer methods are generators to be driven with
+``yield from`` inside a simulated process.
 """
 
 from __future__ import annotations
@@ -52,7 +57,12 @@ class SmscConfig:
 
 
 class SmscEndpoint:
-    """Per-process single-copy service."""
+    """Per-process single-copy service.
+
+    ``lookup_cost`` is the CPU cost of one registration-cache hit, which
+    :meth:`map_peer` charges and a ChunkRun charges per chunk and foreign
+    operand.
+    """
 
     def __init__(self, node: "Node", rank: int,
                  config: SmscConfig | None = None) -> None:
@@ -68,11 +78,7 @@ class SmscEndpoint:
             "smsc.bytes", "bytes moved by single-copy transfers")
         self._m_reduces = metrics.counter(
             "smsc.reduces", "direct reductions over peer buffers")
-        # Hoisted hot-loop constants: the mechanism never changes after
-        # construction, and the regcache-hit Compute primitive is frozen,
-        # so one shared instance serves every pipelined chunk.
-        self._mech = self.config.mechanism
-        self._lookup_prim = P.Compute(node.model.regcache_lookup_cost)
+        self.lookup_cost = node.model.regcache_lookup_cost
 
     @property
     def xpmem(self) -> "XpmemService":
@@ -87,6 +93,17 @@ class SmscEndpoint:
         """Only XPMEM permits reducing directly from peers' buffers."""
         return self.config.mechanism == "xpmem"
 
+    @property
+    def lowers(self) -> bool:
+        """Whether a pipelined pull or reduction through this endpoint
+        may go down as one ChunkRun: XPMEM with an unbounded registration
+        cache, so once :meth:`map_peer` mapped the first chunk's operands
+        every later chunk's lookup hits. A bounded cache can evict an
+        operand mid-run, and cma/knem enter the kernel per chunk."""
+        cfg = self.config
+        return (cfg.mechanism == "xpmem" and cfg.use_regcache
+                and cfg.regcache_capacity is None)
+
     def require(self, component: str, collective: str, nbytes: int,
                 reduce: bool = False) -> None:
         """Refuse an operation this endpoint's mechanism cannot serve.
@@ -96,7 +113,7 @@ class SmscEndpoint:
         Raises :class:`~repro.errors.ConfigError` naming the component,
         the collective, the size and the mechanism needed.
         """
-        mech = self._mech
+        mech = self.config.mechanism
         if mech == "xpmem" or (mech is not None and not reduce):
             return
         need = ("xpmem for direct reduction" if reduce
@@ -120,7 +137,7 @@ class SmscEndpoint:
                 yield from self.xpmem.attach(buf)
                 self.regcache.insert(buf)
             else:
-                yield P.Compute(self.node.model.regcache_lookup_cost)
+                yield P.Compute(self.lookup_cost)
         else:
             yield from self.xpmem.attach(buf)
 
@@ -131,147 +148,42 @@ class SmscEndpoint:
                 and not view.buf.shared):
             yield from self.xpmem.detach(view.buf)
 
-    # -- transfers -----------------------------------------------------------
+    # -- chunk-run accounting ----------------------------------------------
 
-    def copy_from_steps(self, src: "BufView",
-                        dst: "BufView") -> "tuple | None":
-        """The pull as a tuple of primitives, when no kernel transition is
-        needed — the peer buffer is our own, pre-mapped shared memory, or
-        an attachment already in the registration cache.
-
-        Emits exactly what :meth:`copy_from` would yield in those cases
-        (so callers may splice the steps into a
-        :class:`~repro.sim.primitives.CopyBatch` without changing the
-        simulated timeline); returns None — with **no** side effects —
-        whenever the slow generator path (attach/detach, kernel copy)
-        must run instead.
-        """
-        if self._mech != "xpmem":
-            return None
-        buf = src.buf
-        if buf.owner_rank == self.rank or buf.shared:
-            self._m_copies.inc()
-            self._m_bytes.inc(src.length)
-            return (P.Copy(src=src, dst=dst),)
-        if self.config.use_regcache and self.regcache.contains(buf):
-            self.regcache.lookup(buf)  # accounted hit + LRU refresh
-            self._m_copies.inc()
-            self._m_bytes.inc(src.length)
-            return (self._lookup_prim, P.Copy(src=src, dst=dst))
-        return None
-
-    # -- lowered chunk runs (array engine) -----------------------------------
-
-    def chunk_run_lowerable(self, src: "BufView") -> bool:
-        """True when *every* chunk of a pipelined pull from ``src`` would
-        take the spliceable fast path — own/pre-mapped shared memory, or
-        XPMEM with the registration cache on (one attach up front via
-        :meth:`map_peer`, then per-chunk cache hits). Kernel-assisted
-        mechanisms re-enter the kernel per chunk and stay un-lowered."""
-        if self._mech != "xpmem":
-            return False
-        buf = src.buf
-        return (buf.owner_rank == self.rank or buf.shared
-                or self.config.use_regcache)
+    def _account_lookups(self, views: Sequence["BufView"],
+                         nchunks: int) -> int:
+        """Count the registration-cache hits of chunks 1..nchunks-1 on
+        every foreign operand of ``views`` (chunk 0's came from
+        :meth:`map_peer`); returns the lookups per chunk."""
+        rank = self.rank
+        lookup = self.regcache.lookup
+        lookups = 0
+        for view in views:
+            buf = view.buf
+            if buf.owner_rank != rank and not buf.shared:
+                lookups += 1
+                for _ in range(1, nchunks):
+                    lookup(buf)
+        return lookups
 
     def chunk_run_account(self, src: "BufView", nchunks: int,
-                          nbytes: int) -> float:
-        """Bulk accounting for a lowered ``nchunks``-chunk pull: the
-        metric counts :meth:`copy_from_steps` would have accumulated, one
-        LRU refresh for the whole run, and the per-chunk fixed CPU cost
-        (the registration-cache lookup every chunk of the event flow
-        pays) for the :class:`~repro.sim.primitives.ChunkRun` to charge.
-        Call only after :meth:`map_peer` ensured the attachment."""
+                          nbytes: int) -> int:
+        """Account an ``nchunks``-chunk ChunkRun pull of ``nbytes`` from
+        ``src``, whose first chunk :meth:`map_peer` mapped: the copies,
+        bytes and cache hits :meth:`copy_from` would have counted chunk
+        by chunk. Returns the run's ``lookups`` per chunk."""
         self._m_copies.inc(nchunks)
         self._m_bytes.inc(nbytes)
-        buf = src.buf
-        if buf.owner_rank == self.rank or buf.shared:
-            return 0.0
-        if self.config.use_regcache:
-            self.regcache.lookup(buf)
-            return self.node.model.regcache_lookup_cost
-        return 0.0
-
-    def reduce_run_lowerable(self, srcs: Sequence["BufView"],
-                             dst: "BufView") -> bool:
-        """:meth:`chunk_run_lowerable` for a direct-reduction run — every
-        operand (sources and destination) must stay on the fast path."""
-        if self._mech != "xpmem":
-            return False
-        rank = self.rank
-        if self.config.use_regcache:
-            return True
-        for view in srcs:
-            buf = view.buf
-            if not (buf.owner_rank == rank or buf.shared):
-                return False
-        buf = dst.buf
-        return buf.owner_rank == rank or buf.shared
+        return self._account_lookups((src,), nchunks)
 
     def reduce_run_account(self, srcs: Sequence["BufView"], dst: "BufView",
-                           nchunks: int) -> float:
-        """Bulk accounting for a lowered reduction run; returns the
-        per-chunk fixed CPU cost (one regcache lookup per foreign
-        operand, exactly what :meth:`reduce_from_steps` charges)."""
+                           nchunks: int) -> int:
+        """:meth:`chunk_run_account` for a direct-reduction run: one
+        lookup per chunk and foreign operand, as :meth:`reduce_from`."""
         self._m_reduces.inc(nchunks)
-        lookups = 0
-        rank = self.rank
-        regcache = self.regcache
-        for view in srcs:
-            buf = view.buf
-            if not (buf.owner_rank == rank or buf.shared):
-                regcache.lookup(buf)
-                lookups += 1
-        buf = dst.buf
-        if not (buf.owner_rank == rank or buf.shared):
-            regcache.lookup(buf)
-            lookups += 1
-        return lookups * self.node.model.regcache_lookup_cost
+        return self._account_lookups((*srcs, dst), nchunks)
 
-    def reduce_from_steps(self, srcs: Sequence["BufView"], dst: "BufView",
-                          op: "ReduceOp | None" = None,
-                          dtype: "Datatype | None" = None,
-                          accumulate: bool = False) -> "tuple | None":
-        """The direct reduction as a tuple of primitives, when every
-        operand is already addressable (own/shared memory or a cached
-        attachment) — the batch-spliceable analogue of
-        :meth:`reduce_from`, mirroring :meth:`copy_from_steps`. Returns
-        None with no side effects when any operand would need the slow
-        attach path."""
-        if self._mech != "xpmem":
-            return None
-        rank = self.rank
-        use_rc = self.config.use_regcache
-        regcache = self.regcache
-        lookups = 0
-        for view in srcs:
-            buf = view.buf
-            if buf.owner_rank == rank or buf.shared:
-                continue
-            if use_rc and regcache.contains(buf):
-                lookups += 1
-                continue
-            return None
-        buf = dst.buf
-        if not (buf.owner_rank == rank or buf.shared):
-            if use_rc and regcache.contains(buf):
-                lookups += 1
-            else:
-                return None
-        # Commit: account the hits exactly as map_peer would have.
-        for view in srcs:
-            buf = view.buf
-            if not (buf.owner_rank == rank or buf.shared):
-                regcache.lookup(buf)
-        buf = dst.buf
-        if not (buf.owner_rank == rank or buf.shared):
-            regcache.lookup(buf)
-        self._m_reduces.inc()
-        reduce = P.Reduce(srcs=tuple(srcs), dst=dst, op=op, dtype=dtype,
-                          accumulate=accumulate)
-        if lookups == 0:
-            return (reduce,)
-        return (self._lookup_prim,) * lookups + (reduce,)
+    # -- transfers -----------------------------------------------------------
 
     def copy_from(self, src: "BufView", dst: "BufView") -> Iterator:
         """Single-copy ``src`` (a peer's buffer) into local ``dst``."""

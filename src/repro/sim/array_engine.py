@@ -8,9 +8,9 @@ This module replaces the execution model instead of tuning it:
 
 **Synchronous zero-decision execution.** Each process carries a local
 virtual time ``proc.vt``. When dispatched, its generator is resumed in a
-tight loop and every *zero-decision* primitive — Copy, CopyBatch,
-Reduce, Compute, SetFlag(Group), Syscall, PageFaults, satisfied waits,
-AtomicRMW — is accumulated as one *row* with no heap event at all. The
+tight loop and every *zero-decision* primitive — Copy, Reduce, Compute,
+SetFlag(Group), Syscall, PageFaults, satisfied waits, AtomicRMW — is
+accumulated as one *row* with no heap event at all. The
 run only returns to the dispatcher when the process genuinely blocks
 (unsatisfied wait) or finishes.
 
@@ -33,17 +33,21 @@ priced once.
 ``Node.copy_terms_span`` / ``Node.reduce_terms`` — the same terms the
 event engine prices) are evaluated with bandwidth shares sampled at the
 op's virtual time, in ``Node._eval_read``'s floating-point expression
-(``_eval_term_scalar``). Lowered chunk runs price their whole timeline
-in one closed-form sweep (``_chunkrun_sweep``). Like the event engine,
-this one needs no numpy for latency-only runs.
+(``_eval_term_scalar``). Chunk runs (:class:`~repro.sim.primitives.
+ChunkRun`, the same primitive the event engine expands chunk by chunk)
+price their whole timeline in one closed-form sweep
+(``_chunkrun_sweep``). Like the event engine, this one needs no numpy
+for latency-only runs.
 
 The price of all this is a deliberate numeric model change
 (SIM_VERSION 3): no quantum-granularity re-pricing, run-granularity
-contention inside lowered chunk runs, dispatch-order atomics, and no
-same-core timeslicing of long computes. The deltas against the event engine are pinned per golden
-point in tests/golden/ and discussed in docs/performance.md. Array runs
-are fully deterministic and the engine name is part of the result-cache
-key.
+contention inside chunk runs, a chunk run's first chunk re-fetching its
+producers' flags and re-charging its lookups even when the emitting loop
+already waited and mapped (``ChunkRun.first_ready``), dispatch-order
+atomics, and no same-core timeslicing of long computes. The deltas
+against the event engine are pinned per golden point in tests/golden/
+and discussed in docs/performance.md. Array runs are fully
+deterministic and the engine name is part of the result-cache key.
 
 Instrumentation (``observe``/``check``/``record_copies``) is per-event
 by nature and refused up front (``Node`` raises ``ConfigError``);
@@ -82,7 +86,6 @@ class ArrayEngine(Engine):
     """
 
     engine_kind = "array"
-    lower_chunk_runs = True
 
     def __init__(self, pricer) -> None:
         # `now` is a property on this class; initialize its backing slot
@@ -194,10 +197,7 @@ class ArrayEngine(Engine):
                 steps += 1
                 self.events_processed += 1
                 cls = prim.__class__
-                if cls is P.CopyBatch:
-                    for step in prim.steps:
-                        acc_step(proc, step)
-                elif cls is P.WaitFlag:
+                if cls is P.WaitFlag:
                     if not self._acc_wait(proc, prim.flag, prim.value,
                                           prim.cmp):
                         return
@@ -438,10 +438,10 @@ class ArrayEngine(Engine):
             hist[:k] = [(0.0, vmax)]
         return hist
 
-    # -- lowered chunk pipelines (P.ChunkRun) ----------------------------
+    # -- chunk pipelines (P.ChunkRun) ------------------------------------
 
     def _run_chunkrun(self, proc: SimProcess, prim, done: int = 0) -> bool:
-        """Execute a lowered zero-decision chunk pipeline.
+        """Execute a zero-decision chunk pipeline.
 
         The run's timeline is the classic pipeline recurrence
         ``t_end[i] = max(t_avail[i], t_end[i-1]) + dur[i]`` over the
@@ -591,9 +591,10 @@ class ArrayEngine(Engine):
         store = pricer.store_cost
         for flags_t, _b in prim.sets:
             set_cost += store * len(flags_t)
-        d_one = d_body + prim.const_cost + set_cost + syncw
+        const = prim.lookups * prim.lookup_cost
+        d_one = d_body + const + set_cost + syncw
         d_last = d_one if d_body_last is None \
-            else d_body_last + prim.const_cost + set_cost + syncw
+            else d_body_last + const + set_cost + syncw
         d0_extra = sync0 - syncw
         has_body = resources != () or prim.copy is not None \
             or prim.reduce is not None

@@ -22,7 +22,9 @@ Event-loop layout (see docs/performance.md): heap entries are
 which covers the overwhelming majority of events without allocating a
 closure per event. Handler dispatch goes through one table,
 ``_HANDLERS``; the observe, race, deadlock-probe and record_copies hooks
-inside the handlers each sit behind a boolean cached at construction.
+inside the handlers each sit behind a boolean cached at construction. A
+:class:`~repro.sim.primitives.ChunkRun` runs as exactly the per-chunk
+events it stands for, chained in-engine (see ``_h_chunk_run``).
 
 Ownership (see docs/architecture.md): the Node owns its engine, and the
 engine owns its observer and checker. The three back-references — the
@@ -59,14 +61,20 @@ _DONE = ProcState.DONE
 
 
 class SimProcess:
-    """One simulated flow of control, pinned to a core."""
+    """One simulated flow of control, pinned to a core.
+
+    ``cont`` is the continuation of a :class:`~repro.sim.primitives.
+    ChunkRun` parked on a wait: the event engine's resume runs it instead
+    of sending into the generator, which stays suspended at the run's
+    ``yield`` until the run finishes.
+    """
 
     _ids = itertools.count()
 
     __slots__ = ("pid", "name", "core", "gen", "state", "result",
                  "finish_time", "blocked_obj", "blocked_value", "waking",
                  "blocked_since", "wait_time", "wait_breakdown", "vt",
-                 "seg")
+                 "seg", "cont")
 
     def __init__(self, name: str, core: int,
                  gen: Generator[Any, Any, Any]) -> None:
@@ -81,6 +89,7 @@ class SimProcess:
         # In-progress lowered chunk pipeline (array engine only): the
         # ``(ChunkRun, chunks_done)`` pair to resume after a mid-run park.
         self.seg: Any = None
+        self.cont: Optional[Callable[[], None]] = None
         self.result: Any = None
         self.finish_time: float | None = None
         # The Flag/Atomic this process is blocked on (deadlock analysis
@@ -150,13 +159,6 @@ class Engine:
     #: subclass (:class:`repro.sim.array_engine.ArrayEngine`) overrides
     #: this to ``"array"``. Matches ``RunOptions.engine``.
     engine_kind = "event"
-
-    #: Whether components may lower zero-decision pipelined loops to
-    #: :class:`~repro.sim.primitives.ChunkRun`. The event engine prices
-    #: per chunk by design, so it refuses the lowered form (an unknown
-    #: primitive raises in the handler table) and components must keep
-    #: yielding the per-chunk stream when this is False.
-    lower_chunk_runs = False
 
     def __init__(self, pricer, record_copies: bool = False,
                  observe: "bool | str | Observer | None" = None,
@@ -413,6 +415,11 @@ class Engine:
         proc.waking = False
         self._progress += 1
         self._current_proc = proc
+        cont = proc.cont
+        if cont is not None:
+            proc.cont = None
+            cont()
+            return
         try:
             prim = proc.gen.send(send_value)
         except StopIteration as stop:
@@ -601,69 +608,125 @@ class Engine:
                 pool.kernel_ops += 1
         heapq.heappush(heap, (start + duration, next(seq), finish))
 
-    # -- copy batches --------------------------------------------------------
+    # -- chunk runs ----------------------------------------------------------
+    #
+    # A ChunkRun runs chunk by chunk as exactly the events of the
+    # per-chunk loop it stands for: each gated wait, one Compute per
+    # registration-cache lookup, the Copy or Reduce, then each set. The
+    # non-wait steps chain through their ``then`` continuation, as the
+    # next primitive would start the instant the previous one resumed the
+    # generator; a wait parks the run in ``proc.cont``, which _resume runs
+    # in place of the generator. Only the last step of the last chunk
+    # resumes the generator itself.
 
-    def _h_copy_batch(self, proc: SimProcess, prim: P.CopyBatch) -> None:
-        if not prim.steps:
+    def _h_chunk_run(self, proc: SimProcess, prim: P.ChunkRun) -> None:
+        if prim.stop <= prim.start:
             self._resume(proc, None)
-            return
-        self._batch_step(proc, prim.steps, 0)
+        elif prim.first_ready:
+            self._run_body(proc, prim, prim.start)
+        else:
+            self._run_waits(proc, prim, prim.start, 0)
 
-    def _batch_step(self, proc: SimProcess, steps: tuple, i: int) -> None:  # hot-path
-        """Run step ``i``, continuing into ``i+1`` the instant it
-        completes — exactly the schedule a generator yielding the steps
-        one by one would produce, minus the generator round-trips. The
-        final step runs with ``then=None``, so its completion resumes the
-        process directly instead of bouncing through a closing
-        continuation."""
-        step = steps[i]
+    def _run_waits(self, proc: SimProcess, prim: P.ChunkRun, o: int,
+                   j: int) -> None:  # hot-path
+        """Issue the waits of the chunk at offset ``o`` from spec ``j``
+        on, then its lookups and body."""
         self._current_proc = proc
-        if i + 1 == len(steps):
-            then = None
-        else:
-            # One continuation per non-final step; a batch replaces the
-            # same number of generator resumes, so this is
-            # allocation-neutral at worst.
-            then = lambda: self._batch_step(proc, steps, i + 1)  # noqa: E731
-        cls = step.__class__
-        if cls is P.Copy:
-            self._h_copy(proc, step, then)
-        elif cls is P.SetFlag:
-            self._set_flag_exec(proc, step, then)
-        elif cls is P.SetFlagGroup:
-            self._set_flag_group_exec(proc, step, then)
-        elif cls is P.Compute:
-            seconds = step.seconds
-            if seconds < 0:
-                raise SimulationError("negative compute time")
-            if seconds <= self.COMPUTE_QUANTUM:
-                start = self._cpu_start(proc.core, seconds)
-                self._schedule(start + seconds,
-                               proc if then is None else then)
+        e = o + prim.chunk
+        if e > prim.stop:
+            e = prim.stop
+        waits = prim.waits
+        while j < len(waits):
+            flag, base, lo, hi = waits[j]
+            j += 1
+            if e < hi:
+                hi = e
+            if hi <= lo:
+                continue
+            value = base + hi - lo
+            proc.cont = lambda: self._run_waits(proc, prim, o, j)  # noqa: E731
+            if flag.value >= value:
+                if self._race:
+                    self.checker.on_acquire(proc, flag)
+                t = self.pricer.line_read(proc.core, flag.line, self.now)
+                heapq.heappush(self._heap, (t, next(self._seq), proc))
             else:
-                self._compute_slice(proc, seconds, then)
-        elif cls is P.Reduce:
-            self._h_reduce(proc, step, then)
+                self._block(proc, flag, value, ">=", "flag")
+            return
+        self._run_lookups(proc, prim, o, prim.lookups)
+
+    def _run_lookups(self, proc: SimProcess, prim: P.ChunkRun, o: int,
+                     k: int) -> None:  # hot-path
+        if not k:
+            self._run_body(proc, prim, o)
+            return
+        seconds = prim.lookup_cost
+        then = lambda: self._run_lookups(proc, prim, o, k - 1)  # noqa: E731
+        if seconds <= self.COMPUTE_QUANTUM:
+            start = self._cpu_start(proc.core, seconds)
+            self._schedule(start + seconds, then)
         else:
-            raise SimulationError(
-                f"CopyBatch steps must be Copy/Compute/Reduce/SetFlag/"  # lint: disable=RC106
-                f"SetFlagGroup, got {step!r}"
-            )
+            self._compute_slice(proc, seconds, then)
+
+    def _run_body(self, proc: SimProcess, prim: P.ChunkRun,
+                  o: int) -> None:  # hot-path
+        self._current_proc = proc
+        self._progress += 1
+        e = o + prim.chunk
+        if e > prim.stop:
+            e = prim.stop
+        if prim.sets:
+            then = lambda: self._run_sets(proc, prim, e, 0)  # noqa: E731
+        elif e < prim.stop:
+            then = lambda: self._run_waits(proc, prim, e, 0)  # noqa: E731
+        else:
+            then = None
+        n = e - o
+        if prim.copy is not None:
+            src, dst = prim.copy
+            self._h_copy(proc, P.Copy(src=src.sub(o, n), dst=dst.sub(o, n)),
+                         then)
+        elif prim.reduce is not None:
+            srcs, dst, op, dtype = prim.reduce
+            self._h_reduce(proc, P.Reduce(
+                srcs=tuple(s.sub(o, n) for s in srcs), dst=dst.sub(o, n),
+                op=op, dtype=dtype), then)
+        elif then is not None:
+            then()
+        else:
+            self._resume(proc, None)
+
+    def _run_sets(self, proc: SimProcess, prim: P.ChunkRun, e: int,
+                  j: int) -> None:  # hot-path
+        """Publish set ``j`` of the chunk ending at ``e``."""
+        self._current_proc = proc
+        sets = prim.sets
+        flags, base = sets[j]
+        if j + 1 < len(sets):
+            then = lambda: self._run_sets(proc, prim, e, j + 1)  # noqa: E731
+        elif e < prim.stop:
+            then = lambda: self._run_waits(proc, prim, e, 0)  # noqa: E731
+        else:
+            then = None
+        value = base + (e - prim.start)
+        if len(flags) == 1:
+            self._set_flag_exec(proc, flags[0], value, then)
+        else:
+            self._set_flag_group_exec(proc, flags, value, then)
 
     # -- flags ---------------------------------------------------------------
 
     def _h_set_flag(self, proc: SimProcess, prim: P.SetFlag) -> None:  # hot-path
-        self._set_flag_exec(proc, prim, None)
+        self._set_flag_exec(proc, prim.flag, prim.value, None)
 
-    def _set_flag_exec(self, proc: SimProcess, prim: P.SetFlag,
+    def _set_flag_exec(self, proc: SimProcess, flag: Flag, value: int,
                        then) -> None:  # hot-path
-        flag = prim.flag
         if proc.core != flag.owner_core:
             raise SimulationError(
                 f"single-writer violation: core {proc.core} wrote flag "  # lint: disable=RC106
                 f"{flag.name!r} owned by core {flag.owner_core}"
             )
-        flag.value = prim.value
+        flag.value = value
         flag.line.on_write(proc.core)
         if self._observe:
             self._m_flag_sets.inc()
@@ -677,30 +740,30 @@ class Engine:
 
     def _h_set_flag_group(self, proc: SimProcess,
                           prim: P.SetFlagGroup) -> None:
-        self._set_flag_group_exec(proc, prim, None)
+        self._set_flag_group_exec(proc, prim.flags, prim.value, None)
 
-    def _set_flag_group_exec(self, proc: SimProcess, prim: P.SetFlagGroup,
-                             then) -> None:
+    def _set_flag_group_exec(self, proc: SimProcess, flags: tuple,
+                             value: int, then) -> None:
         lines = []
-        for flag in prim.flags:
+        for flag in flags:
             if proc.core != flag.owner_core:
                 raise SimulationError(
                     f"single-writer violation: core {proc.core} wrote flag "
                     f"{flag.name!r} owned by core {flag.owner_core}"
                 )
-            flag.value = prim.value
+            flag.value = value
             if flag.line not in lines:
                 lines.append(flag.line)
         for line in lines:
             line.on_write(proc.core)
         if self._observe:
-            self._m_flag_sets.inc(len(prim.flags))
-        for flag in prim.flags:
+            self._m_flag_sets.inc(len(flags))
+        for flag in flags:
             if self._race:
                 self.checker.on_release(proc, flag)
             if flag.waiters:
                 self._wake_waiters(flag)
-        cost = self.pricer.store_cost * len(prim.flags)
+        cost = self.pricer.store_cost * len(flags)
         self._schedule(self.now + cost, proc if then is None else then)
 
     def _h_wait_flag(self, proc: SimProcess, prim: P.WaitFlag) -> None:  # hot-path
@@ -811,7 +874,7 @@ class Engine:
 _HANDLERS = {
     P.Compute: Engine._h_compute,
     P.Copy: Engine._h_copy,
-    P.CopyBatch: Engine._h_copy_batch,
+    P.ChunkRun: Engine._h_chunk_run,
     P.Reduce: Engine._h_reduce,
     P.SetFlag: Engine._h_set_flag,
     P.SetFlagGroup: Engine._h_set_flag_group,

@@ -46,33 +46,6 @@ class Copy:
 
 
 @dataclass(frozen=True, slots=True)
-class CopyBatch:
-    """A pipeline segment executed back-to-back inside the engine.
-
-    ``steps`` is a tuple of :class:`Copy` / :class:`Compute` /
-    :class:`Reduce` / :class:`SetFlag` / :class:`SetFlagGroup`
-    primitives; the engine runs
-    each step exactly as if the process had yielded it and started the
-    next the instant the previous one completed. A generator yielding the
-    same steps one at a time produces the identical event sequence — the
-    only thing a batch removes is the zero-simulated-cost generator
-    round-trip between steps, so batching can never change simulated
-    time. Waits may NOT appear in a batch: a satisfied wait still costs a
-    line fetch, so eliding one would change the timeline; primitives that
-    send a value back (:class:`AtomicRMW`) are excluded for the same
-    reason batches exist — there is no generator frame to receive it.
-    For whole pipelined loops (waits included) under the array engine,
-    see :class:`ChunkRun`.
-    """
-
-    steps: tuple
-
-    @property
-    def nbytes(self) -> int:
-        return sum(s.nbytes for s in self.steps if isinstance(s, Copy))
-
-
-@dataclass(frozen=True, slots=True)
 class Reduce:
     """Fetch every source view and reduce them into ``dst``.
 
@@ -136,33 +109,38 @@ class WaitFlag:
 
 @dataclass(frozen=True, slots=True)
 class ChunkRun:
-    """A zero-decision pipelined chunk loop, lowered to one primitive.
+    """A zero-decision pipelined chunk loop as one primitive.
 
-    This is :class:`CopyBatch` taken to its limit: where a batch removes
-    the generator round-trips *within* one chunk, a ChunkRun removes the
-    per-chunk resumes of an entire pipelined segment. The payload range
-    ``[start, stop)`` is processed in ``chunk``-byte pieces; for the
-    chunk ending at payload offset ``e``:
+    The payload range ``[start, stop)`` is processed in ``chunk``-byte
+    pieces; for the chunk ending at payload offset ``e``:
 
     * every ``(flag, base, lo, hi)`` entry of ``waits`` must first reach
       ``flag >= base + min(e, hi) - lo`` (entries with
       ``min(e, hi) <= lo`` do not gate the chunk) — the clamped form
       expresses a producer responsible for the sub-range ``[lo, hi)``;
+    * ``lookups`` registration-cache lookups of ``lookup_cost`` seconds
+      each run (the component accounts the hits when it emits the run);
     * the chunk body runs: ``copy = (src, dst)`` copies
       ``src.sub(o, n) -> dst.sub(o, n)``, or ``reduce = (srcs, dst, op,
       dtype)`` reduces the same slices (``op``/``dtype`` as in
-      :class:`Reduce`), plus ``const_cost`` seconds of fixed CPU work
-      (e.g. registration-cache lookups);
+      :class:`Reduce`);
     * every ``(flags, base)`` entry of ``sets`` publishes
-      ``base + (e - start)`` to each flag.
+      ``base + (e - start)`` to its flags.
+
+    ``first_ready`` says the emitting loop already waited for the first
+    chunk and mapped its operands itself.
 
     Only ``>=`` waits are expressible — that is what makes the segment
-    zero-decision: availability counters only grow, so the whole run's
-    timeline is a prefix-max recurrence over the producers' publication
-    schedules. Components emit a ChunkRun only when the engine
-    advertises ``lower_chunk_runs`` (the array engine, which prices the
-    run as one closed-form sweep); the event engine refuses it rather
-    than approximate the per-chunk event sequence.
+    zero-decision: availability counters only grow. Both engines run the
+    same ChunkRun and differ only in pricing. The event engine runs each
+    chunk as exactly the events of the per-chunk loop: one per gated
+    wait (skipped for the first chunk when ``first_ready``), one
+    :class:`Compute` per lookup (skipped likewise), the :class:`Copy` or
+    :class:`Reduce`, then a :class:`SetFlag` per single-flag set and a
+    :class:`SetFlagGroup` per other set. The array engine prices the
+    whole run as one closed-form sweep, which charges the first chunk's
+    waits and ``lookups * lookup_cost`` again even when ``first_ready``
+    (a SIM_VERSION 3 approximation, docs/performance.md).
     """
 
     start: int
@@ -172,7 +150,9 @@ class ChunkRun:
     sets: tuple = ()
     copy: "tuple | None" = None
     reduce: "tuple | None" = None
-    const_cost: float = 0.0
+    lookups: int = 0
+    lookup_cost: float = 0.0
+    first_ready: bool = False
 
     @property
     def nbytes(self) -> int:

@@ -15,6 +15,16 @@ Control-flow notes
   monitoring members' counters, pulling broadcast data) are expressed as
   concurrent helper tasks pinned to the same core.
 
+* Each pipelined loop (fan-out pull, per-member reduction, reduce
+  monitor) takes one of three forms, chosen from the protocol and the
+  SMSC config alone, the same way on both engines: the CICO loop at or
+  below ``cico_threshold``; above it, one
+  :class:`~repro.sim.primitives.ChunkRun` when the SMSC endpoint
+  :attr:`~repro.shmem.smsc.SmscEndpoint.lowers` (the monitor reads only
+  its own buffers and always does), else a plain per-chunk
+  ``copy_from``/``reduce_from`` loop. The array engine prices only the
+  ChunkRun form above the threshold and refuses the plain loop.
+
 * Buffers published for single-copy access are re-registered every op.
   On the single-copy path, the hierarchical acknowledgment step (SSIV-A,
   finalization) guarantees a parent's readers finished before it returns
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..errors import MPIError
+from ..errors import ConfigError, MPIError
 from ..mpi.colls.base import CollComponent, partition
 from ..shmem.segment import SharedSegment
 from ..sim import primitives as P
@@ -38,11 +48,23 @@ from .config import XhcConfig
 from .hierarchy import Group, Hierarchy, build_hierarchy
 
 
-class Xhc(CollComponent):
-    name = "xhc"
+def _set_flags(flags: tuple, value: int):
+    """The store of ``value`` to ``flags``: a SetFlag for one flag, a
+    SetFlagGroup for several (the rule a ChunkRun's sets follow)."""
+    if len(flags) == 1:
+        return P.SetFlag(flags[0], value)
+    return P.SetFlagGroup(flags, value)
 
-    def __init__(self, config: XhcConfig | None = None, **kw) -> None:
+
+class Xhc(CollComponent):
+    """``name`` is the registry name the instance serves under
+    (``xhc-tree``, ``xhc-flat``, ``xhc-tuned``); it names the component
+    in refusals and in the ``comp`` of collective spans."""
+
+    def __init__(self, config: XhcConfig | None = None, *,
+                 name: str = "xhc", **kw) -> None:
         super().__init__()
+        self.name = name
         self.cfg = config if config is not None else XhcConfig(**kw)
 
     # -- setup -----------------------------------------------------------------
@@ -170,22 +192,10 @@ class Xhc(CollComponent):
             self._avail_multi[key] = flag
         return flag
 
-    def _avail_prim(self, comm, hier: Hierarchy, me: int, value: int):
-        """The primitive :meth:`_set_avail` would yield, or None (multi
-        layout with no children). Lets the pipelined hot loops splice the
-        availability announcement into a :class:`~repro.sim.primitives.
-        CopyBatch` instead of delegating to a generator per chunk."""
-        if self.cfg.flag_layout == "single":
-            return P.SetFlag(self.avail[me], value)
-        flags = tuple(self._multi_flag(comm, me, child)
-                      for child, _level in hier.children(me))
-        if flags:
-            return P.SetFlagGroup(flags, value)
-        return None
-
     def _avail_flags(self, comm, hier: Hierarchy, me: int) -> tuple:
-        """The flags :meth:`_avail_prim` would write — lowered chunk runs
-        stamp them directly instead of yielding per-chunk sets."""
+        """The flags announcing ``me``'s fan-out progress: its own avail
+        flag, or one per child in the multi layouts (none without
+        children)."""
         if self.cfg.flag_layout == "single":
             return (self.avail[me],)
         return tuple(self._multi_flag(comm, me, child)
@@ -193,9 +203,9 @@ class Xhc(CollComponent):
 
     def _set_avail(self, comm, hier: Hierarchy, me: int,
                    value: int) -> Iterator:
-        prim = self._avail_prim(comm, hier, me, value)
-        if prim is not None:
-            yield prim
+        flags = self._avail_flags(comm, hier, me)
+        if flags:
+            yield _set_flags(flags, value)
 
     def _wait_avail(self, comm, parent: int, me: int, value: int) -> Iterator:
         if self.cfg.flag_layout == "single":
@@ -220,6 +230,7 @@ class Xhc(CollComponent):
         small = nbytes <= self.cfg.cico_threshold
         if not small:
             ctx.smsc.require(self.name, "bcast", nbytes)
+            self._require_lowering(comm, ctx, "bcast", nbytes)
         parent = hier.parent(me)
         if parent is not None:
             yield P.Trace("message", {
@@ -232,14 +243,10 @@ class Xhc(CollComponent):
             yield from self._cico_entry(comm, hier, me, led)
         if me == root:
             if small:
-                copy = P.Copy(src=view,
-                              dst=self.cico_res[me][parity].sub(0, nbytes))
-                prim = self._avail_prim(comm, hier, me,
-                                        led["avail"][me] + nbytes)
-                if prim is None:
-                    yield copy
-                else:
-                    yield P.CopyBatch((copy, prim))
+                yield P.Copy(src=view,
+                             dst=self.cico_res[me][parity].sub(0, nbytes))
+                yield from self._set_avail(comm, hier, me,
+                                           led["avail"][me] + nbytes)
             else:
                 self._pub_fan[me] = view
                 yield from comm.node.xpmem.expose(view.buf)
@@ -259,6 +266,19 @@ class Xhc(CollComponent):
         self._update_fan_ledger(hier, led, nbytes)
         if small:
             led["cico_ops"] += 1
+
+    def _require_lowering(self, comm, ctx, collective: str,
+                          nbytes: int) -> None:
+        """Above ``cico_threshold`` the array engine prices XHC's
+        pipelined loops only as ChunkRuns; refuse an SMSC config that
+        cannot lower them rather than answer from the per-chunk loop,
+        which no golden or parity envelope covers there."""
+        if comm.node.engine.engine_kind == "array" and not ctx.smsc.lowers:
+            raise ConfigError(
+                f"{self.name} {collective} of {nbytes} bytes on the array "
+                f"engine needs xpmem with an unbounded registration cache; "
+                f"the SMSC config is {ctx.smsc.config}; use "
+                f"RunOptions(engine='event')")
 
     def _cico_entry(self, comm, hier: Hierarchy, me: int,
                     led: dict) -> Iterator:
@@ -288,92 +308,55 @@ class Xhc(CollComponent):
         assert parent is not None
         level = hier.pull_level(me)
         chunk = self.cfg.chunk_for_level(level)
-        has_children = bool(hier.children(me))
         avail_base_p = led["avail"][parent]
         avail_base_me = led["avail"][me]
-        # The per-chunk wait flag and availability primitive never change
-        # across the loop, so resolve them once and yield the primitives
-        # directly — delegating to the _wait_avail/_set_avail generators
-        # costs two round-trips per chunk at zero simulated time.
         if self.cfg.flag_layout == "single":
             wait_flag = self.avail[parent]
-            my_avail = self.avail[me]
-            mk_avail = ((lambda v: P.SetFlag(my_avail, v))
-                        if has_children else None)
         else:
             wait_flag = self._multi_flag(comm, parent, me)
-            my_flags = tuple(self._multi_flag(comm, me, child)
-                             for child, _level in hier.children(me))
-            mk_avail = ((lambda v: P.SetFlagGroup(my_flags, v))
-                        if my_flags else None)
+        # Our children read our avail flag(s); a leaf announces nothing.
+        my_flags = (self._avail_flags(comm, hier, me)
+                    if hier.children(me) else ())
+        smsc = ctx.smsc
         got = 0
         with comm.node.obs.span("xhc.fanout", rank=me, parent=parent,
                                 level=level, nbytes=nbytes, chunk=chunk):
-            if not small and comm.node.engine.lower_chunk_runs:
-                # Lowered form (array engine): the wait/copy/announce loop
-                # is zero-decision, so after the first chunk's wait (which
-                # licenses reading the parent's publication) the whole
-                # stream goes down as one ChunkRun. The attach that the
-                # first per-chunk pull would have paid happens via
-                # map_peer up front.
-                n0 = min(chunk, nbytes)
-                yield P.WaitFlag(wait_flag, avail_base_p + n0)
+            if not small and smsc.lowers:
+                # The first chunk's wait licenses reading the parent's
+                # publication; map it, then stream the rest as one run.
+                yield P.WaitFlag(wait_flag, avail_base_p + min(chunk, nbytes))
                 pview = self._pub_fan[parent]
-                if ctx.smsc.chunk_run_lowerable(pview):
-                    yield from ctx.smsc.map_peer(pview)
-                    nchunks = -(-nbytes // chunk)
-                    const = ctx.smsc.chunk_run_account(pview, nchunks,
-                                                       nbytes)
-                    if self.cfg.flag_layout == "single":
-                        avail_flags = (my_avail,) if has_children else ()
-                    else:
-                        avail_flags = my_flags
-                    sets = (((avail_flags, avail_base_me),)
-                            if avail_flags else ())
-                    yield P.ChunkRun(
-                        start=0, stop=nbytes, chunk=chunk,
-                        waits=((wait_flag, avail_base_p, 0, nbytes),),
-                        sets=sets, copy=(pview, dst_view),
-                        const_cost=const)
-                    return
-                # Not lowerable (e.g. regcache off): fall through to the
-                # per-chunk loop; re-waiting chunk 0 is a satisfied wait.
+                yield from smsc.map_peer(pview)
+                nchunks = -(-nbytes // chunk)
+                yield P.ChunkRun(
+                    start=0, stop=nbytes, chunk=chunk,
+                    waits=((wait_flag, avail_base_p, 0, nbytes),),
+                    sets=((my_flags, avail_base_me),) if my_flags else (),
+                    copy=(pview, dst_view),
+                    lookups=smsc.chunk_run_account(pview, nchunks, nbytes),
+                    lookup_cost=smsc.lookup_cost, first_ready=True)
+                return
             while got < nbytes:
                 n = min(chunk, nbytes - got)
                 yield P.WaitFlag(wait_flag, avail_base_p + got + n)
-                if small:
-                    src = self.cico_res[parent][parity].sub(got, n)
-                    if has_children:
-                        mine = self.cico_res[me][parity]
-                        got += n
-                        steps = [P.Copy(src=src,
-                                        dst=mine.sub(got - n, n))]
-                        if mk_avail is not None:
-                            steps.append(mk_avail(avail_base_me + got))
-                        steps.append(P.Copy(src=mine.sub(got - n, n),
-                                            dst=dst_view.sub(got - n, n)))
-                        yield P.CopyBatch(tuple(steps))
-                    else:
-                        yield P.Copy(src=src, dst=dst_view.sub(got, n))
-                        got += n
+                dst = dst_view.sub(got, n)
+                if not small:
+                    yield from smsc.copy_from(
+                        self._pub_fan[parent].sub(got, n), dst)
+                elif not my_flags:
+                    yield P.Copy(src=self.cico_res[parent][parity].sub(got, n),
+                                 dst=dst)
                 else:
-                    pview = self._pub_fan[parent]
-                    src = pview.sub(got, n)
-                    dst = dst_view.sub(got, n)
-                    steps = ctx.smsc.copy_from_steps(src, dst)
-                    if steps is None:
-                        yield from ctx.smsc.copy_from(src, dst)
-                        got += n
-                        if mk_avail is not None:
-                            yield mk_avail(avail_base_me + got)
-                    else:
-                        got += n
-                        if mk_avail is not None:
-                            steps = steps + (mk_avail(avail_base_me + got),)
-                        if len(steps) == 1:
-                            yield steps[0]
-                        else:
-                            yield P.CopyBatch(steps)
+                    # Stage into our own slot and announce it to our
+                    # children before delivering.
+                    mine = self.cico_res[me][parity].sub(got, n)
+                    yield P.Copy(src=self.cico_res[parent][parity].sub(got, n),
+                                 dst=mine)
+                    yield _set_flags(my_flags, avail_base_me + got + n)
+                    yield P.Copy(src=mine, dst=dst)
+                got += n
+                if my_flags and not small:
+                    yield _set_flags(my_flags, avail_base_me + got)
 
     def _finalize(self, comm, hier: Hierarchy, me: int, led: dict,
                   wait_children: bool = True) -> Iterator:
@@ -433,8 +416,9 @@ class Xhc(CollComponent):
             return
         small = nbytes <= self.cfg.cico_threshold
         if not small:
-            ctx.smsc.require(self.name, "allreduce" if fan_out else "reduce",
-                             nbytes, reduce=True)
+            collective = "allreduce" if fan_out else "reduce"
+            ctx.smsc.require(self.name, collective, nbytes, reduce=True)
+            self._require_lowering(comm, ctx, collective, nbytes)
         parity = led["cico_ops"] % self.cfg.cico_ring
 
         # Step 1 — preparation: publish buffers, announce source readiness.
@@ -572,41 +556,11 @@ class Xhc(CollComponent):
         ready_bases = {p: led["ready"][p][level] for p in peers}
         done_base = led["done"][me]
         done_flag = self.done[me]
+        smsc = ctx.smsc
         src_bases = None
         pos = lo
         with comm.node.obs.span("xhc.reduce.work", rank=me, level=level,
                                 lo=lo, hi=hi):
-            if not small and comm.node.engine.lower_chunk_runs:
-                # Lowered form: wait for the first chunk (so every peer's
-                # publication exists), resolve the operand views, then
-                # reduce the whole assigned range as one ChunkRun.
-                n0 = min(chunk, hi - lo)
-                for p in peers:
-                    yield P.WaitFlag(self.ready[p][level],
-                                     ready_bases[p] + lo + n0)
-                src_bases = [
-                    self._contrib(comm, p, level, nbytes, small, parity)
-                    for p in peers
-                ]
-                dst_base = self._result(comm, group.leader, nbytes,
-                                        small, parity)
-                if ctx.smsc.reduce_run_lowerable(src_bases, dst_base):
-                    for v in src_bases:
-                        yield from ctx.smsc.map_peer(v)
-                    yield from ctx.smsc.map_peer(dst_base)
-                    nchunks = -(-(hi - lo) // chunk)
-                    const = ctx.smsc.reduce_run_account(
-                        src_bases, dst_base, nchunks)
-                    yield P.ChunkRun(
-                        start=lo, stop=hi, chunk=chunk,
-                        waits=tuple((self.ready[p][level], ready_bases[p],
-                                     0, hi) for p in peers),
-                        sets=(((done_flag,), done_base),),
-                        reduce=(tuple(src_bases), dst_base, op, dtype),
-                        const_cost=const)
-                    return
-                # Fall through: the loop re-waits chunk 0 (satisfied) and
-                # skips the operand resolution (src_bases already set).
             while pos < hi:
                 n = min(chunk, hi - pos)
                 for p in peers:
@@ -623,24 +577,34 @@ class Xhc(CollComponent):
                     ]
                     dst_base = self._result(comm, group.leader, nbytes,
                                             small, parity)
+                    if not small and smsc.lowers:
+                        # Map the operands, then reduce the whole
+                        # assigned range as one run.
+                        for v in src_bases:
+                            yield from smsc.map_peer(v)
+                        yield from smsc.map_peer(dst_base)
+                        nchunks = -(-(hi - lo) // chunk)
+                        yield P.ChunkRun(
+                            start=lo, stop=hi, chunk=chunk,
+                            waits=tuple((self.ready[p][level],
+                                         ready_bases[p], 0, hi)
+                                        for p in peers),
+                            sets=(((done_flag,), done_base),),
+                            reduce=(tuple(src_bases), dst_base, op, dtype),
+                            lookups=smsc.reduce_run_account(
+                                src_bases, dst_base, nchunks),
+                            lookup_cost=smsc.lookup_cost, first_ready=True)
+                        return
                 srcs = [base.sub(pos, n) for base in src_bases]
                 dst = dst_base.sub(pos, n)
                 pos += n
-                done_prim = P.SetFlag(done_flag, done_base + (pos - lo))
                 if small:
-                    yield P.CopyBatch((
-                        P.Reduce(srcs=tuple(srcs), dst=dst, op=op,
-                                 dtype=dtype),
-                        done_prim))
+                    yield P.Reduce(srcs=tuple(srcs), dst=dst, op=op,
+                                   dtype=dtype)
                 else:
-                    steps = ctx.smsc.reduce_from_steps(srcs, dst, op=op,
-                                                       dtype=dtype)
-                    if steps is None:
-                        yield from ctx.smsc.reduce_from(srcs, dst, op=op,
-                                                        dtype=dtype)
-                        yield done_prim
-                    else:
-                        yield P.CopyBatch(steps + (done_prim,))
+                    yield from smsc.reduce_from(srcs, dst, op=op,
+                                                dtype=dtype)
+                yield P.SetFlag(done_flag, done_base + (pos - lo))
 
     def _monitor(self, comm, ctx, me: int, hier: Hierarchy, group: Group,
                  nbytes: int, small: bool, fan_out: bool, dtype,
@@ -662,10 +626,10 @@ class Xhc(CollComponent):
         c = 0
         with comm.node.obs.span("xhc.reduce.monitor", rank=me,
                                 level=level, top=is_top):
-            if not small and comm.node.engine.lower_chunk_runs:
-                # Lowered form: the poll-and-propagate loop is pure
-                # clamped waits plus per-chunk announcements — exactly
-                # the shape ChunkRun's (flag, base, lo, hi) specs encode.
+            if not small:
+                # The poll-and-propagate loop is pure clamped waits plus
+                # per-chunk announcements — exactly the shape ChunkRun's
+                # (flag, base, lo, hi) specs encode.
                 if workers:
                     waits = tuple((self.done[w], done_bases[w], off,
                                    off + n)

@@ -596,6 +596,29 @@ def test_clean_save_leaves_ledger_untouched_and_skips_scan(tmp_path,
     assert os.stat(ledger_path).st_mtime_ns == mtime_before
 
 
+def test_clean_save_on_a_bounded_store_skips_eviction_scan(tmp_path,
+                                                           monkeypatch):
+    """Eviction runs only when a save wrote an entry: an all-hit chunk on
+    a bounded store must not scan and stat every entry."""
+    cache = ResultCache(tmp_path, max_entries=100)
+    payloads = [RunRequest("epyc-1p", "bcast", 64 + i, 8).payload()
+                for i in range(5)]
+    for p in payloads:
+        cache.put(p, 1e-6)
+    cache.save()
+    assert all(cache.get(p) == pytest.approx(1e-6) for p in payloads)
+    scans = _count_calls(monkeypatch, ShardedStore, "scan")
+    cache.save()
+    cache.save()
+    assert scans == []
+    # A save that writes still evicts down to the bound.
+    cache.store.max_entries = 5
+    cache.put(RunRequest("epyc-1p", "bcast", 4096, 8).payload(), 1e-6)
+    with pytest.warns(RuntimeWarning, match="evicted 1"):
+        cache.save()
+    assert cache.store_info()["entries"] == 5
+
+
 def test_dirty_save_rewrites_derived_totals(tmp_path):
     cache, _payloads = _saved_cache(tmp_path, n=2)
     assert cache.store.load_ledger()["entries"] == 2

@@ -1,14 +1,18 @@
 """Golden-latency snapshots: simulated time must be bit-identical.
 
-The perf work (single-pass source selection, CopyBatch, fast handler
-tables, inlined cache accounting) is only admissible because it provably
-does not move simulated time. These fixtures pin, as ``float.hex``
+The perf work (single-pass source selection, the event engine's
+in-engine ChunkRun expansion, fast handler tables, inlined cache
+accounting) is only admissible because it provably does not move
+simulated time. These fixtures pin, as ``float.hex``
 strings, xhc-tree bcast+allreduce latencies for every modeled system at
 five sizes (``latency_<system>.json``), the baseline components at
 each system's full rank count (``latency_baselines.json``), and bcast
 and reduce at non-zero roots (``latency_roots.json``, which pins the
 per-root schedule tables) — any future "optimization" that drifts a
-result by even one ulp fails here.
+result by even one ulp fails here. XHC's chunk-loop variants (flag
+layouts, per-level chunks, every SMSC config, sizes around
+``cico_threshold``, observed and checked runs) are pinned down to event
+counts and span digests by tests/test_golden_xhc_paths.py.
 
 Regenerating a fixture is a deliberate act: it means simulated semantics
 changed, which also requires a SIM_VERSION bump (rule RC105) so exec's

@@ -1,16 +1,15 @@
 """The perf work's equivalence guarantees (docs/performance.md).
 
 Every optimization in the hot-path pass claims to be invisible to
-simulated time. These tests check each claim in isolation — batching,
-the handlers' instrumentation hooks, smsc step emission, the bounded
-topology memo — so a future regression names its culprit instead of
-just failing a golden snapshot. (Source selection has its differential
-test in tests/test_property_fuzz.py.)
+simulated time. These tests check each claim in isolation — the event
+engine's chunk-run expansion, the handlers' instrumentation hooks, the
+bounded topology memo — so a future regression names its culprit
+instead of just failing a golden snapshot. (Source selection has its
+differential test in tests/test_property_fuzz.py.)
 """
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.mpi import FLOAT, SUM
 from repro.node import Node
 from repro.options import RunOptions
@@ -24,8 +23,6 @@ def _hex(x: float) -> str:
     return float.hex(x)
 
 
-# -- CopyBatch: batched steps == the same steps yielded one at a time -------
-
 # Every instrumentation hook the engine's handlers carry; none may move
 # simulated time.
 HOOKS = [
@@ -37,95 +34,146 @@ HOOKS = [
 ]
 
 
-def _batch_world(options=None):
+# -- ChunkRun: the event engine runs it as its exact per-chunk events -------
+
+# Each case hand-builds a ChunkRun on a consumer (core 1) whose waits are
+# fed by producers publishing one chunk per ``pace`` seconds (cores 0 and
+# 2); a neighbour on the consumer's core keeps it busy, so lookups and
+# bodies queue behind other work.
+RUN_CASES = {
+    "copy-odd-tail": dict(size=50_000, chunk=16384),
+    "reduce-lookups": dict(size=50_000, chunk=16384, body="reduce",
+                           lookups=3),
+    "multi-flag-set": dict(size=50_000, chunk=16384, sets="group"),
+    "blocks-mid-run": dict(size=50_000, chunk=16384, pace=40e-6,
+                           clamped=True, body="reduce", lookups=2),
+    "first-ready": dict(size=50_000, chunk=16384, first_ready=True,
+                        body="reduce", lookups=2),
+    "one-chunk": dict(size=8_000, chunk=16384, first_ready=True),
+    "quantum-chunks": dict(size=200_000, chunk=96 * 1024,
+                           lookup_cost=60e-6),
+}
+
+
+def _run_world(options, case: dict):
+    """The case's ChunkRun plus the producers and neighbour around it."""
     node = Node(small_topo(), options=options)
-    a_sp = node.new_address_space(0, 0)
-    b_sp = node.new_address_space(1, 1)
-    src = a_sp.alloc("src", 64 * 1024)
-    dst = b_sp.alloc("dst", 64 * 1024)
-    acc = b_sp.alloc("acc", 64 * 1024)
-    flag = Flag("t.avail", owner_core=1)
-    steps = (
-        P.Copy(src=src.whole(), dst=dst.whole()),
-        P.Compute(3e-6),
-        P.Reduce(srcs=(src.whole(), dst.whole()), dst=acc.whole(),
-                 op=SUM, dtype=FLOAT),
-        P.SetFlag(flag, 7),
-        P.Copy(src=acc.view(0, 4096), dst=dst.view(0, 4096)),
-    )
-    return node, steps, flag
+    size, chunk = case["size"], case["chunk"]
+    spaces = [node.new_address_space(r, r) for r in range(3)]
+    src_a = spaces[0].alloc("src.a", size)
+    src_b = spaces[2].alloc("src.b", size)
+    dst = spaces[1].alloc("dst", size)
+    avail = [Flag("t.avail.0", owner_core=0), Flag("t.avail.2", owner_core=2)]
+    outs = tuple(Flag(f"t.out.{i}", owner_core=1) for i in range(3))
+    pace = case.get("pace", 2e-6)
+
+    def producer(flag):
+        for done in range(chunk, size + chunk, chunk):
+            yield P.Compute(pace)
+            yield P.SetFlag(flag, 100 + min(done, size))
+
+    def neighbour():
+        for _ in range(12):
+            yield P.Compute(3e-6)
+            yield P.Compute(1e-7)
+
+    node.engine.spawn(producer(avail[0]), core=0)
+    node.engine.spawn(producer(avail[1]), core=2)
+    node.engine.spawn(neighbour(), core=1)
+    waits = [(avail[0], 100, 0, size)]
+    if case.get("body") == "reduce":
+        # The second producer covers only [chunk, size): its clamped
+        # spec does not gate the first chunk.
+        lo = chunk if case.get("clamped") else 0
+        waits.append((avail[1], 100 + lo, lo, size))
+    sets = [((outs[0],), 7)]
+    if case.get("sets") == "group":
+        sets.append((outs, 9))
+    body = ({"reduce": ((src_a.whole(), src_b.whole(), dst.whole()),
+                        dst.whole(), SUM, FLOAT)}
+            if case.get("body") == "reduce"
+            else {"copy": (src_a.whole(), dst.whole())})
+    run = P.ChunkRun(start=0, stop=size, chunk=chunk, waits=tuple(waits),
+                     sets=tuple(sets), lookups=case.get("lookups", 1),
+                     lookup_cost=case.get("lookup_cost", 1e-7),
+                     first_ready=case.get("first_ready", False), **body)
+    return node, run
 
 
-def test_copybatch_bit_identical_to_unbatched():
-    node_a, steps_a, flag_a = _batch_world()
-
-    def unbatched():
-        for step in steps_a:
-            yield step
-    node_a.engine.spawn(unbatched(), core=1)
-    t_unbatched = node_a.engine.run()
-    assert flag_a.value == 7
-
-    node_b, steps_b, flag_b = _batch_world()
-
-    def batched():
-        yield P.CopyBatch(steps_b)
-    node_b.engine.spawn(batched(), core=1)
-    t_batched = node_b.engine.run()
-    assert flag_b.value == 7
-
-    assert _hex(t_batched) == _hex(t_unbatched)
-
-
-@pytest.mark.parametrize("hooks", HOOKS)
-def test_copybatch_prices_identically_with_hooks(hooks):
-    """A batch's steps cross the same race, observe and record hooks as
-    yielded steps; with any of them on, the simulated end time still
-    matches the plain run exactly."""
-    node_a, steps_a, _ = _batch_world()
-
-    def batched_a():
-        yield P.CopyBatch(steps_a)
-    node_a.engine.spawn(batched_a(), core=1)
-    t_plain = node_a.engine.run()
-
-    node_b, steps_b, _ = _batch_world(RunOptions(**hooks))
-
-    def batched_b():
-        yield P.CopyBatch(steps_b)
-    node_b.engine.spawn(batched_b(), core=1)
-    t_hooked = node_b.engine.run()
-
-    assert _hex(t_hooked) == _hex(t_plain)
+def _chunk_steps(run: P.ChunkRun, o: int):
+    """The per-chunk primitives the chunk at ``o`` stands for, as
+    (waits and lookups, body and sets)."""
+    e = min(o + run.chunk, run.stop)
+    n = e - o
+    sync = [P.WaitFlag(flag, base + min(e, hi) - lo)
+            for flag, base, lo, hi in run.waits if min(e, hi) > lo]
+    sync += [P.Compute(run.lookup_cost)] * run.lookups
+    if run.copy is not None:
+        src, dst = run.copy
+        rest = [P.Copy(src=src.sub(o, n), dst=dst.sub(o, n))]
+    else:
+        srcs, dst, op, dtype = run.reduce
+        rest = [P.Reduce(srcs=tuple(s.sub(o, n) for s in srcs),
+                         dst=dst.sub(o, n), op=op, dtype=dtype)]
+    for flags, base in run.sets:
+        value = base + (e - run.start)
+        rest.append(P.SetFlag(flags[0], value) if len(flags) == 1
+                    else P.SetFlagGroup(flags, value))
+    return sync, rest
 
 
-def test_copybatch_rejects_waits():
+def _drive(options, case: dict, lowered: bool):
+    node, run = _run_world(options, case)
+
+    def per_chunk():
+        for o in range(run.start, run.stop, run.chunk):
+            sync, rest = _chunk_steps(run, o)
+            for prim in sync + rest:
+                yield prim
+
+    def as_run():
+        if run.first_ready:
+            for prim in _chunk_steps(run, run.start)[0]:
+                yield prim
+        yield run
+        yield P.Compute(1e-6)
+
+    def reference():
+        yield from per_chunk()
+        yield P.Compute(1e-6)
+
+    node.engine.spawn(as_run() if lowered else reference(), core=1)
+    end = node.engine.run()
+    waits = [(w.target, w.start, w.end, w.woke_at) for w in node.obs.waits]
+    return end, node.engine.events_processed, waits
+
+
+@pytest.mark.parametrize("hooks", [pytest.param({}, id="plain")] + HOOKS)
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_chunk_run_is_its_per_chunk_events(case, hooks):
+    """End time, event count and (observed) wait records of a ChunkRun
+    equal those of its per-chunk primitives yielded one at a time, and
+    no hook moves them."""
+    options = RunOptions(**hooks)
+    t_run, ev_run, waits_run = _drive(options, RUN_CASES[case], True)
+    t_ref, ev_ref, waits_ref = _drive(options, RUN_CASES[case], False)
+    assert (_hex(t_run), ev_run) == (_hex(t_ref), ev_ref)
+    assert waits_run == waits_ref
+    t_plain, _, _ = _drive(RunOptions(), RUN_CASES[case], True)
+    assert _hex(t_run) == _hex(t_plain)
+
+
+def test_blocking_case_really_blocks_mid_run():
+    _end, _events, waits = _drive(RunOptions(observe="spans"),
+                                  RUN_CASES["blocks-mid-run"], True)
+    assert len(waits) > 1
+
+
+def test_empty_chunk_run_is_a_noop():
     node = Node(small_topo())
-    flag = Flag("t.f", owner_core=0)
 
     def prog():
-        yield P.CopyBatch((P.WaitFlag(flag, 1),))
-    node.engine.spawn(prog(), core=0)
-    with pytest.raises(SimulationError):
-        node.engine.run()
-
-
-def test_copybatch_rejects_atomic_rmw():
-    node = Node(small_topo())
-    atom = Atomic("t.a", home_core=0)
-
-    def prog():
-        yield P.CopyBatch((P.AtomicRMW(atom, 1),))
-    node.engine.spawn(prog(), core=0)
-    with pytest.raises(SimulationError):
-        node.engine.run()
-
-
-def test_empty_copybatch_is_a_noop():
-    node = Node(small_topo())
-
-    def prog():
-        yield P.CopyBatch(())
+        yield P.ChunkRun(start=64, stop=64, chunk=16)
         yield P.Compute(1e-6)
     node.engine.spawn(prog(), core=0)
     assert node.engine.run() == pytest.approx(1e-6)
@@ -229,75 +277,6 @@ def test_topo_memo_hit_refreshes_recency(monkeypatch):
     worker.get_topology("arm-n1")               # evicts epyc-2p, not 1p
     assert "epyc-1p" in worker._TOPO_MEMO
     assert "epyc-2p" not in worker._TOPO_MEMO
-
-
-# -- smsc step emission -----------------------------------------------------
-
-def test_reduce_from_steps_matches_generator_path():
-    """The batched Reduce emission prices and accounts exactly like the
-    generator path it replaces."""
-    from repro.shmem.smsc import SmscConfig, SmscEndpoint
-
-    def build():
-        node = Node(small_topo())
-        owner = node.new_address_space(0, 0)
-        peer = node.new_address_space(1, 2)
-        src = owner.alloc("src", 64 * 1024)
-        dst = peer.alloc("dst", 64 * 1024)
-        ep = SmscEndpoint(node, 1, SmscConfig(mechanism="xpmem"))
-        node.engine.spawn(node.xpmem.expose(src), core=0)
-        node.engine.run()
-        return node, ep, src, dst
-
-    def drive(node, gen, core=2):
-        node.engine.spawn(gen, core=core)
-        t0 = node.engine.now
-        node.engine.run()
-        return node.engine.now - t0
-
-    node_a, ep_a, src_a, dst_a = build()
-    node_b, ep_b, src_b, dst_b = build()
-
-    # Cold operands must decline (the attach generator has to run)...
-    assert ep_b.reduce_from_steps([src_b.whole()], dst_b.whole(),
-                                  op=SUM, dtype=FLOAT) is None
-    # ...so warm both worlds identically through the generator path.
-    drive(node_a, ep_a.reduce_from([src_a.whole()], dst_a.whole(),
-                                   op=SUM, dtype=FLOAT))
-    drive(node_b, ep_b.reduce_from([src_b.whole()], dst_b.whole(),
-                                   op=SUM, dtype=FLOAT))
-
-    t_gen = drive(node_a, ep_a.reduce_from([src_a.whole()],
-                                           dst_a.whole(), op=SUM,
-                                           dtype=FLOAT))
-
-    steps = ep_b.reduce_from_steps([src_b.whole()], dst_b.whole(),
-                                   op=SUM, dtype=FLOAT)
-    assert steps is not None
-
-    def prog():
-        yield P.CopyBatch(steps)
-    t_steps = drive(node_b, prog())
-
-    assert _hex(t_steps) == _hex(t_gen)
-    # Accounting parity: both paths charged the same regcache traffic.
-    assert (ep_b.regcache.hits, ep_b.regcache.misses) == \
-        (ep_a.regcache.hits, ep_a.regcache.misses)
-
-
-def test_reduce_from_steps_declines_unmapped_operands():
-    from repro.shmem.smsc import SmscConfig, SmscEndpoint
-    node = Node(small_topo())
-    owner = node.new_address_space(0, 0)
-    peer = node.new_address_space(1, 2)
-    src = owner.alloc("src", 64 * 1024)   # never exposed/attached
-    dst = peer.alloc("dst", 64 * 1024)
-    ep = SmscEndpoint(node, 1, SmscConfig(mechanism="xpmem"))
-    hits, misses = ep.regcache.hits, ep.regcache.misses
-    assert ep.reduce_from_steps([src.whole()], dst.whole(),
-                                op=SUM, dtype=FLOAT) is None
-    # Declining has no side effects on the cache accounting.
-    assert (ep.regcache.hits, ep.regcache.misses) == (hits, misses)
 
 
 # -- perf harness + CLI -----------------------------------------------------

@@ -201,7 +201,26 @@ def test_request_the_smsc_mechanism_cannot_serve_fails_alone(served):
     by_size = {r["request"]["size"]: r for r in done["results"]}
     assert by_size[65536]["latency_s"] is None
     assert "ConfigError" in str(by_size[65536]["error"])
-    assert "xhc bcast of 65536 bytes" in str(by_size[65536]["error"])
+    assert "xhc-tree bcast of 65536 bytes" in str(by_size[65536]["error"])
+    assert by_size[64]["latency_s"] is not None
+
+
+def test_request_the_array_engine_cannot_lower_fails_alone(served):
+    from repro.options import RunOptions
+    from repro.shmem.smsc import SmscConfig
+
+    good = _payloads(sizes=(64,))
+    refused = RunRequest(
+        "epyc-1p", "bcast", 65536, 8, component="xhc-tree", warmup=1,
+        iters=2, smsc=SmscConfig(mechanism="cma"),
+        options=RunOptions(data_movement=False, engine="array")).payload()
+    with ServeClient(served.socket_path) as client:
+        done = client.submit([refused] + good, tenant="a")
+    assert done["stats"]["errors"] == 1
+    by_size = {r["request"]["size"]: r for r in done["results"]}
+    assert by_size[65536]["latency_s"] is None
+    assert "xhc-tree bcast of 65536 bytes on the array engine" \
+        in str(by_size[65536]["error"])
     assert by_size[64]["latency_s"] is not None
 
 

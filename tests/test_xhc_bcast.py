@@ -151,3 +151,49 @@ def test_zero_and_single_rank_degenerate():
         yield from comm_.bcast(ctx, buf.whole(), 0)
         yield P.Compute(0)
     comm.run(program)
+
+
+# -- the registry name travels with the instance ---------------------------
+
+@pytest.mark.parametrize("name", ["xhc-tree", "xhc-flat", "xhc-tuned"])
+def test_refusal_names_the_registry_component(name):
+    from repro.bench.components import make_component
+    from repro.errors import ConfigError
+    from repro.shmem.smsc import SmscConfig
+
+    node = Node(small_topo())
+    world = World(node, 8, smsc=SmscConfig(mechanism=None))
+    comm = world.communicator(make_component(name))
+
+    def program(comm_, ctx):
+        buf = ctx.alloc("b", 65536)
+        yield from comm_.bcast(ctx, buf.whole(), 0)
+    with pytest.raises(ConfigError,
+                       match=f"^{name} bcast of 65536 bytes needs"):
+        comm.run(program)
+
+
+@pytest.mark.parametrize("name", ["xhc-tree", "xhc-flat", "xhc-tuned"])
+def test_collective_spans_carry_the_registry_name(name):
+    from repro.bench.components import make_component
+    from repro.options import RunOptions
+
+    node = Node(small_topo(), options=RunOptions(observe="spans"))
+    world = World(node, 4)
+    comm = world.communicator(make_component(name))
+
+    def program(comm_, ctx):
+        buf = ctx.alloc("b", 4096)
+        yield from comm_.bcast(ctx, buf.whole(), 0)
+    comm.run(program)
+    comps = {rec.args["comp"] for rec in node.obs.spans
+             if rec.name == "coll.bcast"}
+    assert comps == {name}
+
+
+def test_explicit_config_keeps_the_generic_name():
+    from repro.exec.worker import resolve_component
+    assert Xhc().name == "xhc"
+    assert resolve_component("xhc", {"hierarchy": "flat"})().name == "xhc"
+    assert resolve_component(
+        "xhc-flat", {"hierarchy": "flat"})().name == "xhc-flat"
