@@ -12,8 +12,8 @@ COMPONENTS: dict[str, Callable[[], object]] = {
     "tuned": Tuned,
     "sm": SmColl,
     "ucc": Ucc,
-    "smhc-flat": lambda: Smhc(tree=False),
-    "smhc-tree": lambda: Smhc(tree=True),
+    "smhc-flat": lambda: Smhc(tree=False, name="smhc-flat"),
+    "smhc-tree": lambda: Smhc(tree=True, name="smhc-tree"),
     "xbrc": Xbrc,
     "xhc-flat": lambda: Xhc(hierarchy="flat", name="xhc-flat"),
     "xhc-tree": lambda: Xhc(hierarchy="numa+socket", name="xhc-tree"),

@@ -20,6 +20,13 @@ blocked" deadlock), from the run-loop watchdog (always — catches spins
 that would otherwise hang pytest), and proactively at every block when
 constructed with ``check='deadlock'`` or ``'full'`` (reports the cycle
 the moment it closes, while the rest of the node still runs).
+
+The per-block probe (:class:`WaitChainProbe`) rarely needs the full
+analysis. No stuck set exists before a block: the previous block was
+probed, and a finish, the only other event that can strand a waiter,
+makes the next probe a full one. A stuck set after the block must then
+hold the new waiter, so the probe only asks whether the waiter can still
+be woken, by walking its wait-for chain core by core.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .report import Finding
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine, SimProcess
+    from ..sim.syncobj import Atomic, Flag
 
 _BLOCKED = ProcState.BLOCKED
 _DONE = ProcState.DONE
@@ -134,3 +142,92 @@ def _extract_cycle(engine: "Engine",
     if p is None:
         return order
     return order[index[p.pid]:]
+
+
+class WaitChainProbe:
+    """The proactive probe the engine runs at every block under
+    ``check='deadlock'``/``'full'``; same verdicts as :func:`find_deadlock`.
+
+    :meth:`probe` walks the new waiter's wait-for chain: it starts at the
+    owner core of the blocked-on flag (every core, for an atomic) and
+    stops at the first process there that is not waiting (READY, or
+    BLOCKED with ``waking`` set); otherwise it continues at the owner
+    cores of the waiters found there, visiting each core once. The full
+    analysis runs only when the walk finds no free process, which is
+    exactly when a stuck set exists, or when ``stale`` is set: the engine
+    sets it when a process finishes, and it stays set until a full
+    analysis finds no stuck set.
+
+    The walk reads a per-core index of the processes. It is rebuilt,
+    without the finished ones, at every full analysis that finds no stuck
+    set; in between, processes spawned since are appended to it at the
+    next probe. The probe holds no reference to its engine.
+    """
+
+    __slots__ = ("stale", "_by_core", "_indexed")
+
+    def __init__(self) -> None:
+        self.stale = True
+        self._by_core: dict[int, list] = {}
+        self._indexed = 0
+
+    def probe(self, engine: "Engine",
+              obj: "Flag | Atomic") -> DeadlockInfo | None:
+        """Stuck-set analysis after a process blocked on ``obj``."""
+        if not self.stale and self.wakeable(engine, obj):
+            return None
+        info = find_deadlock(engine)
+        if info is None:
+            self._reindex(engine)
+        else:
+            self.stale = True
+        return info
+
+    def wakeable(self, engine: "Engine", obj: "Flag | Atomic") -> bool:
+        """Whether some process that is not waiting can reach a waiter on
+        ``obj`` along the wait-for edges: the owner core of a flag, or
+        any core for an atomic."""
+        procs = engine.processes
+        by_core = self._by_core
+        for i in range(self._indexed, len(procs)):
+            p = procs[i]
+            by_core.setdefault(p.core, []).append(p)
+        self._indexed = len(procs)
+        owner = getattr(obj, "owner_core", None)
+        if owner is None:
+            return self._any_free()
+        todo = [owner]
+        seen = {owner}
+        while todo:
+            for p in by_core.get(todo.pop(), ()):
+                state = p.state
+                if state is _DONE:
+                    continue
+                if state is not _BLOCKED or p.waking:
+                    return True
+                nxt = getattr(p.blocked_obj, "owner_core", None)
+                if nxt is None:
+                    return self._any_free()
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return False
+
+    def _any_free(self) -> bool:
+        """An atomic waiter is free iff any process is not waiting."""
+        for procs in self._by_core.values():
+            for p in procs:
+                state = p.state
+                if state is not _DONE and (state is not _BLOCKED
+                                           or p.waking):
+                    return True
+        return False
+
+    def _reindex(self, engine: "Engine") -> None:
+        by_core: dict[int, list] = {}
+        for p in engine.processes:
+            if p.state is not _DONE:
+                by_core.setdefault(p.core, []).append(p)
+        self._by_core = by_core
+        self._indexed = len(engine.processes)
+        self.stale = False

@@ -18,6 +18,10 @@ ordered before the other by the happens-before relation built from those
 edges. Accesses are stamped with FastTrack-style epochs (see
 :mod:`repro.check.vclock`), so the common ordered case is one dict lookup.
 
+Each buffer keeps its last ``max_history`` accesses (:class:`_History`),
+indexed by read/write and by byte range, so a new access visits only the
+recorded accesses it overlaps, and a read only the writes among them.
+
 A second rule rides along on the same hooks: reading or writing a peer's
 *non-shared* buffer requires a live XPMEM attachment by the accessing
 core (kernel-assisted CMA/KNEM copies are exempt — they carry
@@ -28,32 +32,45 @@ findings.
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
+from ..obs.spans import span_label
 from ..shmem.segment import SharedSegment
 from .report import CheckReport, Finding
 from .vclock import VClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..memory.address_space import Buffer, BufView
+    from ..obs.spans import SpanRecord
     from ..sim.engine import Engine, SimProcess
     from ..sim.syncobj import Atomic, Flag
     from ..sim import primitives as P
 
+#: ``RaceChecker._releaser`` value of a sync object released by more than
+#: one process.
+_SHARED = -1
+
 
 class Access:
-    """One recorded read or write of a byte range."""
+    """One recorded read or write of a byte range.
 
-    __slots__ = ("pid", "name", "core", "write", "lo", "hi", "epoch",
+    ``seq`` orders the accesses of a checker; ``span`` is the span open
+    on the accessing process at the time (``None`` without observe), so
+    its label is formatted only when a finding names it.
+    """
+
+    __slots__ = ("seq", "pid", "proc", "write", "lo", "hi", "epoch",
                  "time", "label", "span")
 
-    def __init__(self, pid: int, name: str, core: int, write: bool,
+    def __init__(self, seq: int, proc: "SimProcess", write: bool,
                  lo: int, hi: int, epoch: int, time: float, label: str,
-                 span: str | None) -> None:
-        self.pid = pid
-        self.name = name
-        self.core = core
+                 span: "SpanRecord | None") -> None:
+        self.seq = seq
+        self.pid = proc.pid
+        self.proc = proc
         self.write = write
         self.lo = lo
         self.hi = hi
@@ -62,12 +79,91 @@ class Access:
         self.label = label
         self.span = span
 
+    @property
+    def name(self) -> str:
+        return self.proc.name
+
+    @property
+    def span_name(self) -> str | None:
+        return None if self.span is None else span_label(self.span)
+
     def describe(self) -> str:
         rw = "write" if self.write else "read"
         where = f"[{self.lo}:{self.hi}]"
-        ctx = f" in {self.span}" if self.span else ""
-        return (f"{self.name} (core {self.core}) {self.label}-{rw} "
+        span = self.span_name
+        ctx = f" in {span}" if span else ""
+        return (f"{self.name} (core {self.proc.core}) {self.label}-{rw} "
                 f"{where} at t={self.time:.3e}{ctx}")
+
+
+class _History:
+    """One buffer's last accesses, oldest first in ``order``.
+
+    ``writes`` and ``reads`` each map a range length ``n`` to a pair
+    ``(starts, groups)``: ``starts`` is sorted, and ``groups[i]`` lists,
+    oldest first, the accesses of ``[starts[i], starts[i] + n)``. A range
+    of length ``n`` overlaps ``[lo, hi)`` exactly when its start lies in
+    ``(lo - n, hi)``, so two bisections per length find every
+    overlapping group and no other.
+    """
+
+    __slots__ = ("order", "writes", "reads")
+
+    def __init__(self) -> None:
+        # A list, not a deque: most histories are a few accesses long,
+        # and dropping the head of one of at most 512 is a short move.
+        self.order: list[Access] = []
+        self.writes: dict[int, tuple[list[int], list[list[Access]]]] = {}
+        self.reads: dict[int, tuple[list[int], list[list[Access]]]] = {}
+
+    def add(self, acc: Access) -> None:
+        index = self.writes if acc.write else self.reads
+        lo = acc.lo
+        entry = index.get(acc.hi - lo)
+        if entry is None:
+            index[acc.hi - lo] = ([lo], [[acc]])
+        else:
+            starts, groups = entry
+            i = bisect_left(starts, lo)
+            if i < len(starts) and starts[i] == lo:
+                groups[i].append(acc)
+            else:
+                starts.insert(i, lo)
+                groups.insert(i, [acc])
+        self.order.append(acc)
+
+    def evict_oldest(self) -> None:
+        """Forget the oldest access, which is the first of its group."""
+        acc = self.order.pop(0)
+        index = self.writes if acc.write else self.reads
+        n = acc.hi - acc.lo
+        starts, groups = index[n]
+        i = bisect_left(starts, acc.lo)
+        group = groups[i]
+        del group[0]
+        if not group:
+            del starts[i]
+            del groups[i]
+            if not starts:
+                del index[n]
+
+
+def _unordered(index: dict, lo: int, hi: int, pid: int, clock: dict,
+               out: "list[Access] | None") -> "list[Access] | None":
+    """Append to ``out`` (made on demand) every access in ``index`` that
+    overlaps ``[lo, hi)``, comes from another process and is not ordered
+    before the point ``clock`` stands for."""
+    for n, (starts, groups) in index.items():
+        i = bisect_right(starts, lo - n)
+        j = bisect_left(starts, hi)
+        while i < j:
+            for old in groups[i]:
+                if old.pid != pid and old.epoch > clock.get(old.pid, 0):
+                    if out is None:
+                        out = []
+                    out.append(old)
+            i += 1
+    return out
 
 
 class RaceChecker:
@@ -86,7 +182,10 @@ class RaceChecker:
         self.findings: list[Finding] = []
         self._clocks: dict[int, VClock] = {}
         self._sync: dict[int, VClock] = {}
-        self._hist: dict[int, deque[Access]] = {}
+        # The pid of each sync object's only releaser so far, or _SHARED.
+        self._releaser: dict[int, int] = {}
+        self._hist: dict[int, _History] = {}
+        self._seq = itertools.count()
         self._attached: set[tuple[int, int]] = set()
         self._dedup: set[tuple] = set()
 
@@ -112,13 +211,21 @@ class RaceChecker:
         pc.tick(parent.pid)
 
     def on_release(self, proc: "SimProcess", obj: "Flag | Atomic") -> None:
+        """Join the releaser's clock into the object's. While one process
+        is the object's only releaser, the join equals a copy of its
+        clock, which already holds every clock it released before."""
         vc = self._clock(proc)
-        sc = self._sync.get(id(obj))
-        if sc is None:
-            sc = VClock()
-            self._sync[id(obj)] = sc
-        sc.join(vc)
-        vc.tick(proc.pid)
+        key = id(obj)
+        pid = proc.pid
+        releaser = self._releaser.get(key)
+        if releaser is None or releaser == pid:
+            self._sync[key] = vc.copy()
+            self._releaser[key] = pid
+        else:
+            if releaser != _SHARED:
+                self._releaser[key] = _SHARED
+            self._sync[key].join(vc)
+        vc.tick(pid)
 
     def on_acquire(self, proc: "SimProcess", obj: "Flag | Atomic") -> None:
         sc = self._sync.get(id(obj))
@@ -151,32 +258,27 @@ class RaceChecker:
             return
         buf = view.buf
         self._check_attached(proc, buf, write, in_kernel)
-        vc = self._clock(proc)
+        clock = self._clock(proc).c
         lo = view.offset
         hi = lo + min(nbytes, view.length)
         hist = self._hist.get(buf.id)
         if hist is None:
-            hist = deque(maxlen=self.max_history)
-            self._hist[buf.id] = hist
-        span = self._span_of(proc)
-        for acc in hist:
-            if acc.pid == proc.pid:
-                continue
-            if not (write or acc.write):
-                continue
-            if acc.lo >= hi or acc.hi <= lo:
-                continue
-            if vc.happened_before(acc.pid, acc.epoch):
-                continue
-            self._report_race(
-                acc,
-                Access(proc.pid, proc.name, proc.core, write, lo, hi,
-                       vc.get(proc.pid), self.engine.now, label, span),
-                buf,
-            )
-        hist.append(
-            Access(proc.pid, proc.name, proc.core, write, lo, hi,
-                   vc.get(proc.pid), self.engine.now, label, span))
+            hist = self._hist[buf.id] = _History()
+        pid = proc.pid
+        racy = _unordered(hist.writes, lo, hi, pid, clock, None)
+        if write:
+            racy = _unordered(hist.reads, lo, hi, pid, clock, racy)
+        engine = self.engine
+        acc = Access(next(self._seq), proc, write, lo, hi, clock.get(pid, 0),
+                     engine.now, label, engine.obs.open_span(pid))
+        if racy is not None:
+            # Oldest first: the order a scan of the whole window met them.
+            racy.sort(key=attrgetter("seq"))
+            for old in racy:
+                self._report_race(old, acc, buf)
+        hist.add(acc)
+        if len(hist.order) > self.max_history:
+            hist.evict_oldest()
 
     # -- xpmem attachment protocol ------------------------------------------
 
@@ -246,7 +348,7 @@ class RaceChecker:
             where=where,
             procs=(old.name, new.name),
             time=new.time,
-            span=new.span or old.span,
+            span=new.span_name or old.span_name,
             extra={"overlap": [lo, hi],
                    "first": old.describe(), "second": new.describe()},
         ))

@@ -33,7 +33,8 @@ Properties the serving layer (and concurrent sweeps) rely on:
 * **LRU eviction** — when ``max_entries``/``max_bytes`` bounds are set,
   the oldest entries (by file mtime; reads refresh it) are unlinked
   until the store fits. Stale ``SIM_VERSION`` generations age out the
-  same way since nothing ever reads (or touches) them again.
+  same way since nothing ever reads (or touches) them again. A save
+  whose running ledger totals fit the bounds does not walk the store.
 * **Idempotent migration** — a legacy flat cache file is imported once
   (stamped in the ledger by size+mtime); re-importing is harmless anyway
   because entries are content-addressed.
@@ -259,10 +260,36 @@ class ShardedStore:
 
     # -- eviction ---------------------------------------------------------
 
+    def _fits(self, count: int, size: int) -> bool:
+        return ((self.max_entries is None or count <= self.max_entries)
+                and (self.max_bytes is None or size <= self.max_bytes))
+
+    def _running_totals(self) -> tuple[int, int] | None:
+        """The totals :meth:`save_ledger` would write without a scan, or
+        ``None`` when it would rescan: the last ledger this instance
+        wrote plus its own new entries, while ``ledger.json`` is still
+        that file."""
+        if self._ledger_totals is None:
+            return None
+        try:
+            stamp = _stamp(os.stat(self.ledger_path))
+        except FileNotFoundError:
+            return None
+        if stamp != self._ledger_stamp:
+            return None
+        return (self._ledger_totals[0] + self._added[0],
+                self._ledger_totals[1] + self._added[1])
+
     def evict(self) -> int:
         """Unlink least-recently-used entries until the store fits the
-        ``max_entries``/``max_bytes`` bounds; returns how many went."""
+        ``max_entries``/``max_bytes`` bounds; returns how many went.
+
+        The store is scanned only when the running totals (see
+        :meth:`save_ledger`) are unknown or exceed a bound."""
         if self.max_entries is None and self.max_bytes is None:
+            return 0
+        known = self._running_totals()
+        if known is not None and self._fits(*known):
             return 0
         entries = self.scan()
         count = len(entries)
@@ -277,9 +304,7 @@ class ShardedStore:
         entries.sort(key=lambda ps: (ps[1].st_mtime_ns, ps[0]))
         removed = 0
         for path, st in entries:
-            fits = ((self.max_entries is None or count <= self.max_entries)
-                    and (self.max_bytes is None or size <= self.max_bytes))
-            if fits:
+            if self._fits(count, size):
                 break
             try:
                 os.unlink(path)

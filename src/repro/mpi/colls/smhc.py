@@ -38,10 +38,14 @@ class StagingSchedule(NamedTuple):
 
 
 class Smhc(CollComponent):
-    name = "smhc"
+    """``name`` is the registry name the instance serves under
+    (``smhc-flat``, ``smhc-tree``); it names the component in the ``comp``
+    of collective spans."""
 
-    def __init__(self, tree: bool = False, fragment: int = FRAGMENT) -> None:
+    def __init__(self, tree: bool = False, fragment: int = FRAGMENT, *,
+                 name: str = "smhc") -> None:
         super().__init__()
+        self.name = name
         self.tree = tree
         self.fragment = fragment
 

@@ -68,6 +68,14 @@ class SpanRecord:
                 f" track={self.track}>")
 
 
+def span_label(rec: SpanRecord) -> str:
+    """How a finding names the phase it happened in: the span's name,
+    plus its rank argument if it has one."""
+    if rec.args and "rank" in rec.args:
+        return f"{rec.name}(rank={rec.args['rank']})"
+    return rec.name
+
+
 class _SpanContext:
     """Context manager handed out by :meth:`Observer.span`."""
 
@@ -159,6 +167,13 @@ class Observer:
             "messages.count", "logical messages emitted by collectives")
         self._m_msg_bytes = self.metrics.counter(
             "messages.bytes", "total logical-message payload")
+        # end_wait's metric handles, registered by the first blocked wait
+        # so that a snapshot lists them only once a wait has happened, and
+        # its span names by ``Flag.wait_key`` ("flag xhc.avail" ->
+        # "wait:xhc.avail").
+        self._m_blocked_waits = None
+        self._m_wait_seconds = None
+        self._wait_span_names: dict[str, str] = {}
 
     # -- track bookkeeping --------------------------------------------------
 
@@ -179,13 +194,13 @@ class Observer:
     def current_span(self, track: int) -> str | None:
         """Name (plus rank arg, if any) of the innermost open span on
         ``track`` — the phase context repro.check attaches to findings."""
+        rec = self.open_span(track)
+        return None if rec is None else span_label(rec)
+
+    def open_span(self, track: int) -> SpanRecord | None:
+        """The innermost open span on ``track``, if any."""
         stack = self._stacks.get(track)
-        if not stack:
-            return None
-        rec = stack[-1]
-        if rec.args and "rank" in rec.args:
-            return f"{rec.name}(rank={rec.args['rank']})"
-        return rec.name
+        return stack[-1] if stack else None
 
     # -- stack spans --------------------------------------------------------
 
@@ -254,6 +269,8 @@ class Observer:
             wait.woke_at = self.engine.now
 
     def end_wait(self, proc: "SimProcess") -> None:
+        """Called at the resume that ends ``proc``'s blocked wait, while
+        ``proc.blocked_obj`` still names the waited object."""
         wait = self._pending_waits.pop(proc.pid, None)
         if wait is None:
             return
@@ -261,13 +278,24 @@ class Observer:
         self.waits.append(wait)
         stack = self._stacks.get(wait.track)
         parent = stack[-1].id if stack else None
+        obj = proc.blocked_obj
+        name = None if obj is None else self._wait_span_names.get(
+            obj.wait_key)
+        if name is None:
+            name = f"wait:{wait.group}"
+            if obj is not None:
+                self._wait_span_names[obj.wait_key] = name
         self._store(SpanRecord(
-            next(self._ids), f"wait:{wait.group}", "wait", wait.track,
+            next(self._ids), name, "wait", wait.track,
             wait.start, wait.end, parent,
             {"target": wait.target, "waker": wait.waker}))
-        self.metrics.counter("flags.blocked_waits").inc()
-        self.metrics.histogram("flags.wait_seconds", scale=1e-9).observe(
-            wait.end - wait.start)
+        if self._m_blocked_waits is None:
+            self._m_blocked_waits = self.metrics.counter(
+                "flags.blocked_waits")
+            self._m_wait_seconds = self.metrics.histogram(
+                "flags.wait_seconds", scale=1e-9)
+        self._m_blocked_waits.inc()
+        self._m_wait_seconds.observe(wait.end - wait.start)
 
     # -- instants -----------------------------------------------------------
 
@@ -365,6 +393,9 @@ class NullObserver:
         return -1
 
     def current_span(self, track: int) -> None:
+        return None
+
+    def open_span(self, track: int) -> None:
         return None
 
 

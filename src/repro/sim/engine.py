@@ -199,14 +199,18 @@ class Engine:
             self.record_copies = True
         if check is True:
             check = "full"
+        self._dl_probe = None
         if check is None or check is False:
             self.checker = None
             self._dl_proactive = False
         elif check in ("race", "deadlock", "full"):
+            from ..check.deadlock import WaitChainProbe
             from ..check.race import RaceChecker
             self.checker = (RaceChecker(self._proxy)
                             if check in ("race", "full") else None)
             self._dl_proactive = check in ("deadlock", "full")
+            if self._dl_proactive:
+                self._dl_probe = WaitChainProbe()
         else:
             raise SimulationError(
                 f"unknown check mode {check!r}; expected None, 'race', "
@@ -389,11 +393,11 @@ class Engine:
             f"compute or a self-rescheduling event chain)"
         )
 
-    def _deadlock_probe(self) -> None:
-        """Proactive analysis at a block (check='deadlock'/'full'): raise
-        the moment a wait-for cycle closes, while the rest still runs."""
-        from ..check.deadlock import find_deadlock
-        info = find_deadlock(self)
+    def _deadlock_probe(self, obj: Flag | Atomic) -> None:
+        """Proactive analysis at a block on ``obj`` (check='deadlock'/
+        'full'): raise the moment a wait-for cycle closes, while the rest
+        still runs."""
+        info = self._dl_probe.probe(self, obj)
         if info is not None:
             raise DeadlockError(
                 f"deadlock at t={self.now:.3e}: {info.describe()}",
@@ -426,6 +430,8 @@ class Engine:
             proc.state = _DONE
             proc.result = stop.value
             proc.finish_time = self.now
+            if self._dl_proactive:
+                self._dl_probe.stale = True
             return
         handler = _HANDLERS.get(prim.__class__)
         if handler is None:
@@ -822,7 +828,7 @@ class Engine:
             self.obs.begin_wait(proc, obj.name, kind)
         obj.waiters.append((proc, value, cmp))
         if self._dl_proactive:
-            self._deadlock_probe()
+            self._deadlock_probe(obj)
 
     def _wake_waiters(self, obj: Flag | Atomic) -> None:  # hot-path
         still_blocked = None

@@ -84,3 +84,27 @@ def test_barrier():
         for _ in range(3):
             yield from comm_.barrier(ctx)
     comm.run(program)  # terminates without deadlock
+
+
+def test_collective_spans_carry_the_registry_name():
+    """smhc-flat and smhc-tree name themselves in their ``coll.*`` spans;
+    the messages they emit keep the protocol label ``smhc``."""
+    from repro.bench.components import make_component
+    from repro.options import RunOptions
+
+    for name in ("smhc-flat", "smhc-tree"):
+        node = Node(small_topo(), options=RunOptions(observe="spans"))
+        world = World(node, 8)
+        comm = world.communicator(make_component(name))
+
+        def program(comm_, ctx):
+            buf = ctx.alloc("b", 4096)
+            yield from comm_.bcast(ctx, buf.whole(), 0)
+        comm.run(program)
+        comps = [rec.args["comp"] for rec in node.obs.spans
+                 if rec.name == "coll.bcast"]
+        assert len(comps) == 8 and set(comps) == {name}
+        protos = {meta["proto"] for _t, _track, label, meta
+                  in node.obs.instants if label == "message"}
+        assert protos == {"smhc"}
+    assert Smhc().name == "smhc"

@@ -760,6 +760,81 @@ def test_save_after_quarantine_rescans(tmp_path, monkeypatch):
     _ledger_matches_files(store)
 
 
+def test_dirty_save_under_the_bound_does_not_walk_the_store(tmp_path,
+                                                           monkeypatch):
+    """A bounded store's eviction check reads the running ledger totals:
+    a save that writes, but stays under the bound, makes no scan."""
+    cache = ResultCache(tmp_path, max_entries=100)
+    for i in range(3):
+        cache.put(RunRequest("epyc-1p", "bcast", 64 + i, 8).payload(), 1e-6)
+    cache.save()
+    scans = _count_calls(monkeypatch, ShardedStore, "scan")
+    for i in range(4):
+        cache.put(RunRequest("epyc-1p", "bcast", 8192 + i, 8).payload(),
+                  2e-6)
+        cache.save()
+    assert scans == []
+    monkeypatch.undo()
+    _ledger_matches_files(cache.store)
+    assert cache.store.load_ledger()["entries"] == 7
+
+
+def _aged_store(root, n):
+    """A bounded store of ``n`` entries with strictly increasing mtimes
+    and a saved ledger."""
+    store = ShardedStore(root, max_entries=n)
+    digests = _fill(store, n)
+    for i, digest in enumerate(digests):
+        path = store.entry_path(SIM_VERSION, digest)
+        os.utime(path, ns=(1_000_000 * i, 1_000_000 * i))
+    store.save_ledger()
+    return store, digests
+
+
+def test_crossing_the_bound_evicts_what_a_scan_would(tmp_path,
+                                                     monkeypatch):
+    """Past the bound, the running totals defer to a scan: the victims
+    are the ones a fresh instance, which knows no totals, evicts."""
+    mine, digests = _aged_store(tmp_path / "mine", 4)
+    fresh, same = _aged_store(tmp_path / "fresh", 4)
+    assert same == digests
+    fresh = ShardedStore(tmp_path / "fresh", max_entries=4)
+    for store in (mine, fresh):
+        for tag in (50, 51):
+            digest, entry = _entry(tag=tag)
+            store.write(SIM_VERSION, digest, entry)
+            path = store.entry_path(SIM_VERSION, digest)
+            os.utime(path, ns=(10**9 + tag, 10**9 + tag))
+    scans = _count_calls(monkeypatch, ShardedStore, "scan")
+    with pytest.warns(RuntimeWarning, match="evicted 2"):
+        assert mine.evict() == 2
+    with pytest.warns(RuntimeWarning, match="evicted 2"):
+        assert fresh.evict() == 2
+    assert len(scans) == 2
+    assert mine.digests(SIM_VERSION) == fresh.digests(SIM_VERSION)
+    assert set(digests[:2]).isdisjoint(mine.digests(SIM_VERSION))
+
+
+def test_eviction_after_another_instances_save_rescans(tmp_path,
+                                                       monkeypatch):
+    """Running totals are trusted only while ``ledger.json`` is the file
+    this instance wrote: another writer's entries may fill the store."""
+    mine, _digests = _aged_store(tmp_path, 4)
+    mine.max_entries = 5
+    other = ShardedStore(tmp_path)
+    for tag in (60, 61):
+        digest, entry = _entry(tag=tag)
+        other.write(SIM_VERSION, digest, entry)
+    other.save_ledger()
+    digest, entry = _entry(tag=62)
+    mine.write(SIM_VERSION, digest, entry)
+    scans = _count_calls(monkeypatch, ShardedStore, "scan")
+    with pytest.warns(RuntimeWarning, match="evicted 2"):
+        assert mine.evict() == 2
+    assert len(scans) == 1
+    assert mine.totals()[0] == 5
+
+
 def test_rewriting_an_existing_digest_keeps_the_ledger_exact(tmp_path):
     store = ShardedStore(tmp_path)
     digests = _fill(store, 3)

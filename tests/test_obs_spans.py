@@ -171,3 +171,49 @@ def test_span_tree_groups_and_sorts():
     for spans in tree.values():
         starts = [s.start for s in spans]
         assert starts == sorted(starts)
+
+
+def test_wait_spans_and_metrics_from_the_interned_wait_key(monkeypatch):
+    """A blocked wait's span is named from its object's wait family,
+    derived once per family, and the wait metrics are registered by the
+    first blocked wait."""
+    from repro.sim import primitives as P
+    from repro.sim import syncobj
+    from repro.sim.syncobj import Atomic, Flag
+
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe="spans"))
+    metrics = node.obs.metrics
+    assert "flags.blocked_waits" not in metrics.snapshot()
+    assert "flags.wait_seconds" not in metrics.snapshot()
+    flags = [Flag(f"demo.ready.{i}.l2", owner_core=0) for i in range(2)]
+    atom = Atomic("demo.count.7", home_core=0)
+
+    def writer():
+        for flag in flags:
+            yield P.Compute(1e-6)
+            yield P.SetFlag(flag, 1)
+        yield P.Compute(1e-5)
+        yield P.AtomicRMW(atom, 1)
+
+    def waiter(flag):
+        yield P.WaitFlag(flag, 1)
+        yield P.WaitAtomic(atom, 1)
+
+    for i, flag in enumerate(flags):
+        node.engine.spawn(waiter(flag), core=1 + i, name=f"w{i}")
+    node.engine.spawn(writer(), core=0, name="writer")
+    derived = []
+    real = syncobj.wait_group
+    monkeypatch.setattr(syncobj, "wait_group",
+                        lambda name: derived.append(name) or real(name))
+    node.engine.run()
+    monkeypatch.undo()
+    assert derived == ["demo.ready.0.l2", "demo.count.7"]
+    names = sorted(s.name for s in node.obs.spans if s.cat == "wait")
+    assert names == ["wait:demo.count", "wait:demo.count",
+                     "wait:demo.ready.l2", "wait:demo.ready.l2"]
+    assert sorted(w.group for w in node.obs.waits) == [
+        "demo.count", "demo.count", "demo.ready.l2", "demo.ready.l2"]
+    assert metrics.value("flags.blocked_waits") == 4
+    assert metrics.get("flags.wait_seconds").count == 4
