@@ -65,6 +65,72 @@ class CollComponent:
         raise MPIError(f"{self.name} does not implement reduce_scatter")
 
 
+# -- flag ledgers -------------------------------------------------------------
+
+
+class OpLedger:
+    """The cumulative flag values a component's ranks expect, one snapshot
+    per op that some rank is still in.
+
+    Progress and ack flags carry monotonic cumulative values (the
+    sequence tagging of the real implementations), so a flag is never
+    reset; every expected value follows from the counters at the start of
+    the op, and the counters after an op follow from the same
+    deterministic update rule whichever rank applies it. Every rank runs a
+    communicator's collectives in the same order (the non-blocking chain
+    serializes one rank's ops), so ranks differ only in which op they are
+    in, and one shared snapshot per op replaces a per-rank copy of
+    everyone's counters: the first rank to leave op k builds snapshot k+1
+    from a copy of snapshot k and the op's rule, and the last rank to
+    leave op k drops snapshot k. A snapshot is never mutated once built,
+    so a rank may keep reading its op's values after it advanced.
+
+    Counters are a dict of ints, lists of ints and lists of int lists.
+    """
+
+    __slots__ = ("_size", "_op", "_snaps", "_left")
+
+    def __init__(self, size: int, counters: dict) -> None:
+        self._size = size
+        self._op = [0] * size           # each rank's current op index
+        self._snaps = {0: counters}     # op index -> counters at its start
+        self._left: dict[int, int] = {}  # op index -> ranks that left it
+
+    def at(self, me: int) -> dict:
+        """The counters at the start of ``me``'s current op (read only)."""
+        return self._snaps[self._op[me]]
+
+    def advance(self, me: int, update, *args) -> None:
+        """``me`` leaves its current op, whose ledger rule is
+        ``update(counters, *args)`` (mutating ``counters`` in place)."""
+        k = self._op[me]
+        self._op[me] = k + 1
+        left = self._left.get(k, 0) + 1
+        if left == 1:
+            counters = {key: _copy_counter(value)
+                        for key, value in self._snaps[k].items()}
+            update(counters, *args)
+            self._snaps[k + 1] = counters
+        if left == self._size:
+            del self._snaps[k]
+            self._left.pop(k, None)
+        else:
+            self._left[k] = left
+
+    @property
+    def live(self) -> int:
+        """Snapshots held: one per op some rank is in."""
+        return len(self._snaps)
+
+
+def _copy_counter(value):
+    if type(value) is not list:
+        return value
+    if value and type(value[0]) is list:
+        return [row.copy() for row in value]
+    return value.copy()
+
+
 # -- tree shapes --------------------------------------------------------------
 
 

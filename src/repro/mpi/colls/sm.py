@@ -17,7 +17,7 @@ from typing import Iterator
 from ...shmem.segment import SharedSegment
 from ...sim import primitives as P
 from ...sim.syncobj import Atomic, Flag
-from .base import CollComponent, chunks
+from .base import CollComponent, OpLedger, chunks
 
 FRAGMENT = 8 * 1024
 
@@ -44,13 +44,29 @@ class SmColl(CollComponent):
             self.done.append(Atomic(f"sm.done.{ctx.rank}", ctx.core))
         self.bar_arrive = Atomic("sm.bar.arrive", comm.ranks[0].core)
         self.bar_release = Flag("sm.bar.release", comm.ranks[0].core)
+        # sm takes its bases and advances the ledger at op start.
+        n = comm.size
+        self.ledger = OpLedger(n, dict(seq=[0] * n, posted=[0] * n,
+                                       done=[0] * n, ops=0))
 
-    def _state(self, comm, me) -> dict:
-        st = comm.rank_state[me]
-        if not st:
-            n = comm.size
-            st.update(seq=[0] * n, posted=[0] * n, done=[0] * n, ops=0)
-        return st
+    @staticmethod
+    def _count_bcast(st, root, nfrag, size) -> None:
+        """The root published ``nfrag`` fragments; each of the ``size - 1``
+        other ranks consumed every one."""
+        st["seq"][root] += nfrag
+        st["done"][root] += nfrag * (size - 1)
+
+    @classmethod
+    def _count_reduce(cls, st, root, nfrag, size) -> None:
+        """As a bcast, after every non-root posted ``nfrag`` fragments."""
+        for q in range(size):
+            if q != root:
+                st["posted"][q] += nfrag
+        cls._count_bcast(st, root, nfrag, size)
+
+    @staticmethod
+    def _count_barrier(st) -> None:
+        st["ops"] += 1
 
     # -- broadcast --------------------------------------------------------
 
@@ -61,11 +77,10 @@ class SmColl(CollComponent):
         if view.length == 0:
             return
         me = comm.rank_of(ctx)
-        st = self._state(comm, me)
+        st = self.ledger.at(me)
         nfrag = -(-view.length // self.fragment)
         seq_base, done_base = st["seq"][root], st["done"][root]
-        st["seq"][root] += nfrag
-        st["done"][root] += nfrag * (size - 1)
+        self.ledger.advance(me, self._count_bcast, root, nfrag, size)
         if me != root:
             yield P.Trace("message", {
                 "src": comm.core_of(root), "dst": ctx.core,
@@ -110,16 +125,12 @@ class SmColl(CollComponent):
             if rview is not None:
                 yield P.Copy(src=sview, dst=rview)
             return
-        st = self._state(comm, me)
+        st = self.ledger.at(me)
         nbytes = sview.length
         nfrag = -(-nbytes // self.fragment)
-        posted_base = list(st["posted"])
+        posted_base = st["posted"]
         seq_base, done_base = st["seq"][root], st["done"][root]
-        for q in range(size):
-            if q != root:
-                st["posted"][q] += nfrag
-        st["seq"][root] += nfrag
-        st["done"][root] += nfrag * (size - 1)
+        self.ledger.advance(me, self._count_reduce, root, nfrag, size)
         frag_i = 0
         for off, n in chunks(nbytes, self.fragment):
             piece_in = self.slots[me].sub(0, n)
@@ -164,9 +175,8 @@ class SmColl(CollComponent):
         if size == 1:
             return
         me = comm.rank_of(ctx)
-        st = self._state(comm, me)
-        st["ops"] += 1
-        episode = st["ops"]
+        episode = self.ledger.at(me)["ops"] + 1
+        self.ledger.advance(me, self._count_barrier)
         if me == 0:
             yield P.WaitAtomic(self.bar_arrive, episode * (size - 1))
             yield P.SetFlag(self.bar_release, episode)

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 from ...shmem.segment import SharedSegment
 from ...sim import primitives as P
 from ...sim.syncobj import Flag
-from .base import CollComponent, chunks
+from .base import CollComponent, OpLedger, chunks
 
 FRAGMENT = 32 * 1024
 
@@ -76,6 +76,8 @@ class Smhc(CollComponent):
         else:
             self.sockets = [list(range(n))]
         self._schedules: dict[int, StagingSchedule] = {}
+        self.ledger = OpLedger(n, {key: [0] * n
+                                   for key in ("prod", "posted", "ack")})
 
     def _schedule(self, root: int) -> StagingSchedule:
         sched = self._schedules.get(root)
@@ -91,14 +93,6 @@ class Smhc(CollComponent):
                               if p is not None or cons))
             self._schedules[root] = sched
         return sched
-
-    def _state(self, comm, me) -> dict:
-        st = comm.rank_state[me]
-        if not st:
-            st["prod"] = [0] * comm.size
-            st["posted"] = [0] * comm.size
-            st["ack"] = [0] * comm.size
-        return st
 
     def _roles(self, me: int, root: int):
         """(stage_parent, consumers) under the current root.
@@ -131,7 +125,7 @@ class Smhc(CollComponent):
         if size == 1 or view.length == 0:
             return
         me = comm.rank_of(ctx)
-        st = self._state(comm, me)
+        st = self.ledger.at(me)
         sched = self._schedule(root)
         parent, consumers = sched.roles[me]
         nbytes = view.length
@@ -142,8 +136,8 @@ class Smhc(CollComponent):
                 "src_rank": parent, "dst_rank": me,
                 "nbytes": nbytes, "proto": "smhc",
             })
-        prod_base = list(st["prod"])
-        ack_base = list(st["ack"])
+        prod_base = st["prod"]
+        ack_base = st["ack"]
         frag_i = 0
         for off, n in chunks(nbytes, self.fragment):
             if parent is None:
@@ -167,7 +161,10 @@ class Smhc(CollComponent):
         if consumers:
             for c in consumers:
                 yield P.WaitFlag(self.ack[c], ack_base[c] + nfrag)
-        # Ledger: identical update everywhere.
+        self.ledger.advance(me, self._count_bcast, sched, nfrag)
+
+    @staticmethod
+    def _count_bcast(st, sched: StagingSchedule, nfrag: int) -> None:
         prod = st["prod"]
         for q in sched.stagers:
             prod[q] += nfrag
@@ -201,14 +198,14 @@ class Smhc(CollComponent):
             if rview is not None:
                 yield P.Copy(src=sview, dst=rview)
             return
-        st = self._state(comm, me)
+        st = self.ledger.at(me)
         nbytes = sview.length
         nfrag = -(-nbytes // self.fragment)
         sched = self._schedule(root)
         parent, consumers = sched.roles[me]
         contributors = consumers  # reduce direction mirrors the fan-out tree
-        posted_base = list(st["posted"])
-        ack_base = list(st["ack"])
+        posted_base = st["posted"]
+        ack_base = st["ack"]
         frag_i = 0
         for off, n in chunks(nbytes, self.fragment):
             if parent is not None:
@@ -241,22 +238,25 @@ class Smhc(CollComponent):
             # The final fragment must be consumed before our slot can be
             # reused by the next operation.
             yield P.WaitFlag(self.ack[parent], ack_base[parent] + nfrag)
-        # Ledger: identical update everywhere.
+        self.ledger.advance(me, self._count_reduce, sched, nfrag)
+        if fan_out:
+            yield from self.bcast(comm, ctx, rview, root)
+
+    @staticmethod
+    def _count_reduce(st, sched: StagingSchedule, nfrag: int) -> None:
         posted = st["posted"]
         for q in sched.members:
             posted[q] += nfrag
         ack = st["ack"]
         for q in sched.stagers:
             ack[q] += nfrag
-        if fan_out:
-            yield from self.bcast(comm, ctx, rview, root)
 
     def barrier(self, comm, ctx) -> Iterator:
         size = comm.size
         if size == 1:
             return
         me = comm.rank_of(ctx)
-        st = self._state(comm, me)
+        st = self.ledger.at(me)
         sched = self._schedule(0)
         parent, consumers = sched.roles[me]
         for c in consumers:
@@ -266,6 +266,10 @@ class Smhc(CollComponent):
             yield P.WaitFlag(self.prod[parent], st["prod"][parent] + 1)
         if consumers:
             yield P.SetFlag(self.prod[me], st["prod"][me] + 1)
+        self.ledger.advance(me, self._count_barrier, sched)
+
+    @staticmethod
+    def _count_barrier(st, sched: StagingSchedule) -> None:
         posted = st["posted"]
         for q in sched.members:
             posted[q] += 1

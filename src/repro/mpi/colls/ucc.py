@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 from ...shmem.segment import SharedSegment
 from ...sim import primitives as P
 from ...sim.syncobj import Flag
-from .base import CollComponent, knomial_tree
+from .base import CollComponent, OpLedger, knomial_tree
 
 SMALL_MAX = 4 * 1024
 CHUNK = 64 * 1024
@@ -24,7 +24,7 @@ RADIX = 4
 
 class KnomialSchedule(NamedTuple):
     """One root's knomial tree for every rank, built once per root: every
-    op's ledger update replays the whole tree on every rank."""
+    op's ledger update replays the whole tree."""
 
     parent: tuple            # parent[q] (None for the root)
     children: tuple          # children[q], far subtree first
@@ -69,6 +69,8 @@ class Ucc(CollComponent):
         self._views: dict[int, object] = {}
         self._scratch: dict[int, object] = {}
         self._schedules: dict[int, KnomialSchedule] = {}
+        self.ledger = OpLedger(n, {key: [0] * n for key in (
+            "prod", "bprod", "step", "rsdone", "ack")})
 
     def _schedule(self, root: int) -> KnomialSchedule:
         sched = self._schedules.get(root)
@@ -76,16 +78,6 @@ class Ucc(CollComponent):
             sched = KnomialSchedule.build(self._size, root, self.radix)
             self._schedules[root] = sched
         return sched
-
-    def _ledger(self, comm, me) -> dict:
-        st = comm.rank_state[me]
-        if not st:
-            st["prod"] = [0] * comm.size
-            st["bprod"] = [0] * comm.size
-            st["step"] = [0] * comm.size
-            st["rsdone"] = [0] * comm.size
-            st["ack"] = [0] * comm.size
-        return st
 
     def _scratch_view(self, ctx, size: int):
         buf = self._scratch.get(ctx.rank)
@@ -95,14 +87,19 @@ class Ucc(CollComponent):
         return buf.view(0, size)
 
     def _finish(self, comm, ctx, me, root, children, led) -> Iterator:
-        """Common finalization: collect children's acks, post our own."""
+        """Common finalization: collect children's acks, post our own
+        (:meth:`_count_finish` is its ledger rule)."""
         for child in children:
             yield P.WaitFlag(self.ack[child], led["ack"][child] + 1)
         if me != root:
             yield P.SetFlag(self.ack[me], led["ack"][me] + 1)
-        for q in range(comm.size):
+
+    @staticmethod
+    def _count_finish(led, root) -> None:
+        ack = led["ack"]
+        for q in range(len(ack)):
             if q != root:
-                led["ack"][q] += 1
+                ack[q] += 1
 
     # -- broadcast --------------------------------------------------------
 
@@ -111,7 +108,7 @@ class Ucc(CollComponent):
         if size == 1 or view.length == 0:
             return
         me = comm.rank_of(ctx)
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         sched = self._schedule(root)
         parent, children = sched.parent[me], sched.children[me]
         nbytes = view.length
@@ -130,9 +127,15 @@ class Ucc(CollComponent):
             yield from self._bcast_large(comm, ctx, me, view, parent,
                                          children, led, nbytes)
         yield from self._finish(comm, ctx, me, root, children, led)
-        # Ledger: every rank with children (the root included) produced
-        # one unit / S bytes.
-        incr = 1 if nbytes <= self.small_max else nbytes
+        self.ledger.advance(me, self._count_bcast, sched, root,
+                            1 if nbytes <= self.small_max else nbytes)
+
+    @classmethod
+    def _count_bcast(cls, led, sched: KnomialSchedule, root: int,
+                     incr: int) -> None:
+        """Every rank with children (the root included) produced one unit
+        / S bytes."""
+        cls._count_finish(led, root)
         bprod = led["bprod"]
         for q in sched.inner:
             bprod[q] += incr
@@ -194,8 +197,7 @@ class Ucc(CollComponent):
     def _allreduce_small(self, comm, ctx, me, sview, rview, op,
                          dtype) -> Iterator:
         """Knomial reduce through the cico slots, then knomial fan-out."""
-        size = comm.size
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         nbytes = sview.length
         sched = self._schedule(0)
         parent, children = sched.parent[me], sched.children[me]
@@ -211,8 +213,6 @@ class Ucc(CollComponent):
         else:
             yield P.Copy(src=sview, dst=self.slot[me].sub(0, nbytes))
         yield P.SetFlag(self.prod[me], led["prod"][me] + 1)
-        for q in range(size):
-            led["prod"][q] += 1
         # Fan-out stage: the root's slot now has the result.
         if parent is None:
             yield P.Copy(src=self.slot[me].sub(0, nbytes),
@@ -223,13 +223,21 @@ class Ucc(CollComponent):
             yield P.Copy(src=self.slot[0].sub(0, nbytes),
                          dst=rview.sub(0, nbytes))
         yield from self._finish(comm, ctx, me, 0, children, led)
+        self.ledger.advance(me, self._count_allreduce_small)
+
+    @classmethod
+    def _count_allreduce_small(cls, led) -> None:
+        prod = led["prod"]
+        for q in range(len(prod)):
+            prod[q] += 1
+        cls._count_finish(led, 0)
         led["bprod"][0] += 1
 
     def _allreduce_ring(self, comm, ctx, me, sview, rview, op,
                         dtype) -> Iterator:
         """Ring reduce-scatter over direct XPMEM loads + direct allgather."""
         size = comm.size
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         nbytes = sview.length
         elems = nbytes // dtype.itemsize
         base_e, extra = divmod(elems, size)
@@ -246,7 +254,7 @@ class Ucc(CollComponent):
         left = (me - 1) % size
         step_base = led["step"][me]
         step_base_left = led["step"][left]
-        rs_base = [led["rsdone"][q] for q in range(size)]
+        rs_base = led["rsdone"]
         yield P.Copy(src=sview, dst=rview)
         yield P.SetFlag(self.step[me], step_base + 1)
         for s in range(1, size):
@@ -267,13 +275,16 @@ class Ucc(CollComponent):
             yield P.WaitFlag(self.rsdone[owner], rs_base[owner] + 1)
             oview = self._views[owner]
             yield from ctx.smsc.copy_from(slc(oview, j), slc(rview, j))
-        # Ledgers (identical updates on every rank).
-        for q in range(size):
-            led["step"][q] += size
-            led["rsdone"][q] += 1
+        self.ledger.advance(me, self._count_ring, size)
         # Every rank's rview is read by the whole ring during the allgather,
         # so a subtree-scoped ack is not enough: full fence before reuse.
         yield from self.barrier(comm, ctx)
+
+    @staticmethod
+    def _count_ring(led, size: int) -> None:
+        for q in range(size):
+            led["step"][q] += size
+            led["rsdone"][q] += 1
 
     # -- reduce -----------------------------------------------------------
 
@@ -285,7 +296,7 @@ class Ucc(CollComponent):
             if rview is not None:
                 yield P.Copy(src=sview, dst=rview)
             return
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         nbytes = sview.length
         ctx.smsc.require(self.name, "reduce", nbytes, reduce=True)
         sched = self._schedule(root)
@@ -310,8 +321,13 @@ class Ucc(CollComponent):
             yield from comm.node.xpmem.expose(contrib.buf)
             yield P.SetFlag(self.prod[me], led["prod"][me] + 1)
             yield P.WaitFlag(self.bprod[parent], led["bprod"][parent] + 1)
-        self._bump_tree(led, sched)
         yield from self._finish(comm, ctx, me, root, children, led)
+        self.ledger.advance(me, self._count_reduce, sched, root)
+
+    @classmethod
+    def _count_reduce(cls, led, sched: KnomialSchedule, root: int) -> None:
+        cls._bump_tree(led, sched)
+        cls._count_finish(led, root)
 
     def barrier(self, comm, ctx) -> Iterator:
         """Knomial gather of arrivals + knomial release."""
@@ -319,7 +335,7 @@ class Ucc(CollComponent):
         if size == 1:
             return
         me = comm.rank_of(ctx)
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         sched = self._schedule(0)
         parent, children = sched.parent[me], sched.children[me]
         for child in children:
@@ -329,7 +345,7 @@ class Ucc(CollComponent):
             yield P.WaitFlag(self.bprod[parent], led["bprod"][parent] + 1)
         if children:
             yield P.SetFlag(self.bprod[me], led["bprod"][me] + 1)
-        self._bump_tree(led, sched)
+        self.ledger.advance(me, self._bump_tree, sched)
 
     @staticmethod
     def _bump_tree(led, sched: KnomialSchedule) -> None:

@@ -4,11 +4,12 @@ Control-flow notes
 ------------------
 
 * All progress/ack flags carry **monotonic cumulative values** (total bytes
-  ever made available, total ops completed). Every rank maintains an
-  identical local ledger of everyone's cumulative counters, updated at each
-  op with the same deterministic rule — so flag values never reset and no
-  reset races exist. This mirrors the sequence tagging of the real
-  implementation.
+  ever made available, total ops completed), so flag values never reset
+  and no reset races exist. This mirrors the sequence tagging of the real
+  implementation. Every expected value follows from everyone's counters at
+  the start of the op, which one deterministic rule per op advances; the
+  component keeps one shared snapshot of them per op in flight
+  (:class:`~repro.mpi.colls.base.OpLedger`), not a copy per rank.
 
 * A rank is one simulated process. Roles that the real implementation
   interleaves inside one progress loop (reducing its own index range,
@@ -40,7 +41,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import ConfigError, MPIError
-from ..mpi.colls.base import CollComponent, partition
+from ..mpi.colls.base import CollComponent, OpLedger, partition
 from ..shmem.segment import SharedSegment
 from ..sim import primitives as P
 from ..sim.syncobj import Flag, Line
@@ -79,7 +80,14 @@ class Xhc(CollComponent):
         # Ledgers are per component instance, not per communicator:
         # several Xhc instances may serve one communicator (the TunedXhc
         # dispatcher), and their flag counters must not mix.
-        self._rank_state: list[dict] = [dict() for _ in comm.ranks]
+        self.ledger = OpLedger(n, {
+            "avail": [0] * n, "done": [0] * n, "ack": [0] * n,
+            "ready": [[0] * (self.n_levels + 1) for _ in range(n)],
+            "cico_ops": 0})
+        # Each rank's last observed value of its children's ack flags: a
+        # deferred slot-reuse check is skipped entirely when the value
+        # seen last time already proves the slot free (_cico_entry).
+        self._ack_seen: list[dict[int, int]] = [{} for _ in comm.ranks]
         # CICO segments: contribution + result/staging regions in a
         # K-deep ring (K = cfg.cico_ring) indexed by operation number, so
         # acknowledgment collection defers to a slot's next reuse K-1 ops
@@ -152,22 +160,6 @@ class Xhc(CollComponent):
             self._hier_cache[root] = h
         return h
 
-    def _ledger(self, comm, me: int) -> dict:
-        st = self._rank_state[me]
-        if not st:
-            n = comm.size
-            st["avail"] = [0] * n
-            st["done"] = [0] * n
-            st["ack"] = [0] * n
-            st["arrive"] = [0] * n
-            st["ready"] = [[0] * (self.n_levels + 1) for _ in range(n)]
-            st["cico_ops"] = 0
-            # Last value of each peer's ack flag we actually observed; a
-            # deferred slot-reuse check is skipped entirely when the value
-            # seen last time already proves the slot free.
-            st["ack_seen"] = [0] * n
-        return st
-
     def _scratch_view(self, ctx, size: int):
         buf = self._scratch.get(ctx.rank)
         if buf is None or buf.size < size:
@@ -224,7 +216,7 @@ class Xhc(CollComponent):
 
     def _bcast_impl(self, comm, ctx, view, root) -> Iterator:
         me = comm.rank_of(ctx)
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         hier = self._hierarchy(comm, root)
         nbytes = view.length
         small = nbytes <= self.cfg.cico_threshold
@@ -263,9 +255,7 @@ class Xhc(CollComponent):
         # defers that collection to the slot's next use (_cico_entry).
         yield from self._finalize(comm, hier, me, led,
                                   wait_children=not small)
-        self._update_fan_ledger(hier, led, nbytes)
-        if small:
-            led["cico_ops"] += 1
+        self.ledger.advance(me, self._update_fan_ledger, hier, nbytes, small)
 
     def _require_lowering(self, comm, ctx, collective: str,
                           nbytes: int) -> None:
@@ -290,14 +280,15 @@ class Xhc(CollComponent):
         flat tree's small-message latency low."""
         with comm.node.obs.span("xhc.cico_gate", rank=me):
             slack = self.cfg.cico_ring - 1
+            seen = self._ack_seen[me]
             for child, _level in hier.children(me):
                 target = led["ack"][child] - slack
-                if target <= 0 or led["ack_seen"][child] >= target:
+                if target <= 0 or seen.get(child, 0) >= target:
                     continue
                 yield P.WaitFlag(self.ack[child], target)
                 # The fetch that satisfied the wait read the line's current
                 # value; remember it to skip future checks.
-                led["ack_seen"][child] = self.ack[child].value
+                seen[child] = self.ack[child].value
 
     def _fanout_pull(self, comm, ctx, me: int, hier: Hierarchy, nbytes: int,
                      small: bool, dst_view, led: dict,
@@ -378,15 +369,18 @@ class Xhc(CollComponent):
                     yield P.WaitFlag(self.ack[child], led["ack"][child] + 1)
 
     @staticmethod
-    def _update_fan_ledger(hier: Hierarchy, led: dict, amount: int) -> None:
+    def _update_fan_ledger(led: dict, hier: Hierarchy, amount: int,
+                           cico: bool = False) -> None:
         """Every fan-out producer published ``amount``; every non-root
-        rank acknowledged once."""
+        rank acknowledged once; a ``cico`` op used one ring slot."""
         avail = led["avail"]
         for q in hier.fan_producers:
             avail[q] += amount
         ack = led["ack"]
         for q in hier.has_parent:
             ack[q] += 1
+        if cico:
+            led["cico_ops"] += 1
 
     # -- allreduce (SSIV-B) -------------------------------------------------
 
@@ -409,7 +403,7 @@ class Xhc(CollComponent):
                 yield P.Copy(src=sview, dst=rview)
             return
         me = comm.rank_of(ctx)
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         hier = self._hierarchy(comm, root)
         nbytes = sview.length
         if nbytes == 0:
@@ -494,10 +488,8 @@ class Xhc(CollComponent):
             yield P.WaitFlag(flag, 1)
         yield from self._finalize(comm, hier, me, led,
                                   wait_children=not small)
-        self._update_reduce_ledger(comm, hier, me, led, nbytes, dtype,
-                                   fan_out)
-        if small:
-            led["cico_ops"] += 1
+        self.ledger.advance(me, self._update_reduce_ledger, hier, comm.size,
+                            nbytes, dtype, fan_out, small)
 
     # -- allreduce helper roles ------------------------------------------
 
@@ -692,14 +684,14 @@ class Xhc(CollComponent):
                                     ready_base_next + c_end)
                 c = c_end
 
-    def _update_reduce_ledger(self, comm, hier: Hierarchy, me: int, led: dict,
-                              nbytes: int, dtype, fan_out: bool) -> None:
+    def _update_reduce_ledger(self, led: dict, hier: Hierarchy, size: int,
+                              nbytes: int, dtype, fan_out: bool,
+                              cico: bool) -> None:
         # The increment is identical for every op of the same shape;
         # compute it once and replay the sparse delta afterwards.
         key = (id(hier), nbytes, dtype.itemsize, fan_out)
         delta = self._ledger_delta_memo.get(key)
         if delta is None:
-            size = comm.size
             done = [0] * size
             avail = [0] * size
             ack = [0] * size
@@ -738,6 +730,8 @@ class Xhc(CollComponent):
         led_ready = led["ready"]
         for q, lvl, v in d_ready:
             led_ready[q][lvl] += v
+        if cico:
+            led["cico_ops"] += 1
 
     # -- gather / scatter / allgather (shared-address-space extensions) ----
     #
@@ -755,7 +749,7 @@ class Xhc(CollComponent):
                 yield P.Copy(src=sview, dst=rview)
             return
         me = comm.rank_of(ctx)
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         hier = self._hierarchy(comm, root)
         block = sview.length
         ctx.smsc.require(self.name, "gather", block)
@@ -778,9 +772,19 @@ class Xhc(CollComponent):
         else:
             yield from self._wait_avail(comm, root, me,
                                         led["avail"][root] + block)
-        for q in range(comm.size):
-            led["ready"][q][0] += block
+        self.ledger.advance(me, self._update_gather_ledger, root, block)
+
+    @classmethod
+    def _update_gather_ledger(cls, led: dict, root: int, block: int) -> None:
+        """Every rank published ``block``; the root released as much."""
+        cls._update_publish_ledger(led, block)
         led["avail"][root] += block
+
+    @staticmethod
+    def _update_publish_ledger(led: dict, block: int) -> None:
+        """Every rank published ``block`` at level 0."""
+        for row in led["ready"]:
+            row[0] += block
 
     def scatter(self, comm, ctx, sview, rview, root) -> Iterator:
         """The root publishes its send buffer; every rank pulls its own
@@ -790,7 +794,7 @@ class Xhc(CollComponent):
                 yield P.Copy(src=sview, dst=rview)
             return
         me = comm.rank_of(ctx)
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         hier = self._hierarchy(comm, root)
         block = rview.length
         ctx.smsc.require(self.name, "scatter", block)
@@ -817,7 +821,7 @@ class Xhc(CollComponent):
                     yield P.WaitFlag(self.ack[q], led["ack"][q] + 1)
             else:
                 yield P.SetFlag(self.ack[me], led["ack"][me] + 1)
-        self._update_fan_ledger(hier, led, total)
+        self.ledger.advance(me, self._update_fan_ledger, hier, total)
 
     def allgather(self, comm, ctx, sview, rview) -> Iterator:
         """Publish, then pull every peer's block from its owner — reads are
@@ -829,16 +833,14 @@ class Xhc(CollComponent):
         yield P.Copy(src=sview, dst=rview.sub(me * block, block))
         if comm.size == 1:
             return
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         self._pub_ctb[me] = sview
         yield from comm.node.xpmem.expose(sview.buf)
         yield P.SetFlag(self.ready[me][0], led["ready"][me][0] + block)
-        ready_bases = [led["ready"][q][0] for q in range(comm.size)]
-        for q in range(comm.size):
-            led["ready"][q][0] += block
+        self.ledger.advance(me, self._update_publish_ledger, block)
         for off in range(1, comm.size):
             r = (me + off) % comm.size   # start from different sources
-            yield P.WaitFlag(self.ready[r][0], ready_bases[r] + block)
+            yield P.WaitFlag(self.ready[r][0], led["ready"][r][0] + block)
             yield from ctx.smsc.copy_from(
                 self._pub_ctb[r].sub(0, block),
                 rview.sub(r * block, block))
@@ -857,16 +859,14 @@ class Xhc(CollComponent):
                      dst=rview.sub(me * block, block))
         if size == 1:
             return
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         self._pub_ctb[me] = sview
         yield from comm.node.xpmem.expose(sview.buf)
         yield P.SetFlag(self.ready[me][0], led["ready"][me][0] + block)
-        ready_bases = [led["ready"][q][0] for q in range(size)]
-        for q in range(size):
-            led["ready"][q][0] += block
+        self.ledger.advance(me, self._update_publish_ledger, block)
         for off in range(1, size):
             r = (me + off) % size
-            yield P.WaitFlag(self.ready[r][0], ready_bases[r] + block)
+            yield P.WaitFlag(self.ready[r][0], led["ready"][r][0] + block)
             yield from ctx.smsc.copy_from(
                 self._pub_ctb[r].sub(me * block, block),
                 rview.sub(r * block, block))
@@ -885,16 +885,14 @@ class Xhc(CollComponent):
             yield P.Copy(src=sview, dst=rview)
             return
         ctx.smsc.require(self.name, "reduce_scatter", block, reduce=True)
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         self._pub_ctb[me] = sview
         yield from comm.node.xpmem.expose(sview.buf)
         yield P.SetFlag(self.ready[me][0], led["ready"][me][0] + block)
-        ready_bases = [led["ready"][q][0] for q in range(size)]
-        for q in range(size):
-            led["ready"][q][0] += block
+        self.ledger.advance(me, self._update_publish_ledger, block)
         for q in range(size):
             if q != me:
-                yield P.WaitFlag(self.ready[q][0], ready_bases[q] + block)
+                yield P.WaitFlag(self.ready[q][0], led["ready"][q][0] + block)
         chunk = self.cfg.chunk_for_level(0)
         pos = 0
         while pos < block:
@@ -919,7 +917,7 @@ class Xhc(CollComponent):
 
     def _barrier_impl(self, comm, ctx) -> Iterator:
         me = comm.rank_of(ctx)
-        led = self._ledger(comm, me)
+        led = self.ledger.at(me)
         hier = self._hierarchy(comm, 0)
         parent = hier.parent(me)
         # Fan-in: gather children's arrival (the ack flags double as
@@ -937,4 +935,4 @@ class Xhc(CollComponent):
             if hier.children(me):
                 yield from self._set_avail(comm, hier, me,
                                            led["avail"][me] + 1)
-        self._update_fan_ledger(hier, led, 1)
+        self.ledger.advance(me, self._update_fan_ledger, hier, 1)

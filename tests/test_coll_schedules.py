@@ -4,8 +4,9 @@
 and their ledgers walk precomputed rank tuples. The references here are
 the per-``q`` loops those tables replaced, kept verbatim: the tables are
 compared with them for every root of 7-, 10-, 32-, 64- and 80-rank
-communicators, then a mixed sequence of collectives runs and every rank's
-ledger is compared with a replay of the reference loops.
+communicators, then a mixed sequence of collectives runs and the shared
+ledger snapshot every rank reads at the end is compared with a replay of
+the reference loops.
 """
 
 import pytest
@@ -160,7 +161,7 @@ class UccReplay:
             self.barrier()
 
     def ledger(self, comm, me):
-        return comm.rank_state[me]
+        return self.c.ledger.at(me)
 
 
 class SmhcReplay:
@@ -203,14 +204,14 @@ class SmhcReplay:
                 st["prod"][q] += 1
 
     def ledger(self, comm, me):
-        return comm.rank_state[me]
+        return self.c.ledger.at(me)
 
 
 class XhcReplay:
     def __init__(self, comp, comm):
         self.c, self.comm, self.size = comp, comm, comm.size
         size = comm.size
-        self.led = {k: [0] * size for k in ("avail", "done", "ack", "arrive")}
+        self.led = {k: [0] * size for k in ("avail", "done", "ack")}
         self.led["ready"] = [[0] * (comp.n_levels + 1) for _ in range(size)]
         self.led["cico_ops"] = 0
 
@@ -264,9 +265,7 @@ class XhcReplay:
         self._reduce(0, nbytes, fan_out=True)
 
     def ledger(self, comm, me):
-        led = dict(self.c._rank_state[me])
-        led.pop("ack_seen")     # observed flag values, not a ledger rule
-        return led
+        return self.c.ledger.at(me)
 
 
 REPLAYS = {

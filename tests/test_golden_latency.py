@@ -8,11 +8,14 @@ strings, xhc-tree bcast+allreduce latencies for every modeled system at
 five sizes (``latency_<system>.json``), the baseline components at
 each system's full rank count (``latency_baselines.json``), and bcast
 and reduce at non-zero roots (``latency_roots.json``, which pins the
-per-root schedule tables) — any future "optimization" that drifts a
-result by even one ulp fails here. XHC's chunk-loop variants (flag
-layouts, per-level chunks, every SMSC config, sizes around
-``cico_threshold``, observed and checked runs) are pinned down to event
-counts and span digests by tests/test_golden_xhc_paths.py.
+per-root schedule tables), and xhc-tree at 1024 and 2048 ranks on a
+``build_cluster`` topology on both engines (``latency_cluster.json``,
+the scale where host bookkeeping that grows with the rank count shows)
+— any future "optimization" that drifts a result by even one ulp fails
+here. XHC's chunk-loop variants (flag layouts, per-level chunks, every
+SMSC config, sizes around ``cico_threshold``, observed and checked
+runs) are pinned down to event counts and span digests by
+tests/test_golden_xhc_paths.py.
 
 Regenerating a fixture is a deliberate act: it means simulated semantics
 changed, which also requires a SIM_VERSION bump (rule RC105) so exec's
@@ -158,3 +161,41 @@ def test_golden_root_latencies(system, kind, root, size):
             f"{system}/{kind}/root {root}/{size}/{name}: simulated "
             f"latency drifted ({float.hex(got)} != golden {want_hex})"
         )
+
+
+CLUSTER = _fixture("cluster")
+# tests/test_engine_parity.py::test_cluster_1024_rank_bcast_wall_bound
+# runs and checks this cell; running it here too would only add time.
+CLUSTER_WALL_CELL = "array/bcast/1048576/n1024"
+
+
+def run_cluster_cell(key: str) -> float:
+    """One ``latency_cluster.json`` cell (``engine/kind/size/nN``):
+    xhc-tree on a cluster of 32-core nodes, no data movement."""
+    from repro.cluster import build_cluster
+    from repro.options import RunOptions
+    engine, kind, size, nranks = key.split("/")
+    size, nranks = int(size), int(nranks[1:])
+    fix = CLUSTER
+    cores_per_node = fix["numa_per_node"] * fix["cores_per_numa"]
+    node, topo, _model = build_cluster(
+        n_nodes=nranks // cores_per_node,
+        numa_per_node=fix["numa_per_node"],
+        cores_per_numa=fix["cores_per_numa"],
+        options=RunOptions(engine=engine, data_movement=False))
+    assert topo.n_cores == nranks
+    return run_collective(
+        kind, "unused", nranks, lambda: make_component(fix["component"]),
+        size, warmup=fix["warmup"][str(size)], iters=fix["iters"][str(size)],
+        node=node)
+
+
+@pytest.mark.parametrize(
+    "key", sorted(k for k in CLUSTER["cells"] if k != CLUSTER_WALL_CELL))
+def test_golden_cluster_latencies(key):
+    got = run_cluster_cell(key)
+    want_hex = CLUSTER["cells"][key]
+    assert float.hex(got) == want_hex, (
+        f"cluster {key}: simulated latency drifted "
+        f"({float.hex(got)} != golden {want_hex})"
+    )
