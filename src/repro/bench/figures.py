@@ -20,8 +20,8 @@ from ..options import RunOptions
 from ..shmem.smsc import SmscConfig
 from ..sim import primitives as P
 from ..sim.syncobj import Flag
+from ..sim.trace import count_message_distances
 from ..topology import Distance, classify_distance, get_system
-from ..topology.distance import message_distance_label
 from ..topology.objects import ObjKind
 from .components import COMPONENTS, component_names, make_component
 from .osu import DEFAULT_SIZES, OsuSeries, osu_allreduce, osu_bcast
@@ -363,16 +363,7 @@ def _count_messages(system: str, nranks: int, component: str, mapping,
         yield from comm_.bcast(ctx, buf.whole(), root)
 
     comm.run(program)
-    topo = node.topo
-    edges = set()
-    for _t, label, meta in node.engine.trace:
-        if label == "message":
-            edges.add((meta["src_rank"], meta["dst_rank"],
-                       meta["src"], meta["dst"]))
-    counts = {"intra-numa": 0, "inter-numa": 0, "inter-socket": 0}
-    for _sr, _dr, score, dcore in edges:
-        counts[message_distance_label(topo, score, dcore)] += 1
-    return counts
+    return count_message_distances(node)
 
 
 def table2_message_counts(quick: bool = False) -> FigureResult:

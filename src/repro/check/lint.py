@@ -22,7 +22,8 @@ eroded:
   the watched sim-path sources are fingerprinted (AST dump, so comments
   and formatting don't count) into ``_sim_fingerprint.py``; if they
   changed without bumping :data:`repro.exec.cache.SIM_VERSION`, stale
-  autotuning tables would silently survive. Regenerate with
+  autotuning tables would silently survive. A manifest hash of a file
+  no longer watched is reported as a stale manifest. Regenerate with
   ``python -m repro check --update-fingerprint`` after bumping.
 * **RC106** — no per-event allocations in ``# hot-path`` functions:
   inside a function whose ``def`` line (or the line above it) carries a
@@ -66,7 +67,6 @@ SIM_FINGERPRINT_FILES = (
     "node.py",
     "memory/model.py",
     "memory/cache.py",
-    "sync/flags.py",
 )
 
 # RC104 applies where algorithm code lives, not in the engine/pricer
@@ -338,6 +338,9 @@ def check_fingerprint(pkg_root: Path | None = None) -> list[Finding]:
     changed = sorted(
         rel for rel in current
         if manifest.FINGERPRINT.get(rel) != current[rel])
+    # Hashes of files no longer in SIM_FINGERPRINT_FILES: nothing
+    # compares them, so they would otherwise linger unnoticed.
+    unwatched = sorted(set(manifest.FINGERPRINT) - set(current))
     findings: list[Finding] = []
     if changed and version == manifest.SIM_VERSION:
         findings.append(Finding(
@@ -346,12 +349,16 @@ def check_fingerprint(pkg_root: Path | None = None) -> list[Finding]:
                      f"SIM_VERSION is still {version}; bump "
                      f"repro.exec.cache.SIM_VERSION and run "
                      f"'python -m repro check --update-fingerprint'")))
-    elif changed or version != manifest.SIM_VERSION:
+    elif changed or unwatched or version != manifest.SIM_VERSION:
+        reasons = []
+        if version != manifest.SIM_VERSION:
+            reasons.append(f"SIM_VERSION {manifest.SIM_VERSION} -> {version}")
+        if unwatched:
+            reasons.append(f"no longer watched: {', '.join(unwatched)}")
         findings.append(Finding(
             kind="lint", rule="RC105", where="src/repro/check",
-            message=(f"fingerprint manifest is stale (SIM_VERSION "
-                     f"{manifest.SIM_VERSION} -> {version}); run "
-                     f"'python -m repro check --update-fingerprint'")))
+            message=(f"fingerprint manifest is stale ({'; '.join(reasons)}"
+                     f"); run 'python -m repro check --update-fingerprint'")))
     return findings
 
 

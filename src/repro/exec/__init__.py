@@ -13,7 +13,7 @@ Quick use::
     from repro.exec import Executor, RunRequest, using_executor
 
     reqs = [RunRequest("epyc-1p", "bcast", size, 32) for size in sizes]
-    with Executor(workers=4, cache="results/cache/sim_cache.json") as ex:
+    with Executor(workers=4, cache="results/cache") as ex:
         results = ex.run_many(reqs)
 
 or scope an executor ambiently so existing sweeps pick it up::

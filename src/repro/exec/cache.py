@@ -17,9 +17,8 @@ agree on the key of a request.
 Persistence is a sharded, one-file-per-entry store
 (:class:`~repro.exec.store.ShardedStore`) under the cache *root*
 directory — the single flat JSON file of earlier versions could not
-survive millions of entries. Passing a legacy ``*.json`` file path still
-works: the root is the file's directory and any flat entries found there
-are migrated into the shards once (idempotently, stamped in the ledger).
+survive millions of entries. A ``*.json`` path, the old flat-file
+spelling, still names a store: its root is the file's directory.
 Corrupt or truncated entries are quarantined with a warning and treated
 as misses; writes are atomic (``*.tmp`` + ``os.replace``); the store can
 be size-bounded with LRU eviction (see docs/serving.md).
@@ -52,9 +51,6 @@ SIM_VERSION = 3
 #: underneath it (``objects/v<SIM_VERSION>/<2-hex>/<digest>.json``).
 DEFAULT_CACHE_PATH = os.path.join("results", "cache")
 
-#: Name of the legacy flat cache file (pre-sharding) inside a root.
-LEGACY_FLAT_NAME = "sim_cache.json"
-
 
 def default_cache_path() -> str:
     """The conventional location of the shared result store."""
@@ -68,17 +64,17 @@ def cache_key(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def store_layout(path: str) -> tuple[str, str]:
-    """Resolve a cache path to ``(store root, legacy flat file)``.
+def store_layout(path: str) -> str:
+    """Resolve a cache path to its store root.
 
-    Directory paths are store roots; a ``*.json`` path is the legacy
+    Directory paths are store roots; a ``*.json`` path is the old
     flat-file spelling and maps to its containing directory, so
     ``results/cache/sim_cache.json`` and ``results/cache`` name the same
     store.
     """
     if path.endswith(".json"):
-        return os.path.dirname(path) or ".", path
-    return path, os.path.join(path, LEGACY_FLAT_NAME)
+        return os.path.dirname(path) or "."
+    return path
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,11 +120,9 @@ class ResultCache:
         self.misses = 0
         self.store: ShardedStore | None = None
         if self.path:
-            root, legacy_flat = store_layout(self.path)
-            self.store = ShardedStore(root, max_entries=max_entries,
+            self.store = ShardedStore(store_layout(self.path),
+                                      max_entries=max_entries,
                                       max_bytes=max_bytes)
-            if os.path.isfile(legacy_flat):
-                self.store.migrate_flat(legacy_flat)
 
     def __len__(self) -> int:
         """Entries in the store's current generation plus unflushed puts.

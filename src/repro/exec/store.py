@@ -9,7 +9,7 @@ more than ~1/256th of the population::
 
     <root>/
       objects/v<SIM_VERSION>/<2-hex>/<digest>.json   one entry per file
-      ledger.json          advisory totals + policy + migration stamps
+      ledger.json          advisory totals + policy
       quarantine/          corrupt entries are moved here, never parsed again
 
 Properties the serving layer (and concurrent sweeps) rely on:
@@ -35,9 +35,6 @@ Properties the serving layer (and concurrent sweeps) rely on:
   until the store fits. Stale ``SIM_VERSION`` generations age out the
   same way since nothing ever reads (or touches) them again. A save
   whose running ledger totals fit the bounds does not walk the store.
-* **Idempotent migration** — a legacy flat cache file is imported once
-  (stamped in the ledger by size+mtime); re-importing is harmless anyway
-  because entries are content-addressed.
 """
 
 from __future__ import annotations
@@ -375,12 +372,6 @@ class ShardedStore:
             self.quarantine(self.ledger_path, "unreadable ledger")
         return {}, None
 
-    def _write_ledger(self, ledger: dict) -> None:
-        self._ledger_stamp = _stamp(
-            _atomic_write_json(self.ledger_path, ledger, indent=1))
-        self._ledger_totals = (ledger["entries"], ledger["bytes"])
-        self._added = [0, 0]
-
     def save_ledger(self) -> dict:
         """Persist the totals and counters; returns the ledger written.
 
@@ -408,55 +399,11 @@ class ShardedStore:
             "evictions": int(previous.get("evictions", 0)) + self.evictions,
             "quarantined": (int(previous.get("quarantined", 0))
                             + self.quarantined),
-            "migrated": previous.get("migrated", {}),
         }
         self.evictions = 0
         self.quarantined = 0
-        self._write_ledger(ledger)
+        self._ledger_stamp = _stamp(
+            _atomic_write_json(self.ledger_path, ledger, indent=1))
+        self._ledger_totals = (count, size)
+        self._added = [0, 0]
         return ledger
-
-    # -- migration --------------------------------------------------------
-
-    def migrate_flat(self, flat_path: str | os.PathLike) -> int:
-        """One-time import of a legacy single-file cache.
-
-        The flat file itself is left untouched (it may be a committed
-        artifact); the ledger records its ``(size, mtime_ns)`` so the
-        import runs once per flat-file state. Because entries are
-        content-addressed, re-importing — two processes racing on a cold
-        store, a rolled-back ledger — rewrites identical files and stays
-        idempotent.
-        """
-        flat_path = os.fspath(flat_path)
-        try:
-            st = os.stat(flat_path)
-        except FileNotFoundError:
-            return 0
-        stamp = [st.st_size, st.st_mtime_ns]
-        ledger = self.load_ledger()
-        migrated = dict(ledger.get("migrated", {}))
-        key = os.path.abspath(flat_path)
-        if migrated.get(key) == stamp:
-            return 0  # this exact flat-file state was already imported
-        try:
-            with open(flat_path) as fh:
-                stored = json.load(fh)
-            entries = stored.get("entries", {})
-            version = int(stored.get("sim_version", 0))
-            if not isinstance(entries, dict):
-                raise ValueError("flat cache 'entries' is not a dict")
-        except (json.JSONDecodeError, ValueError, UnicodeDecodeError,
-                OSError) as exc:
-            self.quarantine(flat_path, str(exc))
-            return 0
-        imported = 0
-        for digest, entry in entries.items():
-            entry = dict(entry)
-            entry.setdefault("sim_version", version)
-            self.write(version, digest, entry)
-            imported += 1
-        migrated[key] = stamp
-        ledger = self.save_ledger()
-        ledger["migrated"] = migrated
-        self._write_ledger(ledger)
-        return imported

@@ -42,12 +42,8 @@ class Xbrc(CollComponent):
         self.release = Flag("xbrc.release", comm.ranks[0].core)
         self._sviews: dict[int, object] = {}
         self._rviews: dict[int, object] = {}
-
-    def _next_base(self, comm, me) -> int:
-        st = comm.rank_state[me]
-        base = st.get("ops", 0)
-        st["ops"] = base + 1
-        return base
+        # Ops each rank has started: the base of its flag values.
+        self._ops = [0] * comm.size
 
     def allreduce(self, comm, ctx, sview, rview, op, dtype) -> Iterator:
         yield from self._impl(comm, ctx, sview, rview, op, dtype, root=None)
@@ -62,7 +58,8 @@ class Xbrc(CollComponent):
             if rview is not None:
                 yield P.Copy(src=sview, dst=rview)
             return
-        base = self._next_base(comm, me)
+        base = self._ops[me]
+        self._ops[me] = base + 1
         nbytes = sview.length
         ctx.smsc.require(self.name, "allreduce" if root is None else "reduce",
                          nbytes, reduce=True)

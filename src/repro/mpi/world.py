@@ -114,8 +114,6 @@ class Communicator:
         for i, member in enumerate(members):
             self._index.setdefault(member, i)
         self.component = component
-        # Per-rank scratch for components (indexed by comm-relative rank).
-        self.rank_state: list[dict] = [dict() for _ in members]
         self._channels: dict[tuple[int, int, int], p2p.Channel] = {}
         # Tail of each rank's non-blocking collective chain (see
         # repro.mpi.nonblocking); blocking calls join the chain once a

@@ -193,17 +193,15 @@ class ServeDaemon:
                 results = await self._run_individually(requests, job)
             finally:
                 self._busy = False
-            self.scheduler.record(job, indices, results)
+            new, cached = self.scheduler.record(job, indices, results)
             self.executor.cache.save()    # crash loses at most one chunk
             self.telemetry.chunk_finished(job, indices, results,
                                           time.monotonic() - chunk_t0)
             self.telemetry.scrape_cache(self.executor.cache.stats())
             self.telemetry.update_queue(self.scheduler.tenants())
             self._m_chunks.inc()
-            self._m_new.inc(sum(1 for r in results
-                                if r is not None and not r.cached))
-            self._m_cached.inc(sum(1 for r in results
-                                   if r is not None and r.cached))
+            self._m_new.inc(new)
+            self._m_cached.inc(cached)
             await self._publish_progress(job)
 
     async def _run_individually(self, requests, job) -> list:

@@ -119,23 +119,29 @@ class FairScheduler:
             return job, chunk
         return None
 
-    def record(self, job: Job, indices: list[int], results: list) -> None:
-        """Store one executed chunk's results on its job."""
+    def record(self, job: Job, indices: list[int],
+               results: list) -> tuple[int, int]:
+        """Store one executed chunk's results on its job; returns the
+        chunk's ``(new, cached)`` counts (errors are neither)."""
+        new = cached = 0
         for idx, result in zip(indices, results):
             job.results[idx] = result
             job.done += 1
             if result is None or getattr(result, "error", None):
                 job.errors += 1
             elif getattr(result, "cached", False):
-                job.cached += 1
+                cached += 1
             else:
-                job.new += 1
+                new += 1
+        job.new += new
+        job.cached += cached
         if job.done >= job.total and not job.finished:
             job.finished = True
             self.completed += 1
             self.completed_by_tenant[job.tenant] = \
                 self.completed_by_tenant.get(job.tenant, 0) + 1
             self._prune(job.tenant)
+        return new, cached
 
     # -- introspection ----------------------------------------------------
 

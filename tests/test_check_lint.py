@@ -102,6 +102,20 @@ def test_fingerprint_detects_stale_manifest(monkeypatch):
     assert "stale" in findings[0].message
 
 
+def test_fingerprint_reports_unwatched_manifest_entry(monkeypatch):
+    """A file dropped from SIM_FINGERPRINT_FILES must not leave a silent
+    hash behind in the manifest."""
+    from repro.check import _sim_fingerprint as manifest
+    extra = dict(manifest.FINGERPRINT)
+    extra["sim/retired.py"] = "0" * 64
+    monkeypatch.setattr(manifest, "FINGERPRINT", extra)
+    findings = check_fingerprint()
+    assert _rules(findings) == ["RC105"]
+    assert "stale" in findings[0].message
+    assert "sim/retired.py" in findings[0].message
+    assert "bump" not in findings[0].message
+
+
 def test_write_fingerprint_roundtrip(tmp_path):
     (tmp_path / "check").mkdir()
     out = write_fingerprint(tmp_path)

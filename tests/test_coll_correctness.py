@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpi import DOUBLE, MAX, SUM
+from repro.mpi import DOUBLE, MAX, SUM, World
 from repro.mpi.colls import SmColl, Smhc, Tuned, TunedXhc, Ucc, Xbrc
+from repro.node import Node
+from repro.options import RunOptions
+from repro.sim import primitives as P
 from repro.tune.table import DecisionTable
 from repro.xhc import Xhc, XhcConfig
 
@@ -112,6 +115,47 @@ def test_bcast_pattern_survives(name):
     expect = (np.arange(5000) * 4) % 251
     for rank, rec in out.items():
         assert np.array_equal(rec["data"], expect), f"rank {rank}"
+
+
+def _run_staggered_barriers(name, nranks, delays):
+    """Run one barrier per row of ``delays`` (seconds each rank computes
+    before arriving); return per-episode arrival and departure times."""
+    node = Node(small_topo(), options=RunOptions(data_movement=False))
+    comm = World(node, nranks).communicator(BCAST_COMPONENTS[name]())
+    arrived = [{} for _ in delays]
+    left = [{} for _ in delays]
+
+    def program(comm_, ctx):
+        me = comm_.rank_of(ctx)
+        for ep, row in enumerate(delays):
+            yield P.Compute(row[me] + 1e-9)
+            arrived[ep][me] = ctx.now
+            yield from comm_.barrier(ctx)
+            left[ep][me] = ctx.now
+    comm.run(program)
+    return arrived, left
+
+
+@pytest.mark.parametrize("name", sorted(BCAST_COMPONENTS))
+@pytest.mark.parametrize("nranks", [5, 16])
+def test_barrier_holds_until_last_arrival(name, nranks):
+    """No rank leaves a barrier before the last one reaches it; the
+    slowest rank is neither the first nor the last."""
+    delays = [[((7 * me) % nranks + 1) * 1e-6 for me in range(nranks)]]
+    arrived, left = _run_staggered_barriers(name, nranks, delays)
+    assert min(left[0].values()) >= max(arrived[0].values())
+
+
+@pytest.mark.parametrize("name", sorted(BCAST_COMPONENTS))
+def test_barrier_episodes_stay_separate(name):
+    """Back-to-back barriers with a different straggler each time: every
+    episode holds its ranks until its own last arrival."""
+    nranks = 7
+    delays = [[2e-6 if me == (3 * ep + 1) % nranks else 0.0
+               for me in range(nranks)] for ep in range(3)]
+    arrived, left = _run_staggered_barriers(name, nranks, delays)
+    for ep in range(3):
+        assert min(left[ep].values()) >= max(arrived[ep].values()), ep
 
 
 @settings(max_examples=12, deadline=None)

@@ -49,8 +49,8 @@ def test_dispatch_picks_size_specific_config():
 
 def test_multiple_delegates_share_one_communicator():
     """Small and large bcasts in one run bind two Xhc instances to the
-    same communicator; each must keep private ledgers (regression for the
-    shared rank_state ledger)."""
+    same communicator; each must keep a private ledger (a ledger kept on
+    the communicator would be shared by both)."""
     comp = make_tuned()
     out, _ = run_bcast(lambda: comp, nranks=16, size=64, iters=2)
     assert_bcast_correct(out, 16, 101)

@@ -202,6 +202,29 @@ def test_atomic_line_sharing_with_flag():
     assert flag.line is atom.line
 
 
+def test_shared_line_write_invalidates_sibling_readers():
+    """Writing one flag of a shared line evicts readers of all of them."""
+    node = fresh()
+    line = Line(owner_core=0)
+    a, b = Flag("a", 0, line), Flag("b", 0, line)
+    done = []
+
+    def reader():
+        yield P.WaitFlag(a, 1)
+        # b shares the line: reading it now is a fresh fetch either way,
+        # but the line state must be coherent.
+        yield P.WaitFlag(b, 0)
+        done.append(node.engine.now)
+
+    def writer():
+        yield P.Compute(1e-6)
+        yield P.SetFlag(a, 1)
+    node.engine.spawn(reader(), core=5)
+    node.engine.spawn(writer(), core=0)
+    node.engine.run()
+    assert done and 5 in a.line.holders
+
+
 def test_negative_compute_rejected():
     node = fresh()
 

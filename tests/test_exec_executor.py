@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.exec import Executor, RunRequest, run_inline
 from repro.exec.executor import Executor as _Executor
 from repro.options import RunOptions
+from repro.xhc import XhcConfig
 
 SIZES = (64, 1024, 16384)
 
@@ -124,6 +126,33 @@ def test_explicit_config_request():
     with Executor(workers=0) as ex:
         result = ex.run(req)
     assert result.latency_s > 0
+
+
+def test_explicit_config_fields_reach_the_component():
+    """Every field of a request's ``config`` dict lands in the
+    component's XhcConfig; a JSON list chunk size becomes a tuple."""
+    from repro.exec.worker import resolve_component
+    comp = resolve_component("xhc", {"hierarchy": "flat",
+                                     "cico_threshold": 0,
+                                     "chunk_size": [4096],
+                                     "flag_layout": "multi-shared",
+                                     "reduce_min": 64, "cico_ring": 2})()
+    assert comp.cfg == XhcConfig(hierarchy="flat", cico_threshold=0,
+                                 chunk_size=(4096,),
+                                 flag_layout="multi-shared",
+                                 reduce_min=64, cico_ring=2)
+    # Fields the dict leaves out keep the paper's defaults.
+    assert resolve_component("xhc", {"hierarchy": "flat"})().cfg \
+        == XhcConfig(hierarchy="flat")
+
+
+@pytest.mark.parametrize("config", [{"chunk_size": -5},
+                                    {"flag_layout": "diagonal"},
+                                    {"cico_ring": 1}])
+def test_explicit_config_is_validated(config):
+    from repro.exec.worker import resolve_component
+    with pytest.raises(ConfigError):
+        resolve_component("xhc", config)
 
 
 def test_instrumented_request_bypasses_cache_and_carries_findings():

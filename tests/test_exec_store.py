@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.exec import RunRequest, SIM_VERSION, ResultCache, cache_key
-from repro.exec.cache import LEGACY_FLAT_NAME, store_layout
+from repro.exec.cache import store_layout
 from repro.exec.store import ShardedStore, _atomic_write_json
 
 
@@ -55,14 +55,29 @@ def test_generations_are_separate_subtrees(tmp_path):
 
 
 def test_store_layout_resolves_legacy_json_paths(tmp_path):
-    root, flat = store_layout(str(tmp_path / "cache"))
-    assert root == str(tmp_path / "cache")
-    assert flat == str(tmp_path / "cache" / LEGACY_FLAT_NAME)
+    root = str(tmp_path / "cache")
+    assert store_layout(root) == root
     # A *.json path names the same store as its directory.
-    root2, flat2 = store_layout(str(tmp_path / "cache" / LEGACY_FLAT_NAME))
-    assert root2 == root
-    assert flat2 == flat
-    assert store_layout("cache.json") == (".", "cache.json")
+    assert store_layout(str(tmp_path / "cache" / "sim_cache.json")) == root
+    assert store_layout("cache.json") == "."
+
+
+def test_result_cache_json_path_and_directory_share_one_store(tmp_path):
+    """``--cache dir/cache.json`` and ``--cache dir`` open the same
+    store; a flat-format file left at the *.json path is neither read
+    nor removed."""
+    flat = tmp_path / "cache.json"
+    flat.write_text(json.dumps({"sim_version": SIM_VERSION,
+                                "entries": dict([_entry(tag=9)])}))
+    payload = RunRequest("epyc-1p", "bcast", 64, 8).payload()
+    by_file = ResultCache(flat)
+    assert len(by_file) == 0
+    by_file.put(payload, 2e-6)
+    by_file.save()
+    by_dir = ResultCache(tmp_path)
+    assert len(by_dir) == 1
+    assert by_dir.get(payload) == 2e-6
+    assert json.loads(flat.read_text())["entries"]
 
 
 # -- atomic writes -----------------------------------------------------------
@@ -267,67 +282,6 @@ def test_unreadable_ledger_is_quarantined_not_fatal(tmp_path):
     with pytest.warns(RuntimeWarning):
         assert store.load_ledger() == {}
     assert store.save_ledger()["entries"] == 0
-
-
-# -- migration ---------------------------------------------------------------
-
-
-def _flat_cache(path, n=3):
-    entries = {}
-    for i in range(n):
-        digest, entry = _entry(tag=i)
-        entries[digest] = entry
-    with open(path, "w") as fh:
-        json.dump({"sim_version": SIM_VERSION, "entries": entries}, fh)
-    return set(entries)
-
-
-def test_flat_migration_imports_every_entry(tmp_path):
-    flat = tmp_path / LEGACY_FLAT_NAME
-    digests = _flat_cache(flat)
-    store = ShardedStore(tmp_path)
-    assert store.migrate_flat(flat) == 3
-    assert store.digests(SIM_VERSION) == digests
-    # The flat file is left in place (it may be a committed artifact).
-    assert flat.is_file()
-
-
-def test_flat_migration_is_idempotent(tmp_path):
-    flat = tmp_path / LEGACY_FLAT_NAME
-    _flat_cache(flat)
-    store = ShardedStore(tmp_path)
-    assert store.migrate_flat(flat) == 3
-    # Same flat-file state: stamped in the ledger, not re-imported.
-    assert store.migrate_flat(flat) == 0
-    assert ShardedStore(tmp_path).migrate_flat(flat) == 0
-    # A *changed* flat file (new size/mtime) re-imports; content
-    # addressing makes the rewrite harmless.
-    _flat_cache(flat, n=4)
-    assert ShardedStore(tmp_path).migrate_flat(flat) == 4
-    assert ShardedStore(tmp_path).count(SIM_VERSION) == 4
-
-
-def test_corrupt_flat_cache_is_quarantined(tmp_path):
-    flat = tmp_path / LEGACY_FLAT_NAME
-    with open(flat, "w") as fh:
-        fh.write("not json at all")
-    store = ShardedStore(tmp_path)
-    with pytest.warns(RuntimeWarning):
-        assert store.migrate_flat(flat) == 0
-    assert not flat.exists()
-    assert os.listdir(store.quarantine_root)
-
-
-def test_result_cache_migrates_legacy_flat_on_open(tmp_path):
-    flat = tmp_path / LEGACY_FLAT_NAME
-    _flat_cache(flat)
-    # Opening by the legacy *file* path or by the root directory both
-    # find the migrated entries.
-    for spec in (flat, tmp_path):
-        cache = ResultCache(spec)
-        assert len(cache) == 3
-        assert cache.get(RunRequest("epyc-1p", "bcast", 64, 8).payload()) \
-            == pytest.approx(1e-6)
 
 
 # -- cross-process consistency -----------------------------------------------

@@ -146,17 +146,6 @@ def test_engine_counters_populated():
     assert m.value("flags.blocked_waits") == len(node.obs.waits)
 
 
-def test_flag_allocator_reports_to_registry():
-    from repro.obs.metrics import MetricsRegistry
-    from repro.sync import FlagAllocator
-    reg = MetricsRegistry()
-    alloc = FlagAllocator(metrics=reg)
-    alloc.flag("solo", owner_core=0)
-    alloc.flag_group(["a", "b", "c"], owner_core=1, placement="shared")
-    assert reg.value("flags.allocated") == 4
-    assert reg.value("flags.lines_shared") == 3
-
-
 def test_invalid_observe_value_rejected():
     from repro.errors import SimulationError
     with pytest.raises(SimulationError):

@@ -93,13 +93,13 @@ def _run_sequence(name, nranks):
         yield from comm_.barrier(ctx)
 
     comm.run(program)
-    return comp, comm
+    return comp
 
 
-def held_ints(comp, comm) -> int:
+def held_ints(comp) -> int:
     """The integers a component keeps, its ledgers among them: every int
-    reachable through dicts, lists, tuples and ledgers from its attributes
-    and from the communicator's per-rank scratch."""
+    reachable through dicts, lists, tuples and ledgers from its
+    attributes."""
     seen = set()
 
     def walk(obj):
@@ -118,16 +118,16 @@ def held_ints(comp, comm) -> int:
         seen.add(id(obj))
         return sum(walk(child) for child in children)
 
-    return walk(vars(comp)) + walk(comm.rank_state)
+    return walk(vars(comp))
 
 
 @pytest.mark.parametrize("name", GROWTH_COMPONENTS)
 def test_ledger_ints_grow_linearly_with_ranks(name):
     counts = {}
     for nranks in (128, 256):
-        comp, comm = _run_sequence(name, nranks)
+        comp = _run_sequence(name, nranks)
         # Every rank left every op, so only the final snapshot is held.
         assert comp.ledger.live == 1
-        counts[nranks] = held_ints(comp, comm)
+        counts[nranks] = held_ints(comp)
     # A per-rank copy of everyone's counters grows 4x per doubling.
     assert counts[256] <= 2 * counts[128] + 64, counts

@@ -60,12 +60,47 @@ def test_experiments_md_covers_every_figure():
 def test_public_modules_have_docstrings():
     import importlib
     for name in ("repro", "repro.node", "repro.topology", "repro.memory",
-                 "repro.sim", "repro.shmem", "repro.sync", "repro.mpi",
+                 "repro.sim", "repro.shmem", "repro.mpi",
                  "repro.mpi.colls", "repro.xhc", "repro.bench",
                  "repro.apps", "repro.cluster", "repro.analysis",
                  "repro.validate", "repro.cli"):
         mod = importlib.import_module(name)
         assert mod.__doc__ and len(mod.__doc__.strip()) > 30, name
+
+
+# A dotted ``repro.*`` name in prose, not part of a path
+# (``src/repro/...``) or a file name.
+_DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
+
+
+def _resolves(name):
+    """``name`` imports as a module, or its longest importable prefix
+    carries the rest as attributes."""
+    import importlib
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_docs_name_only_code_that_exists():
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    missing = []
+    for path in docs:
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for m in _DOTTED_NAME.finditer(line):
+                if not _resolves(m.group(0)):
+                    missing.append(f"{path.name}:{lineno}: {m.group(0)}")
+    assert not missing, missing
 
 
 def test_pyproject_version_matches_package_version():

@@ -186,6 +186,12 @@ def test_component_error_is_per_request_not_fatal(served):
         == "error"
     assert "error" in by_component["no-such-component"]
     assert by_component["xhc-tree"]["latency_s"] is not None
+    # A failed request is no fresh simulation in the daemon's metrics
+    # either: they count what the job's stats count.
+    metrics = served.daemon.metrics
+    assert metrics.value("serve.simulations.new") == done["stats"]["new"]
+    assert metrics.value("serve.results.cached") \
+        == done["stats"]["cached"]
 
 
 def test_request_the_smsc_mechanism_cannot_serve_fails_alone(served):

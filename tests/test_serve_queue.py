@@ -81,7 +81,9 @@ def test_record_counts_new_cached_and_errors():
     sched = FairScheduler(batch_size=4)
     job = sched.submit("a", _reqs(4))
     _job, indices = sched.next_chunk()
-    sched.record(job, indices, [R(), R(cached=True), R(error="boom"), None])
+    chunk = sched.record(job, indices,
+                         [R(), R(cached=True), R(error="boom"), None])
+    assert chunk == (1, 1)
     assert (job.new, job.cached, job.errors) == (1, 1, 2)
     assert job.finished
     assert sched.completed == 1

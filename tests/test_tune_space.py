@@ -69,6 +69,19 @@ def test_generate_space_valid_configs(system):
             assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def test_config_from_dict_defaults_fields_older_tables_lack():
+    """A table row written before ``reduce_min``/``cico_ring`` existed
+    still loads, with those two at the paper default."""
+    row = config_to_dict(XhcConfig(hierarchy="flat", chunk_size=(4096,),
+                                   cico_threshold=0))
+    del row["reduce_min"], row["cico_ring"]
+    cfg = config_from_dict(row)
+    assert cfg == XhcConfig(hierarchy="flat", chunk_size=(4096,),
+                            cico_threshold=0)
+    assert (cfg.reduce_min, cfg.cico_ring) \
+        == (PAPER_DEFAULT.reduce_min, PAPER_DEFAULT.cico_ring)
+
+
 def test_small_vs_large_open_different_dimensions():
     topo = get_system("epyc-2p")
     small = generate_space(topo, topo.n_cores, "bcast", 256)
