@@ -48,7 +48,8 @@ class Node:
     Run behavior is configured through one ``options=RunOptions(...)``
     argument; the historical per-concern keywords (``data_movement=``,
     ``record_copies=``, ``observe=``, ``check=``) still work but emit a
-    single ``DeprecationWarning`` per call (docs/api.md).
+    single ``DeprecationWarning`` per call (docs/api.md);
+    ``record_copies=True`` runs as ``observe="full"``.
     """
 
     # Bound on the write-resource memo: a full memo evicts its oldest
@@ -79,16 +80,16 @@ class Node:
         if options.engine == "array":
             if options.instrumented:
                 raise ConfigError(
-                    'engine="array" is incompatible with observe/check/'
-                    'record_copies: instrumentation hooks are per-event, '
-                    'which is exactly what array mode elides — run the '
-                    'event engine for instrumented runs (docs/performance.md)'
+                    'engine="array" is incompatible with observe/check: '
+                    'instrumentation hooks are per-event, which is exactly '
+                    'what array mode elides — run the event engine for '
+                    'instrumented runs (docs/performance.md)'
                 )
             from .sim.array_engine import ArrayEngine
             self.engine: Engine = ArrayEngine(self)
         else:
-            self.engine = Engine(self, record_copies=options.record_copies,
-                                 observe=options.observe, check=options.check)
+            self.engine = Engine(self, observe=options.observe,
+                                 check=options.check)
         # Per-core distance rows (``row[b]`` is the Distance to core b),
         # each built on first use. Distance is a pure function of the
         # topology, so the rows live *on the topology object* and are

@@ -133,7 +133,8 @@ class WaitRecord:
     def group(self) -> str:
         """Aggregation key: the target's name family (xhc.avail.7 ->
         xhc.avail), the same interning :attr:`Flag.wait_key` uses, so
-        span groups and ``SimProcess.wait_breakdown`` rows line up."""
+        ``f"{kind} {group}"`` is the waited object's ``wait_key`` — the
+        row :func:`repro.sim.stats.collect_stats` sums this wait into."""
         from ..sim.syncobj import wait_group
         return wait_group(self.target)
 

@@ -323,15 +323,13 @@ class ServiceTelemetry:
             elif phase == "worker-execute":
                 self._h_worker.observe(seconds)
 
-    def chunk_finished(self, job, indices: "list[int]", results,
+    def chunk_finished(self, job, new: int, cached: int, errors: int,
                        wall_s: float) -> None:
-        """The in-flight chunk of ``job`` completed (results recorded)."""
+        """The in-flight chunk of ``job`` completed; ``new``, ``cached``
+        and ``errors`` are the counts ``FairScheduler.record`` returned
+        for it."""
         if not self.enabled:
             return
-        new = sum(1 for r in results
-                  if r is not None and not r.cached and r.error is None)
-        cached = sum(1 for r in results if r is not None and r.cached)
-        errors = len(list(indices)) - new - cached
         with self._lock:
             trace = self._traces.get(job.id)
             if trace is not None:
@@ -345,7 +343,7 @@ class ServiceTelemetry:
             self._g_inflight.set(0)
         self.events.append({"event": "chunk", "t": round(self.now(), 6),
                             "job": job.id, "tenant": job.tenant,
-                            "requests": len(list(indices)), "new": new,
+                            "requests": new + cached + errors, "new": new,
                             "cached": cached, "errors": errors,
                             "wall_s": round(wall_s, 6)})
 

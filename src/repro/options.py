@@ -40,8 +40,8 @@ class RunOptions:
         Actually move buffer bytes (numerical correctness checks need it;
         latency sweeps leave it off).
     ``record_copies``
-        Legacy per-transfer records in ``engine.trace`` for
-        :class:`repro.sim.trace.Timeline`.
+        Deprecated alias of ``observe="full"``: ``True`` warns once and
+        is normalized to it (the field then reads ``False``).
     ``observe``
         ``None``/``False`` | ``"spans"`` | ``True``/``"full"`` — span
         tracing and metrics (docs/observability.md).
@@ -58,7 +58,7 @@ class RunOptions:
         (docs/performance.md); the engine name is therefore part of the
         result-cache key (docs/api.md). Neither engine needs numpy for
         latency-only runs; the array engine is incompatible with
-        ``observe``/``check``/``record_copies``.
+        ``observe``/``check``.
     """
 
     data_movement: bool = True
@@ -73,14 +73,21 @@ class RunOptions:
                 f"unknown engine {self.engine!r}; expected one of "
                 f"{'/'.join(ENGINES)}"
             )
+        if self.record_copies:
+            warnings.warn(
+                'RunOptions(record_copies=True) is deprecated; it runs as '
+                'observe="full", whose copy spans feed sim.trace.Timeline '
+                '(see docs/api.md)',
+                DeprecationWarning, stacklevel=3)
+            object.__setattr__(self, "record_copies", False)
+            object.__setattr__(self, "observe", "full")
 
     @property
     def instrumented(self) -> bool:
-        """True when the run produces side artifacts (spans, findings,
-        copy records) beyond a latency — such runs bypass the result
-        cache, which stores latencies only."""
-        return (bool(self.observe) or bool(self.check)
-                or self.record_copies)
+        """True when the run produces side artifacts (spans, findings)
+        beyond a latency — such runs bypass the result cache, which
+        stores latencies only."""
+        return bool(self.observe) or bool(self.check)
 
     def with_(self, **changes) -> "RunOptions":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
@@ -104,7 +111,8 @@ def resolve_options(
     """Merge the deprecated per-concern keywords into a RunOptions.
 
     Exactly one :class:`DeprecationWarning` is emitted per call that uses
-    any legacy keyword, naming all of them at once. Passing both
+    any legacy keyword, naming all of them at once; ``record_copies=True``
+    maps to ``observe="full"`` without a second warning. Passing both
     ``options`` and a legacy keyword is ambiguous and raises
     ``TypeError``.
     """
@@ -126,5 +134,7 @@ def resolve_options(
             f"deprecated; pass options=RunOptions(...) instead "
             f"(see docs/api.md)",
             DeprecationWarning, stacklevel=stacklevel)
+        if legacy.pop("record_copies", False):
+            legacy["observe"] = "full"
         return RunOptions(**legacy)
     return options if options is not None else DEFAULT_OPTIONS

@@ -193,9 +193,10 @@ class ServeDaemon:
                 results = await self._run_individually(requests, job)
             finally:
                 self._busy = False
-            new, cached = self.scheduler.record(job, indices, results)
+            new, cached, errors = self.scheduler.record(job, indices,
+                                                        results)
             self.executor.cache.save()    # crash loses at most one chunk
-            self.telemetry.chunk_finished(job, indices, results,
+            self.telemetry.chunk_finished(job, new, cached, errors,
                                           time.monotonic() - chunk_t0)
             self.telemetry.scrape_cache(self.executor.cache.stats())
             self.telemetry.update_queue(self.scheduler.tenants())

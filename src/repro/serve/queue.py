@@ -120,28 +120,31 @@ class FairScheduler:
         return None
 
     def record(self, job: Job, indices: list[int],
-               results: list) -> tuple[int, int]:
+               results: list) -> tuple[int, int, int]:
         """Store one executed chunk's results on its job; returns the
-        chunk's ``(new, cached)`` counts (errors are neither)."""
-        new = cached = 0
+        chunk's ``(new, cached, errors)`` counts, the one classification
+        the daemon's metrics and telemetry report (an error result is an
+        error even if it is also marked cached)."""
+        new = cached = errors = 0
         for idx, result in zip(indices, results):
             job.results[idx] = result
             job.done += 1
             if result is None or getattr(result, "error", None):
-                job.errors += 1
+                errors += 1
             elif getattr(result, "cached", False):
                 cached += 1
             else:
                 new += 1
         job.new += new
         job.cached += cached
+        job.errors += errors
         if job.done >= job.total and not job.finished:
             job.finished = True
             self.completed += 1
             self.completed_by_tenant[job.tenant] = \
                 self.completed_by_tenant.get(job.tenant, 0) + 1
             self._prune(job.tenant)
-        return new, cached
+        return new, cached, errors
 
     # -- introspection ----------------------------------------------------
 

@@ -49,8 +49,8 @@ against the event engine are pinned per golden point in tests/golden/
 and discussed in docs/performance.md. Array runs are fully
 deterministic and the engine name is part of the result-cache key.
 
-Instrumentation (``observe``/``check``/``record_copies``) is per-event
-by nature and refused up front (``Node`` raises ``ConfigError``);
+Instrumentation (``observe``/``check``) is per-event by nature and
+refused up front (``Node`` raises ``ConfigError``);
 ``run(until=...)`` is likewise unsupported.
 """
 
@@ -69,7 +69,7 @@ _BLOCKED = ProcState.BLOCKED
 _DONE = ProcState.DONE
 
 # Row opcodes for the flush walk.
-_XFER = 0      # (op, term_lo, term_hi, const_add, resources, nbytes, in_kernel)
+_XFER = 0      # (op, term_lo, term_hi, const_add, resources, in_kernel)
 _COMPUTE = 1   # (op, seconds)
 _CONST = 2     # (op, cost) — syscall/page-fault style "now + cost" delays
 _KSYSCALL = 3  # (op, kind) — CMA/KNEM syscalls, kernel-lock sampled at flush
@@ -92,8 +92,7 @@ class ArrayEngine(Engine):
         # and the accumulation marker before Engine.__init__ assigns it.
         self._now = 0.0
         self._acc_proc: Optional[SimProcess] = None
-        super().__init__(pricer, record_copies=False, observe=None,
-                         check=None)
+        super().__init__(pricer, observe=None, check=None)
         # Dispatch heap: (virtual time, seq, process).
         self._ready: list[tuple] = []
         # Dispatch epoch for occupancy sampling: the vt of the most
@@ -248,8 +247,7 @@ class ArrayEngine(Engine):
             self._terms.append(terms)
             if complete is not None:
                 complete()
-            ops.append((_XFER, lo, lo + 1, 0.0, resources, nbytes,
-                        step.in_kernel))
+            ops.append((_XFER, lo, lo + 1, 0.0, resources, step.in_kernel))
         elif cls is P.SetFlag:
             self._acc_set(proc, (step.flag,), step.value,
                           self.pricer.store_cost)
@@ -270,7 +268,7 @@ class ArrayEngine(Engine):
             if complete is not None:
                 complete()
             ops.append((_XFER, lo, lo + len(term_list), reduce_term,
-                        resources, step.nbytes, False))
+                        resources, False))
         elif cls is P.Syscall:
             kind = step.kind
             if kind == "cma" or kind == "knem":
@@ -626,16 +624,14 @@ class ArrayEngine(Engine):
                 # matters — producers dispatched earlier may stamp
                 # *future* publication times.)
                 continue
-            specs.append((hist, base, lo, hi, flag.wait_key))
+            specs.append((hist, base, lo, hi))
         tl, ends_l, busy_spans = self._sweep_scalar(
-            proc, prim, done, n_ok, specs, base_floor,
-            d_one, d_last, d0_extra)
+            prim, done, n_ok, specs, base_floor, d_one, d_last, d0_extra)
         vt_new = tl[-1]
         if resources:
             for r in resources:
                 for b0, b1 in busy_spans:
                     r.arr_book(b0, b1)
-                r.bytes_served += span
         if has_body and vt_new > busy.get(core, 0.0):
             busy[core] = vt_new
         # Publish the per-chunk announcements in bulk and wake whoever
@@ -663,9 +659,9 @@ class ArrayEngine(Engine):
         if vt_new > self._now:
             self._now = vt_new
 
-    def _sweep_scalar(self, proc: SimProcess, prim, done: int, n_ok: int,
-                      specs: list, base_floor: float, d_one: float,
-                      d_last: float, d0_extra: float):
+    def _sweep_scalar(self, prim, done: int, n_ok: int, specs: list,
+                      base_floor: float, d_one: float, d_last: float,
+                      d0_extra: float):
         """The sweep timeline of ``n_ok`` chunks; returns ``(t_end list,
         chunk-end list, coalesced busy spans)``.
 
@@ -684,7 +680,7 @@ class ArrayEngine(Engine):
         # are non-decreasing in the chunk index, so each history is
         # walked at most once across the sweep).
         env = []
-        for hist, base, lo, hi, key in specs:
+        for hist, base, lo, hi in specs:
             nh = len(hist)
             if nh > 1:
                 mono = True
@@ -713,9 +709,6 @@ class ArrayEngine(Engine):
         c = 0.0
         m = None  # running max of (a_i - c_{i-1})
         t_prev = base_floor
-        stall_total = 0.0
-        stall_by = {} if nspec > 1 else None
-        first_key = specs[0][4] if nspec == 1 else None
         spans: list[tuple[float, float]] = []
         span_start = base_floor
         for i in range(n_ok):
@@ -728,22 +721,18 @@ class ArrayEngine(Engine):
                 di = di + d0_extra
             if nspec:
                 a_i = 0.0
-                key_i = None
                 for j in range(nspec):
-                    _h, base, lo, hi, key = specs[j]
+                    _h, base, lo, hi = specs[j]
                     eff = e if e < hi else hi
                     if eff <= lo:
-                        ta = 0.0
-                    else:
-                        target = base + eff - lo
-                        ht, hv, nh, ptr = env[j]
-                        while ptr < nh and hv[ptr] < target:
-                            ptr += 1
-                        env[j][3] = ptr
-                        ta = 0.0 if ptr >= nh else ht[ptr]
-                    if key_i is None or ta > a_i:
-                        a_i = ta
-                        key_i = key
+                        continue
+                    target = base + eff - lo
+                    ht, hv, nh, ptr = env[j]
+                    while ptr < nh and hv[ptr] < target:
+                        ptr += 1
+                    env[j][3] = ptr
+                    if ptr < nh and ht[ptr] > a_i:
+                        a_i = ht[ptr]
                 if a_i < base_floor:
                     a_i = base_floor
                 cand = a_i - c
@@ -751,14 +740,9 @@ class ArrayEngine(Engine):
                     m = cand
                 c = c + di
                 t_end = m + c
-                s = a_i - t_prev
-                if s > 0.0:
-                    stall_total += s
-                    if stall_by is not None:
-                        stall_by[key_i] = stall_by.get(key_i, 0.0) + s
-                    if i:
-                        spans.append((span_start, t_prev))
-                        span_start = t_end - di
+                if i and a_i > t_prev:
+                    spans.append((span_start, t_prev))
+                    span_start = t_end - di
                 if i == 0:
                     span_start = t_end - di
                 t_prev = t_end
@@ -766,15 +750,6 @@ class ArrayEngine(Engine):
                 c = c + di
                 t_end = c + base_floor
             tl[i] = t_end
-        if stall_total > 0.0:
-            proc.wait_time += stall_total
-            breakdown = proc.wait_breakdown
-            if stall_by is None:
-                breakdown[first_key] = \
-                    breakdown.get(first_key, 0.0) + stall_total
-            else:
-                for key, s in stall_by.items():
-                    breakdown[key] = breakdown.get(key, 0.0) + s
         spans.append((span_start, tl[-1]))
         return tl, ends_l, spans
 
@@ -840,7 +815,7 @@ class ArrayEngine(Engine):
         for i, op in enumerate(ops):
             code = op[0]
             if code == _XFER:
-                _, lo, hi, const_add, resources, nbytes, in_kernel = op
+                _, lo, hi, const_add, resources, in_kernel = op
                 # Shares sampled at this op's virtual time — the event
                 # engine plans primitive k at now == end of primitive
                 # k-1, which is exactly the walking vt.
@@ -855,7 +830,6 @@ class ArrayEngine(Engine):
                 end = start + d
                 for r in resources:
                     r.arr_book(start, end)
-                    r.bytes_served += nbytes
                 if in_kernel:
                     pool.kernel_occupancy.arr_book(start, end)
                 vt = end
@@ -895,18 +869,9 @@ class ArrayEngine(Engine):
                 _, obj, t_sat, t_ref = op
                 if t_ref >= 0:
                     t_sat = op_times[t_ref]
-                if t_sat > vt:
-                    new_vt = pricer.arr_line_read(core, obj.line, t_sat,
-                                                  self._epoch)
-                    waited = new_vt - vt
-                    proc.wait_time += waited
-                    key = obj.wait_key
-                    breakdown = proc.wait_breakdown
-                    breakdown[key] = breakdown.get(key, 0.0) + waited
-                else:
-                    new_vt = pricer.arr_line_read(core, obj.line, vt,
-                                                  self._epoch)
-                vt = new_vt
+                vt = pricer.arr_line_read(core, obj.line,
+                                          t_sat if t_sat > vt else vt,
+                                          self._epoch)
             else:  # _ATOMIC
                 _, atom, new_value, prev_owner, wakes = op
                 line = atom.line
@@ -951,11 +916,6 @@ class ArrayEngine(Engine):
         t_from = t_set if t_set > proc.blocked_since else proc.blocked_since
         wake_t = self.pricer.arr_line_read(proc.core, obj.line, t_from,
                                            self._epoch)
-        waited = wake_t - proc.blocked_since
-        proc.wait_time += waited
-        key = obj.wait_key
-        breakdown = proc.wait_breakdown
-        breakdown[key] = breakdown.get(key, 0.0) + waited
         proc.state = _READY
         proc.blocked_obj = None
         proc.waking = False

@@ -21,8 +21,8 @@ Event-loop layout (see docs/performance.md): heap entries are
 :class:`SimProcess` — a process payload means "resume with ``None``",
 which covers the overwhelming majority of events without allocating a
 closure per event. Handler dispatch goes through one table,
-``_HANDLERS``; the observe, race, deadlock-probe and record_copies hooks
-inside the handlers each sit behind a boolean cached at construction. A
+``_HANDLERS``; the observe, race and deadlock-probe hooks inside the
+handlers each sit behind a boolean cached at construction. A
 :class:`~repro.sim.primitives.ChunkRun` runs as exactly the per-chunk
 events it stands for, chained in-engine (see ``_h_chunk_run``).
 
@@ -73,8 +73,7 @@ class SimProcess:
 
     __slots__ = ("pid", "name", "core", "gen", "state", "result",
                  "finish_time", "blocked_obj", "blocked_value", "waking",
-                 "blocked_since", "wait_time", "wait_breakdown", "vt",
-                 "seg", "cont")
+                 "blocked_since", "vt", "seg", "cont")
 
     def __init__(self, name: str, core: int,
                  gen: Generator[Any, Any, Any]) -> None:
@@ -96,17 +95,12 @@ class SimProcess:
         # needs the object, not just a display string) plus the threshold
         # it waits for, and whether a satisfying write already scheduled
         # its resume — a proc with ``waking`` set is still BLOCKED but no
-        # longer waiting on anyone.
+        # longer waiting on anyone. The array engine prices a wake from
+        # no earlier than ``blocked_since``.
         self.blocked_obj: Any = None
         self.blocked_value: int = 0
         self.waking: bool = False
         self.blocked_since: float = 0.0
-        # Total time spent blocked on flags/atomics, and a breakdown by
-        # the waited object's interned name family (``Flag.wait_key``,
-        # e.g. "flag xhc.avail") — the first place to look when asking
-        # *why* a rank was slow.
-        self.wait_time: float = 0.0
-        self.wait_breakdown: dict[str, float] = {}
 
     @property
     def blocked_on(self) -> str | None:
@@ -129,17 +123,16 @@ class Engine:
       ``Trace`` annotations; each hook in the handlers costs one test of
       a cached boolean.
     * ``True`` / ``"full"`` — attach an :class:`~repro.obs.spans.Observer`
-      recording spans, waits (with wakers), copy spans and metrics; also
-      enables the legacy per-copy trace records.
+      recording spans, waits (with wakers), copy spans and metrics.
     * ``"spans"`` — spans/waits/metrics without per-copy spans (lower
       volume for long runs).
     * an :class:`Observer` instance — bring your own (rebound to this
       engine).
 
-    ``record_copies`` is the legacy subset (completion records in
-    ``engine.trace`` for :class:`repro.sim.trace.Timeline`); it grows the
-    trace list by one tuple per transfer, so leave it (and ``observe``)
-    off for large sweeps — overhead numbers are in docs/observability.md.
+    The observer is a run's only recorder of where time went; ``trace``
+    keeps just the ``Trace`` annotations programs yield (Table II's
+    ``"message"`` records). Leave ``observe`` off for large sweeps —
+    overhead numbers are in docs/observability.md.
 
     Correctness checking is opt-in through the ``check`` knob, mirroring
     ``observe``:
@@ -160,7 +153,7 @@ class Engine:
     #: this to ``"array"``. Matches ``RunOptions.engine``.
     engine_kind = "event"
 
-    def __init__(self, pricer, record_copies: bool = False,
+    def __init__(self, pricer,
                  observe: "bool | str | Observer | None" = None,
                  check: "bool | str | None" = None) -> None:
         # The pricer (the Node) owns this engine, so the engine holds it
@@ -175,7 +168,6 @@ class Engine:
         self._heap: list[tuple] = []
         self.processes: list[SimProcess] = []
         self.trace: list[tuple[float, str, dict]] = []
-        self.record_copies = record_copies
         self.events_processed = 0
         self._running = False
         self._current_proc: SimProcess | None = None
@@ -195,8 +187,6 @@ class Engine:
                 f"'full', 'spans' or an Observer"
             )
         self._observe = self.obs.enabled
-        if self._observe and self.obs.record_copies:
-            self.record_copies = True
         if check is True:
             check = "full"
         self._dl_probe = None
@@ -405,15 +395,8 @@ class Engine:
             )
 
     def _resume(self, proc: SimProcess, send_value: Any) -> None:  # hot-path
-        if proc.state is _BLOCKED:
-            waited = self.now - proc.blocked_since
-            proc.wait_time += waited
-            obj = proc.blocked_obj
-            key = obj.wait_key if obj is not None else "?"
-            breakdown = proc.wait_breakdown
-            breakdown[key] = breakdown.get(key, 0.0) + waited
-            if self._observe:
-                self.obs.end_wait(proc)
+        if self._observe and proc.state is _BLOCKED:
+            self.obs.end_wait(proc)
         proc.state = _READY
         proc.blocked_obj = None
         proc.waking = False
@@ -484,9 +467,9 @@ class Engine:
 
     # -- copies and reduces ------------------------------------------------
     #
-    # The race, observe and record_copies hooks each sit behind a boolean
-    # cached at construction, so an uninstrumented run pays one test per
-    # hook and allocates nothing beyond the completion closures.
+    # The race and observe hooks each sit behind a boolean cached at
+    # construction, so an uninstrumented run pays one test per hook and
+    # allocates nothing beyond the completion closures.
 
     def _h_copy(self, proc: SimProcess, prim: P.Copy,
                 then: Optional[Callable[[], None]] = None) -> None:  # hot-path
@@ -526,7 +509,6 @@ class Engine:
         def finish() -> None:
             for res in resources:
                 res.release()
-                res.bytes_served += n
             if in_kernel:
                 pool.kernel_ops -= 1
             if complete is not None:
@@ -534,11 +516,6 @@ class Engine:
             if done + n < total:
                 self._copy_slice(proc, prim, total, done + n, then)
                 return
-            if self.record_copies:
-                self.trace.append(
-                    (self.now, "copy",
-                     {"core": proc.core, "nbytes": total})  # lint: disable=RC106
-                )
             if then is None:
                 self._resume(proc, None)
             else:
@@ -570,16 +547,10 @@ class Engine:
         def finish() -> None:
             for res in resources:
                 res.release()
-                res.bytes_served += nbytes
             if in_kernel:
                 pool.kernel_ops -= 1
             if complete is not None:
                 complete()
-            if self.record_copies:
-                self.trace.append(
-                    (self.now, "copy",
-                     {"core": proc.core, "nbytes": nbytes})  # lint: disable=RC106
-                )
             if then is None:
                 self._resume(proc, None)
             else:
@@ -823,7 +794,6 @@ class Engine:
         proc.state = _BLOCKED
         proc.blocked_obj = obj
         proc.blocked_value = value
-        proc.blocked_since = self.now
         if self._observe:
             self.obs.begin_wait(proc, obj.name, kind)
         obj.waiters.append((proc, value, cmp))

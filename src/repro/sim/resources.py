@@ -7,6 +7,10 @@ A resource divides its bandwidth equally among concurrent users (sampled at
 transfer start; chunk-granularity operation keeps the approximation close
 to fluid fair sharing). This is what produces the fan-in congestion of
 Fig. 1b and the localized-traffic benefit of hierarchical algorithms.
+
+A resource holds only what pricing reads: its bandwidth and current
+concurrency. Which transfers ran where, and when, is the observer's
+record (``cat="copy"`` spans, docs/observability.md).
 """
 
 from __future__ import annotations
@@ -37,19 +41,12 @@ class Occupancy:
     every ``t`` at or after the epoch (a window's end never precedes its
     start; a zero-length window adds and removes itself at once). A
     sample before the largest epoch folded so far would need the folded
-    windows back, so it raises. ``peak_active`` is the largest count a
-    sample returned (a Resource's event-engine ``acquire`` raises it
-    too).
+    windows back, so it raises.
     """
 
-    __slots__ = ("peak_active", "_starts", "_ends", "_base", "_horizon")
+    __slots__ = ("_starts", "_ends", "_base", "_horizon")
 
     def __init__(self) -> None:
-        self.peak_active = 0
-        self.arr_clear()
-
-    def arr_clear(self) -> None:
-        """Forget every booked window."""
         self._starts: list[float] = []
         self._ends: list[float] = []
         self._base = 0
@@ -79,11 +76,8 @@ class Occupancy:
             raise SimulationError(
                 f"occupancy sampled at {t!r}, before the dispatch epoch "  # lint: disable=RC106
                 f"{self._horizon!r}")
-        n = (self._base + bisect_right(self._starts, t)
-             - bisect_right(self._ends, t))
-        if n > self.peak_active:
-            self.peak_active = n
-        return n
+        return (self._base + bisect_right(self._starts, t)
+                - bisect_right(self._ends, t))
 
 
 class Resource(Occupancy):
@@ -97,7 +91,7 @@ class Resource(Occupancy):
     never mix — a Node owns exactly one engine.
     """
 
-    __slots__ = ("name", "bw", "active", "bytes_served")
+    __slots__ = ("name", "bw", "active")
 
     def __init__(self, name: str, bw: float) -> None:
         if bw <= 0:
@@ -106,12 +100,9 @@ class Resource(Occupancy):
         self.name = name
         self.bw = bw
         self.active = 0
-        self.bytes_served = 0
 
     def acquire(self) -> None:
         self.active += 1
-        if self.active > self.peak_active:
-            self.peak_active = self.active
 
     def release(self) -> None:
         if self.active <= 0:
@@ -159,19 +150,3 @@ class ResourcePool:
         # Array-mode equivalent: kernel-mode occupancy windows, sampled
         # like a Resource's (the counter above stays untouched).
         self.kernel_occupancy = Occupancy()
-
-    def all_resources(self) -> list[Resource]:
-        out: list[Resource] = []
-        out.extend(self.dram.values())
-        out.extend(self.llc_port.values())
-        out.extend(self.fabric.values())
-        out.extend(self.slc.values())
-        out.append(self.xlink)
-        return out
-
-    def reset_stats(self) -> None:
-        for res in self.all_resources():
-            res.peak_active = 0
-            res.bytes_served = 0
-            res.arr_clear()
-        self.kernel_occupancy.arr_clear()

@@ -3,7 +3,8 @@
 Collects per-core busy time, event counts by primitive kind, flag traffic
 and XPMEM counters into one report — the first thing to look at when a
 collective is slower than expected. On an observed run (``Node(...,
-options=RunOptions(observe=True))``) the report also carries the full
+options=RunOptions(observe="spans"))``, as ``repro trace`` runs) it also
+carries the observer's blocked time per wait family and the full
 metrics-registry snapshot, so every counter any subsystem registered
 rides along without this module having to know about it.
 """
@@ -29,9 +30,9 @@ class RunStats:
     xpmem_detaches: int = 0
     messages: int = 0
     message_bytes: int = 0
-    # Blocked time per wait family, merged across all processes by the
-    # interned ``wait_key`` (``flag xhc.avail``, ``atomic sm.ctr`` — rank
-    # suffixes already stripped), so one family is one row.
+    # Observed blocked time per wait family, merged across processes by
+    # ``Flag.wait_key`` (``flag xhc.avail``, ``atomic sm.ctr`` — rank
+    # suffixes stripped), so one family is one row.
     wait_breakdown: dict[str, float] = field(default_factory=dict)
     # Metrics-registry snapshot (empty unless the run was observed).
     metrics: dict[str, object] = field(default_factory=dict)
@@ -84,17 +85,17 @@ def _metric_cell(value) -> str:
 
 
 def collect_stats(node: "Node") -> RunStats:
-    """Snapshot the node's engine/transport counters."""
+    """Snapshot the node's counters and its observer's waits/metrics."""
     engine = node.engine
     busy = dict(engine._core_busy)
     msgs = [m for _t, label, m in engine.trace if label == "message"]
     done = sum(1 for p in engine.processes
                if p.finish_time is not None)
-    waits: dict[str, float] = {}
-    for proc in engine.processes:
-        for key, t in proc.wait_breakdown.items():
-            waits[key] = waits.get(key, 0.0) + t
     obs = engine.obs
+    waits: dict[str, float] = {}
+    for wait in obs.waits:
+        key = f"{wait.kind} {wait.group}"
+        waits[key] = waits.get(key, 0.0) + (wait.end - wait.start)
     return RunStats(
         sim_time=engine.now,
         events=engine.events_processed,

@@ -84,8 +84,12 @@ class Flag:
     Several flags may share one :class:`Line` (the Fig. 10 experiment), in
     which case a write to any of them invalidates readers of all of them.
 
-    ``wait_key`` is the interned wait-breakdown key (computed once here so
-    the engine's resume path never allocates strings per blocked wait).
+    ``wait_key`` is the flag's interned wait family, ``"flag "`` plus
+    :func:`wait_group` of its name (``flag xhc.avail``), computed once
+    here: the observer names wait spans by it without formatting a
+    string per blocked wait, and
+    :func:`repro.sim.stats.collect_stats` sums blocked time under the
+    same string (a ``WaitRecord``'s ``f"{kind} {group}"``).
     """
 
     _ids = itertools.count()

@@ -1,16 +1,19 @@
-"""Trace analysis: message accounting, timelines, utilization.
+"""Trace analysis: message accounting and copy timelines.
 
-The engine records zero-cost :class:`~repro.sim.primitives.Trace` events
-(collectives emit one ``"message"`` per logical transfer) and, with
-``record_copies=True``, every completed copy. This module turns those
-records into the reports the paper's methodology needs:
+``engine.trace`` keeps the zero-cost :class:`~repro.sim.primitives.Trace`
+events programs yield (collectives emit one ``"message"`` per logical
+transfer); an ``observe="full"`` run's observer keeps one ``cat="copy"``
+span per transfer quantum. This module turns them into the reports the
+paper's methodology needs:
 
 * :func:`message_matrix` / :func:`count_message_distances` — the Table II
   analysis, for any run;
-* :class:`Timeline` — per-rank activity spans, renderable as a text Gantt
-  chart for debugging pipelining behaviour;
-* :func:`resource_report` — peak concurrency and bytes served per
-  contention point (which link actually bottlenecked).
+* :class:`Timeline` — per-core copy activity from the observer's copy
+  spans, renderable as a text Gantt chart for debugging pipelining
+  behaviour.
+
+Blocked time per wait family is :func:`repro.sim.stats.collect_stats`'s
+``wait_breakdown``; :mod:`repro.obs.critical_path` explains the rest.
 """
 
 from __future__ import annotations
@@ -79,75 +82,43 @@ class Span:
 
 @dataclass
 class Timeline:
-    """Per-core activity spans assembled from copy records."""
+    """Per-core copy activity assembled from the observer's copy spans
+    (one per transfer quantum, copies and reduces alike)."""
 
     spans: dict[int, list[Span]] = field(default_factory=dict)
     end_time: float = 0.0
 
     @classmethod
     def from_engine(cls, engine: "Engine") -> "Timeline":
-        """Build from copy records (requires ``record_copies=True``)."""
+        """Build from ``engine.obs``'s copy spans (``observe="full"``;
+        any other run gives an empty timeline)."""
         tl = cls()
-        for t, label, meta in engine.trace:
-            if label != "copy":
+        obs = engine.obs
+        for rec in obs.spans:
+            if rec.cat != "copy":
                 continue
-            core = meta["core"]
-            tl.spans.setdefault(core, []).append(
-                Span(start=t, end=t, label=f"{meta['nbytes']}B")
-            )
-            tl.end_time = max(tl.end_time, t)
+            tl.spans.setdefault(obs.track_core(rec.track), []).append(
+                Span(start=rec.start, end=rec.end,
+                     label=f"{rec.args['nbytes']}B"))
+            if rec.end > tl.end_time:
+                tl.end_time = rec.end
         return tl
 
     def busy_events(self, core: int) -> int:
         return len(self.spans.get(core, []))
 
     def render(self, width: int = 72, cores: list[int] | None = None) -> str:
-        """A coarse text Gantt: one row per core, '#' where copies landed."""
+        """A coarse text Gantt: one row per core, '#' where copies ran."""
         if not self.spans or self.end_time <= 0:
-            return "(no copy records; run with record_copies=True)"
+            return '(no copy spans; run with observe="full")'
         rows = []
         selected = sorted(self.spans) if cores is None else cores
+        last = width - 1
         for core in selected:
             cells = [" "] * width
             for span in self.spans.get(core, []):
-                idx = min(width - 1, int(width * span.start / self.end_time))
-                cells[idx] = "#"
+                lo = min(last, int(width * span.start / self.end_time))
+                hi = min(last, int(width * span.end / self.end_time))
+                cells[lo:hi + 1] = "#" * (hi + 1 - lo)
             rows.append(f"core {core:4d} |{''.join(cells)}|")
         return "\n".join(rows)
-
-
-def wait_report(engine: "Engine", top: int = 10) -> list[dict]:
-    """Where ranks spent their blocked time, aggregated by wait family.
-
-    Keys are the interned ``wait_key`` families computed once at sync-
-    object creation (``flag xhc.avail``, rank suffixes stripped by
-    :func:`~repro.sim.syncobj.wait_group`), so every rank's wait on the
-    same flag family lands in one row — no per-block string formatting in
-    the engine, and no duplicate rows differing only by rank suffix.
-
-    The first diagnostic for "why is this collective slow": a dominant
-    ``xhc.avail`` entry means ranks starve on fan-out progress, a dominant
-    ``p2p.fin`` means senders stall on rendezvous completion, etc.
-    """
-    agg: dict[str, float] = {}
-    for proc in engine.processes:
-        for key, t in proc.wait_breakdown.items():
-            agg[key] = agg.get(key, 0.0) + t
-    out = [{"target": k, "total_wait_s": v} for k, v in agg.items()]
-    out.sort(key=lambda r: -r["total_wait_s"])
-    return out[:top]
-
-
-def resource_report(node: "Node") -> list[dict]:
-    """Peak concurrency + bytes served for every contention resource."""
-    out = []
-    for res in node.resources.all_resources():
-        if res.peak_active or res.bytes_served:
-            out.append({
-                "name": res.name,
-                "bw": res.bw,
-                "peak_active": res.peak_active,
-                "bytes_served": res.bytes_served,
-            })
-    out.sort(key=lambda r: -r["bytes_served"])
-    return out

@@ -10,14 +10,14 @@ those choices instead:
    using the :mod:`repro.analysis.loggp` closed forms;
 3. :mod:`~repro.tune.evaluate` simulates the survivors through the
    shared :class:`repro.exec.Executor` (parallel, behind the repo-wide
-   content-addressed cache; :mod:`~repro.tune.cache` is a compatibility
+   content-addressed cache; :mod:`~repro.tune.cache` is a deprecated
    shim over :mod:`repro.exec.cache`);
 4. :mod:`~repro.tune.table` persists the winners as a JSON decision
    table that :class:`repro.mpi.colls.tunedxhc.TunedXhc` dispatches from
    at run time.
 """
 
-from .cache import SIM_VERSION, ResultCache, cache_key
+from ..exec.cache import SIM_VERSION, ResultCache, cache_key
 from .evaluate import Evaluator, measurement_request, simulate_payload
 from .prune import estimate_cost, prune
 from .space import (PAPER_DEFAULT, config_from_dict, config_to_dict,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from ..memory.model import model_for
 from ..topology import get_system
+from ..exec.cache import ResultCache
 from ..xhc.config import XhcConfig
-from .cache import ResultCache
 from .evaluate import EVAL_ITERS, QUICK_ITERS, Evaluator
 from .prune import DEFAULT_KEEP, DEFAULT_MARGIN, prune
 from .space import PAPER_DEFAULT, config_to_dict, generate_space

@@ -47,10 +47,15 @@ def _bcast_latency(size=65536, **opt_kw):
 ])
 def test_array_engine_rejects_instrumentation(kw):
     """Observation/checking walk per-event state the batched pricer
-    never materializes; the combination is refused up front."""
+    never materializes; the combination is refused up front
+    (``record_copies`` is a deprecated alias of ``observe="full"``)."""
+    if "record_copies" in kw:
+        with pytest.deprecated_call():
+            options = RunOptions(engine="array", **kw)
+    else:
+        options = RunOptions(engine="array", **kw)
     with pytest.raises(ConfigError, match="instrumented|observe|check"):
-        Node(get_system("epyc-1p"),
-             options=RunOptions(engine="array", **kw))
+        Node(get_system("epyc-1p"), options=options)
 
 
 def test_array_engine_rejects_run_until():

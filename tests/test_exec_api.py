@@ -46,8 +46,53 @@ def test_options_plus_legacy_kwargs_is_an_error():
         Node(_topo(), options=RunOptions(), data_movement=False)
 
 
+def _copy_spans(node):
+    """Run one 64 KiB copy on ``node`` and return its observer's copy
+    spans."""
+    from repro.sim import primitives as P
+    src = node.new_address_space(0, 0).alloc("src", 1 << 16)
+    dst = node.new_address_space(1, 4).alloc("dst", 1 << 16)
+
+    def prog():
+        yield P.Copy(src=src.whole(), dst=dst.whole())
+    node.engine.spawn(prog(), core=4)
+    node.engine.run()
+    return [s for s in node.obs.spans if s.cat == "copy"]
+
+
+def _deprecations(caught):
+    return [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+def test_record_copies_option_is_a_deprecated_observe_full_alias():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        opts = RunOptions(data_movement=False, record_copies=True)
+    (warning,) = _deprecations(caught)
+    assert 'observe="full"' in str(warning.message)
+    assert warning.filename == __file__
+    assert opts == RunOptions(data_movement=False, observe="full")
+    assert opts.instrumented and not opts.record_copies
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        node = Node(_topo(), options=opts)
+        opts.with_(check="race")
+    assert not _deprecations(caught)   # normalized: no second warning
+    assert _copy_spans(node)
+
+
+def test_legacy_record_copies_keyword_warns_once_and_observes_copies():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        node = Node(_topo(), data_movement=False, record_copies=True)
+    (warning,) = _deprecations(caught)
+    assert "record_copies" in str(warning.message)
+    assert node.options.observe == "full"
+    assert _copy_spans(node)
+
+
 def test_resolve_options_passthrough():
-    opts = RunOptions(record_copies=True)
+    opts = RunOptions(observe="spans")
     assert resolve_options(opts) is opts
     assert resolve_options(None) is DEFAULT_OPTIONS
 

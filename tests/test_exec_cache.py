@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.exec import RunRequest, SIM_VERSION, ResultCache, cache_key
 from repro.exec.cache import default_cache_path
@@ -74,10 +76,12 @@ def test_options_do_not_affect_the_key():
 def test_tune_cache_shim_is_the_exec_cache():
     import repro.exec.cache as exec_cache
     import repro.tune.cache as tune_cache
-    assert tune_cache.ResultCache is exec_cache.ResultCache
-    assert tune_cache.cache_key is exec_cache.cache_key
-    assert tune_cache.SIM_VERSION == exec_cache.SIM_VERSION
-    # And the package-level re-exports agree.
+    for name in tune_cache.__all__:
+        with pytest.warns(DeprecationWarning, match="repro.exec.cache"):
+            assert getattr(tune_cache, name) is getattr(exec_cache, name)
+    with pytest.raises(AttributeError):
+        tune_cache.no_such_name
+    # And the package-level re-exports agree, without a warning.
     from repro.tune import ResultCache as tune_rc
     assert tune_rc is exec_cache.ResultCache
 

@@ -25,12 +25,6 @@ class FakeJob:
         return len(self.requests)
 
 
-class FakeResult:
-    def __init__(self, cached=False, error=None):
-        self.cached = cached
-        self.error = error
-
-
 class FakeClock:
     """Deterministic wall clock the tests advance by hand."""
 
@@ -61,9 +55,8 @@ def run_job(tel, clock, job, chunks=2, cached_per_chunk=0):
         clock.tick(0.1)
         tel.executor_phase("cache-lookup", 0.01, len(indices))
         tel.executor_phase("worker-execute", 0.09, len(indices))
-        results = [FakeResult(cached=i < cached_per_chunk)
-                   for i in range(per_chunk)]
-        tel.chunk_finished(job, indices, results, 0.1)
+        cached = min(cached_per_chunk, per_chunk)
+        tel.chunk_finished(job, per_chunk - cached, cached, 0, 0.1)
     clock.tick(0.05)
     tel.job_finished(job)
 
@@ -186,6 +179,43 @@ def test_event_log_records_lifecycle(tmp_path):
     assert done["job"] == 1
     assert done["tenant"] == "alice"
     assert done["wall_s"] == pytest.approx(1.25)
+
+
+def test_cached_error_result_counts_as_an_error_everywhere(tmp_path):
+    """The daemon hands telemetry the counts ``FairScheduler.record``
+    returned, so a result that is both cached and an error is an error
+    to the job, the chunk span and the event log alike."""
+    from repro.exec import RunRequest, RunResult
+    from repro.serve import FairScheduler
+
+    tel, clock = make_telemetry(tmp_path)
+    sched = FairScheduler(batch_size=3)
+    requests = [RunRequest("epyc-1p", "bcast", 64 + i, 8) for i in range(3)]
+    job = sched.submit("alice", requests)
+    tel.job_submitted(job)
+    _job, indices = sched.next_chunk()
+    tel.chunk_started(job, indices)
+    clock.tick(0.1)
+    results = [
+        RunResult(request=requests[0], latency_s=1e-6),
+        RunResult(request=requests[1], latency_s=2e-6, cached=True),
+        RunResult(request=requests[2], latency_s=None, cached=True,
+                  error={"type": "DeadlockError", "message": "stuck"}),
+    ]
+    counts = sched.record(job, indices, results)
+    tel.chunk_finished(job, *counts, 0.1)
+    tel.job_finished(job)
+
+    assert counts == (1, 1, 1)
+    assert (job.new, job.cached, job.errors) == (1, 1, 1)
+    (chunk,) = [s for s in tel.get_trace(job.id).spans if s.name == "chunk"]
+    assert (chunk.args["new"], chunk.args["cached"],
+            chunk.args["errors"]) == (1, 1, 1)
+    (logged,) = [r for r in tel.events.records() if r["event"] == "chunk"]
+    assert (logged["requests"], logged["new"], logged["cached"],
+            logged["errors"]) == (3, 1, 1, 1)
+    done = tel.events.records()[-1]
+    assert (done["new"], done["cached"], done["errors"]) == (1, 1, 1)
 
 
 def test_disabled_telemetry_is_inert(tmp_path):

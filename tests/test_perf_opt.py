@@ -26,7 +26,6 @@ def _hex(x: float) -> str:
 # Every instrumentation hook the engine's handlers carry; none may move
 # simulated time.
 HOOKS = [
-    pytest.param({"record_copies": True}, id="record_copies"),
     pytest.param({"observe": "spans"}, id="observe-spans"),
     pytest.param({"observe": "full"}, id="observe-full"),
     pytest.param({"check": "race"}, id="check-race"),
@@ -222,7 +221,7 @@ def test_runstats_wait_breakdown_merged_by_family():
     from repro.bench.osu import run_collective
     from repro.sim.stats import collect_stats
     from repro.topology import get_system
-    node = Node(get_system("epyc-1p"))
+    node = Node(get_system("epyc-1p"), options=RunOptions(observe="spans"))
     run_collective("bcast", "epyc-1p", 16,
                    lambda: make_component("xhc-tree"),
                    65536, warmup=0, iters=1, node=node)

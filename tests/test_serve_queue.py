@@ -83,7 +83,7 @@ def test_record_counts_new_cached_and_errors():
     _job, indices = sched.next_chunk()
     chunk = sched.record(job, indices,
                          [R(), R(cached=True), R(error="boom"), None])
-    assert chunk == (1, 1)
+    assert chunk == (1, 1, 2)
     assert (job.new, job.cached, job.errors) == (1, 1, 2)
     assert job.finished
     assert sched.completed == 1

@@ -18,10 +18,10 @@ from repro.topology.distance import Distance
 from conftest import small_topo
 
 
-def test_acquire_release_and_peak():
+def test_acquire_release():
     res = Resource("r", 1e9)
     res.acquire(); res.acquire()
-    assert res.active == 2 and res.peak_active == 2
+    assert res.active == 2
     res.release()
     assert res.active == 1
     assert res.effective_bw() == pytest.approx(1e9)
@@ -73,50 +73,22 @@ def test_contention_slows_concurrent_readers():
     assert read_time(8) > read_time(1) * 1.5
 
 
-def test_bytes_served_accounting():
-    node = Node(small_topo(), options=RunOptions(data_movement=False))
-    sp0 = node.new_address_space(0, 0)
-    sp1 = node.new_address_space(1, 4)  # a different NUMA node
-    src = sp0.alloc("src", 1 << 16)
-    dst = sp1.alloc("dst", 1 << 16)
-    def prog():
-        yield P.Copy(src=src.whole(), dst=dst.whole())
-    node.engine.spawn(prog(), core=4)
-    node.engine.run()
-    assert node.resources.dram[0].bytes_served == 1 << 16
-
-
-def test_reset_stats():
-    topo = small_topo()
-    pool = ResourcePool(topo, model_for(topo))
-    pool.dram[0].acquire()
-    pool.dram[0].bytes_served = 10
-    pool.dram[1].arr_book(0.0, 5.0)
-    pool.kernel_occupancy.arr_book(0.0, 5.0)
-    assert pool.dram[1].arr_sample(3.0, 3.0) == 1
-    pool.reset_stats()
-    assert pool.dram[0].peak_active == 0
-    assert pool.dram[0].bytes_served == 0
-    # Array-mode bookings and the folded epoch are forgotten too.
-    assert pool.dram[1].arr_sample(1.0, 0.0) == 0
-    assert pool.kernel_occupancy.arr_sample(1.0, 0.0) == 0
-
-
 # -- array-mode occupancy: differential tests against the linear scans ----
 #
 # The two references below are the accounting the occupancy index and the
-# start-ordered line port replaced, kept verbatim: a heap of (end, start)
-# windows expired by the dispatch epoch and scanned in full per sample,
-# and a home-core port whose bookings are sorted again on every fetch.
+# start-ordered line port replaced, kept verbatim but for the resource
+# scan's peak-concurrency counter, which nothing read: a heap of (end,
+# start) windows expired by the dispatch epoch and scanned in full per
+# sample, and a home-core port whose bookings are sorted again on every
+# fetch.
 
 
 class _ScanResource:
-    """``Resource.arr_book``/``arr_sample`` as a linear scan (verbatim;
-    the kernel pool's copy was the same scan without the peak)."""
+    """``Resource.arr_book``/``arr_sample`` as a linear scan (the kernel
+    pool's copy was the same scan)."""
 
     def __init__(self):
         self.arr_ivals = []
-        self.peak_active = 0
 
     def arr_book(self, start, end):
         heapq.heappush(self.arr_ivals, (end, start))
@@ -129,8 +101,6 @@ class _ScanResource:
         for end, start in ivals:
             if start <= t < end:
                 n += 1
-        if n > self.peak_active:
-            self.peak_active = n
         return n
 
 
@@ -203,7 +173,7 @@ def test_occupancy_matches_linear_scan(seed):
     res = pool.dram[0]
     kernel = pool.kernel_occupancy
     ref_res, ref_kernel = _ScanResource(), _ScanResource()
-    samples = 0
+    samples = busy = 0
     for kind, a, b in _occupancy_ops(rng, 3000):
         if kind == "book":
             res.arr_book(a, b)
@@ -215,9 +185,9 @@ def test_occupancy_matches_linear_scan(seed):
             assert res.arr_sample(a, b) == want
             assert kernel.arr_sample(a, b) == ref_kernel.arr_sample(a, b)
             samples += 1
+            busy += want > 1
     assert samples > 1000
-    assert res.peak_active == ref_res.peak_active > 1
-    assert kernel.peak_active == ref_kernel.peak_active
+    assert busy, "the stream must overlap windows"
 
 
 def test_occupancy_counts_zero_length_and_boundaries():
@@ -229,7 +199,6 @@ def test_occupancy_counts_zero_length_and_boundaries():
         == [0, 1, 1, 1, 0]
     # The epoch moves past [2, 3) while it is in flight.
     assert occ.arr_sample(2.5, 2.5) == 1
-    assert occ.peak_active == 1
 
 
 def test_occupancy_sample_before_epoch_raises():

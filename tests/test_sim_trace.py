@@ -5,18 +5,18 @@ import numpy as np
 from repro.mpi import World
 from repro.node import Node
 from repro.options import RunOptions
+from repro.sim.stats import collect_stats
 from repro.sim.trace import (Timeline, bytes_by_distance,
                              count_message_distances, message_matrix,
-                             messages, resource_report)
+                             messages)
 from repro.xhc import Xhc
 
 from conftest import small_topo
 
 
-def run_bcast(record_copies=False, nranks=8, size=4096):
+def run_bcast(observe=None, nranks=8, size=4096):
     node = Node(small_topo(),
-                options=RunOptions(data_movement=False,
-                                   record_copies=record_copies))
+                options=RunOptions(data_movement=False, observe=observe))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
 
@@ -55,63 +55,41 @@ def test_bytes_by_distance():
 
 
 def test_timeline_rendering():
-    node = run_bcast(record_copies=True, size=100_000)
+    node = run_bcast(observe="full", size=100_000)
     tl = Timeline.from_engine(node.engine)
     assert tl.end_time > 0
     assert tl.busy_events(1) > 0
     art = tl.render(width=40)
     assert "core" in art and "#" in art
-    empty = Timeline.from_engine(run_bcast(record_copies=False).engine)
-    assert "no copy records" in empty.render()
-
-
-def test_wait_report():
-    from repro.sim.trace import wait_report
-    node = run_bcast(size=100_000)
-    report = wait_report(node.engine)
-    assert report, "ranks must have waited on something"
-    totals = [r["total_wait_s"] for r in report]
-    assert totals == sorted(totals, reverse=True)
-    targets = {r["target"] for r in report}
-    # Fan-out progress waits dominate a broadcast.
-    assert any(t.startswith("flag xhc") for t in targets)
+    empty = Timeline.from_engine(run_bcast().engine)
+    assert "no copy spans" in empty.render()
+    # "spans" skips copy spans, so it has no timeline either.
+    assert not Timeline.from_engine(run_bcast(observe="spans").engine).spans
 
 
 def test_wait_time_accounted_per_process():
-    node = run_bcast(size=100_000)
-    leaves = [p for p in node.engine.processes if p.name.startswith("rank")
-              and p.name != "rank0"]
-    assert any(p.wait_time > 0 for p in leaves)
-    for p in leaves:
-        assert abs(sum(p.wait_breakdown.values()) - p.wait_time) < 1e-12
-
-
-def test_resource_report_sorted():
-    node = run_bcast(size=200_000)
-    report = resource_report(node)
-    assert report, "some resource must have served bytes"
-    served = [r["bytes_served"] for r in report]
-    assert served == sorted(served, reverse=True)
-    assert all(r["peak_active"] >= 0 for r in report)
+    node = run_bcast(observe="spans", size=100_000)
+    leaves = {p.pid for p in node.engine.processes
+              if p.name.startswith("rank") and p.name != "rank0"}
+    per_track: dict[int, float] = {}
+    for wait in node.obs.waits:
+        per_track[wait.track] = (per_track.get(wait.track, 0.0)
+                                 + wait.end - wait.start)
+    assert any(per_track.get(pid, 0.0) > 0 for pid in leaves)
+    waits = collect_stats(node).wait_breakdown
+    assert abs(sum(waits.values()) - sum(per_track.values())) < 1e-12
+    # Fan-out progress waits dominate a broadcast.
+    assert max(waits, key=waits.get).startswith("flag xhc")
+    # Without an observer nothing records where ranks waited.
+    assert collect_stats(run_bcast(size=100_000)).wait_breakdown == {}
 
 
 def test_observe_full_feeds_timeline():
-    # observe=True implies copy recording: the legacy Timeline keeps
-    # working without passing record_copies separately.
-    node = Node(small_topo(),
-                options=RunOptions(data_movement=False, observe=True))
-    world = World(node, 8)
-    comm = world.communicator(Xhc())
-
-    def program(comm_, ctx):
-        buf = ctx.alloc("b", 100_000)
-        yield from comm_.bcast(ctx, buf.whole(), 0)
-    comm.run(program)
+    node = run_bcast(observe=True, size=100_000)
     tl = Timeline.from_engine(node.engine)
     assert tl.busy_events(1) > 0
     assert "#" in tl.render(width=30)
-    # Observer copy spans cover at least the completed transfers the
-    # legacy trace records (spans are per re-pricing quantum).
+    # One timeline span per observer copy span (per re-pricing quantum).
     copy_spans = [s for s in node.obs.spans if s.cat == "copy"]
-    legacy = [t for t in node.engine.trace if t[1] == "copy"]
-    assert legacy and len(copy_spans) >= len(legacy)
+    assert copy_spans
+    assert sum(tl.busy_events(c) for c in tl.spans) == len(copy_spans)

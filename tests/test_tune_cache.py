@@ -1,11 +1,23 @@
 """Content-addressed result cache: hit/miss accounting + persistence.
 
 The cache lives in ``repro.exec.cache`` now; this suite imports it through
-the ``repro.tune.cache`` compatibility shim on purpose, so a regression in
-the shim fails loudly here.
+the deprecated ``repro.tune.cache`` shim on purpose, so a regression in
+the shim fails loudly here — and the import must warn once per name,
+pointing at ``repro.exec.cache``.
 """
 
-from repro.tune.cache import SIM_VERSION, ResultCache, cache_key
+import pytest
+
+with pytest.warns(DeprecationWarning, match="repro.exec.cache") as _caught:
+    from repro.tune.cache import SIM_VERSION, ResultCache, cache_key
+_SHIM_WARNINGS = [str(w.message) for w in _caught]
+
+
+def test_shim_import_warns_once_per_name():
+    assert len(_SHIM_WARNINGS) == 3
+    for name, message in zip(("SIM_VERSION", "ResultCache", "cache_key"),
+                             _SHIM_WARNINGS):
+        assert message.startswith(f"repro.tune.cache.{name} is deprecated")
 
 
 def payload(**kw):
