@@ -67,9 +67,15 @@ class Buffer:
                 f"rank={self.owner_rank} numa={self.home_numa}>")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BufView:
-    """A byte range of a buffer."""
+    """A byte range of a buffer.
+
+    Slotted and not frozen, like the primitives that carry it:
+    :meth:`sub` mints one per pipelined chunk, and a frozen view needs an
+    ``object.__setattr__`` call per field. Nothing mutates a view once it
+    is built.
+    """
 
     buf: Buffer
     offset: int
@@ -95,9 +101,9 @@ class BufView:
         # validated when *this* view was built), and pipelined collectives
         # mint sub-views on every chunk.
         view = object.__new__(BufView)
-        object.__setattr__(view, "buf", self.buf)
-        object.__setattr__(view, "offset", self.offset + offset)
-        object.__setattr__(view, "length", length)
+        view.buf = self.buf
+        view.offset = self.offset + offset
+        view.length = length
         return view
 
     def array(self) -> Optional[np.ndarray]:

@@ -120,6 +120,10 @@ class Node:
             for llc in (topo.llc_of_core(c.index) for c in topo.cores)
         ]
         self._write_res_memo: dict[tuple[int, int], list[Resource]] = {}
+        # Read-route entries (see _source_route).
+        self._routes: dict[tuple, tuple] = {}
+        self._self_route = self._source_route(self.caches.private[0], 0,
+                                              Distance.SELF)
         # Node-global XPMEM exposure registry (created lazily to keep the
         # import graph acyclic).
         from .shmem.xpmem import XpmemService
@@ -242,25 +246,34 @@ class Node:
                     break
         return best, best_hit
 
-    def _source_route(
-        self, core: int, level: Optional[CacheLevel], buf
-    ) -> tuple[Distance, list[Resource]]:
-        """Distance class + bottleneck resources for reading from a source."""
+    # A read price decomposes into static terms (fixed by the selected
+    # source) and a dynamic bandwidth-share evaluation. Term tuple layout:
+    #   (lat_term, hit_bytes, bw_cap, route, miss_bytes,
+    #    lat2_term, bw2_cap, route2, resources)
+    # route/route2 are tuples of Resources; route2 is None when the miss
+    # remainder (if any) is served by the primary route; resources is the
+    # deduplicated union in the original append order.
+    #
+    # Everything but the byte counts and ``bw_factor`` comes from a route
+    # entry ``(lat_term, bw, route, lat2_term)``: what reading a source at
+    # one distance class costs. A cache level's entry depends only on the
+    # level and the distance class, DRAM's only on the home NUMA node and
+    # the distance class, so ``_routes`` holds one entry per (source,
+    # distance) pair reached, never one per reader; the reader's own
+    # private level has the one fixed entry ``_self_route``.
+
+    def _source_route(self, level: Optional[CacheLevel], numa: int,
+                      dist: Distance) -> tuple:
+        """Build the route entry for reading at distance class ``dist``
+        from cache ``level``, or from NUMA node ``numa``'s DRAM when
+        ``level`` is None. ``dist`` SELF is the reader's own private
+        level, which no shared resource bounds."""
+        route: list[Resource] = []
         if level is None:
-            # DRAM at the buffer's home NUMA node.
-            numa = buf.home_numa
-            dist = self.numa_distance(core, numa)
-            route = [self.resources.dram[numa]]
+            route.append(self.resources.dram[numa])
             src_sock = self._numa_sock[numa]
-        else:
-            if level is self.caches.private[core]:
-                return Distance.SELF, []
+        elif dist is not Distance.SELF:
             src_core = level.home_cores[0]
-            if core in level.home_set:
-                dist = Distance.CACHE_LOCAL
-            else:
-                dist = self.distance(core, src_core)
-            route = []
             llc_index = self._llc_index[src_core]
             if llc_index is not None and llc_index in self.resources.llc_port:
                 route.append(self.resources.llc_port[llc_index])
@@ -280,39 +293,51 @@ class Node:
             route.append(self.resources.fabric[src_sock])
         if dist is Distance.CROSS_SOCKET:
             route.append(self.resources.xlink)
-        return dist, route
+        model = self.model
+        return (model.lat[dist] + model.copy_issue_cost, model.bw[dist],
+                tuple(route), model.lat[dist] * 0.1)
 
-    # A read price decomposes into static terms (fixed by the selected
-    # source) and a dynamic bandwidth-share evaluation. Term tuple layout:
-    #   (lat_term, hit_bytes, bw_cap, route, miss_bytes,
-    #    lat2_term, bw2_cap, route2, resources)
-    # route/route2 are tuples of Resources; route2 is None when the miss
-    # remainder (if any) is served by the primary route; resources is the
-    # deduplicated union in the original append order.
+    def _dram_route(self, core: int, numa: int) -> tuple:  # hot-path
+        """Route entry for ``core`` reading NUMA node ``numa``'s DRAM."""
+        key = (numa, self.numa_distance(core, numa))
+        entry = self._routes.get(key)
+        if entry is None:
+            entry = self._routes[key] = self._source_route(None, numa, key[1])
+        return entry
 
-    def _read_terms(self, core: int, buf: Buffer, length: int,
+    def _read_terms(self, core: int, buf: Buffer, length: int,  # hot-path
                     level: Optional[CacheLevel], hit_bytes: int,
                     bw_factor: float) -> tuple:
         """Static terms of reading ``length`` bytes of ``buf`` by ``core``
         from the source :meth:`_cache_source_span` selected."""
-        model = self.model
-        dist, route = self._source_route(core, level, buf)
-        lat_term = model.lat[dist] + model.copy_issue_cost
-        bw_cap = model.bw[dist] * bw_factor
+        if level is None:
+            lat_term, bw, route, _ = self._dram_route(core, buf.home_numa)
+        elif level is self.caches.private[core]:
+            lat_term, bw, route, _ = self._self_route
+        else:
+            if core in level.home_set:
+                dist = Distance.CACHE_LOCAL
+            else:
+                dist = self.distance(core, level.home_cores[0])
+            key = (level, dist)
+            entry = self._routes.get(key)
+            if entry is None:
+                entry = self._routes[key] = self._source_route(level, 0, dist)
+            lat_term, bw, route, _ = entry
         miss_bytes = length - hit_bytes
-        resources = list(route)
+        resources = list(route)  # callers append the write resources
         if miss_bytes > 0 and level is not None:
             # Remainder comes from the buffer's DRAM home.
-            d2, route2 = self._source_route(core, None, buf)
-            lat2_term = model.lat[d2] * 0.1
-            bw2_cap = model.bw[d2] * bw_factor
-            resources.extend(r for r in route2 if r not in resources)
-            route2 = tuple(route2)
+            _, bw2, route2, lat2_term = self._dram_route(core, buf.home_numa)
+            bw2_cap = bw2 * bw_factor
+            for r in route2:
+                if r not in resources:
+                    resources.append(r)
         else:
             lat2_term = 0.0
             bw2_cap = 0.0
             route2 = None
-        return (lat_term, hit_bytes, bw_cap, tuple(route), miss_bytes,
+        return (lat_term, hit_bytes, bw * bw_factor, route, miss_bytes,
                 lat2_term, bw2_cap, route2, resources)
 
     def _eval_read(self, terms: tuple) -> float:  # hot-path

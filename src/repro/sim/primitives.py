@@ -3,6 +3,11 @@
 A simulated process is a generator; each ``yield`` hands one of these
 objects to the engine, which charges the corresponding simulated time and
 resumes the generator (``AtomicRMW`` sends the pre-increment value back).
+
+Every simulated event mints one, so they are plain slotted dataclasses:
+a frozen dataclass's generated ``__init__`` pays an
+``object.__setattr__`` call per field, about three times the cost of
+the plain stores. Nothing mutates a primitive once it is yielded.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .syncobj import Atomic, Flag
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Compute:
     """Occupy the CPU for a fixed simulated duration."""
 
     seconds: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Copy:
     """Copy ``nbytes`` from ``src`` to ``dst``, executed by this process's core.
 
@@ -45,7 +50,7 @@ class Copy:
         return min(self.src.length, self.dst.length)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Reduce:
     """Fetch every source view and reduce them into ``dst``.
 
@@ -72,7 +77,7 @@ class Reduce:
         return self.dst.length
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SetFlag:
     """Single-writer flag update (store + peer-copy invalidation)."""
 
@@ -80,7 +85,7 @@ class SetFlag:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SetFlagGroup:
     """Back-to-back single-writer updates of several same-owner flags.
 
@@ -93,7 +98,7 @@ class SetFlagGroup:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WaitFlag:
     """Block until ``flag`` satisfies ``value`` under ``cmp``.
 
@@ -107,7 +112,7 @@ class WaitFlag:
     cmp: str = ">="
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ChunkRun:
     """A zero-decision pipelined chunk loop as one primitive.
 
@@ -159,7 +164,7 @@ class ChunkRun:
         return self.stop - self.start
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AtomicRMW:
     """Atomic fetch-and-add; the engine sends the *old* value back."""
 
@@ -167,7 +172,7 @@ class AtomicRMW:
     delta: int = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WaitAtomic:
     """Block until the atomic's value satisfies ``value`` under ``cmp``."""
 
@@ -176,7 +181,7 @@ class WaitAtomic:
     cmp: str = ">="
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Syscall:
     """Enter the kernel. ``kind`` selects the mechanism-specific cost and
     whether the call contends on kernel locks (CMA/KNEM, per [28])."""
@@ -184,14 +189,14 @@ class Syscall:
     kind: str = "generic"  # generic | cma | knem | xpmem_attach | xpmem_detach
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PageFaults:
     """First-touch page faults of a fresh XPMEM mapping."""
 
     npages: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Trace:
     """Zero-cost annotation recorded in the engine trace (Table II counts)."""
 

@@ -197,7 +197,8 @@ def test_evict_by_entry_count_drops_oldest_first(tmp_path):
     for i, digest in enumerate(digests):
         path = store.entry_path(SIM_VERSION, digest)
         os.utime(path, ns=(1_000_000 * i, 1_000_000 * i))
-    assert store.evict() == 2
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        assert store.evict() == 2
     survivors = store.digests(SIM_VERSION)
     assert survivors == set(digests[2:])
 
@@ -211,7 +212,8 @@ def test_evict_by_bytes(tmp_path):
     _count, size = store.totals()
     per_entry = size // 4
     store.max_bytes = per_entry * 2 + 1  # room for two entries only
-    assert store.evict() == 2
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        assert store.evict() == 2
     assert store.totals()[0] == 2
     assert store.digests(SIM_VERSION) == set(digests[2:])
 
@@ -224,7 +226,8 @@ def test_reads_refresh_lru_recency(tmp_path):
         os.utime(path, ns=(1_000_000 * i, 1_000_000 * i))
     # Touch the *older* entry via a read: it becomes the survivor.
     assert store.read(SIM_VERSION, digests[0]) is not None
-    store.evict()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        store.evict()
     assert store.digests(SIM_VERSION) == {digests[0]}
 
 
@@ -235,7 +238,8 @@ def test_stale_generations_age_out_via_eviction(tmp_path):
         path = store.entry_path(SIM_VERSION - 1, digest)
         os.utime(path, ns=(0, 0))
     new = _fill(store, 2)
-    store.evict()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        store.evict()
     assert store.count(SIM_VERSION - 1) == 0
     assert store.digests(SIM_VERSION) == set(new)
 
@@ -257,19 +261,22 @@ def test_ledger_totals_match_filesystem(tmp_path):
     count, size = store.totals()
     assert ledger["entries"] == count == 5
     assert ledger["bytes"] == size
-    on_disk = json.load(open(store.ledger_path))
+    with open(store.ledger_path) as fh:
+        on_disk = json.load(fh)
     assert on_disk == ledger
 
 
 def test_ledger_counters_accumulate_across_instances(tmp_path):
     store = ShardedStore(tmp_path, max_entries=1)
     _fill(store, 3)
-    store.evict()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        store.evict()
     ledger = store.save_ledger()
     assert ledger["evictions"] == 2
     # A second instance folds its own evictions on top.
     again = ShardedStore(tmp_path, max_entries=0)
-    again.evict()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        again.evict()
     ledger = again.save_ledger()
     assert ledger["evictions"] == 3
     assert ledger["entries"] == 0
@@ -392,7 +399,8 @@ def test_cache_eviction_bounds_apply_on_save(tmp_path):
     cache = ResultCache(tmp_path, max_entries=2)
     for i in range(5):
         cache.put(RunRequest("epyc-1p", "bcast", 64 + i, 8).payload(), 1e-6)
-    cache.save()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        cache.save()
     info = cache.store_info()
     assert info["entries"] == 2
     assert info["max_entries"] == 2
