@@ -451,7 +451,7 @@ def cmd_serve_start(args) -> int:
         args.socket, workers=workers, cache=args.cache,
         tables_root=args.tables, state_dir=args.state_dir,
         batch_size=args.batch_size, max_entries=args.max_entries,
-        max_bytes=args.max_bytes, telemetry=not args.no_telemetry,
+        max_bytes=args.max_bytes,
         log=lambda msg: print(f"[serve] {msg}", flush=True))
     try:
         asyncio.run(daemon.run())
@@ -1003,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="tuned decision-table directory "
                          "(default: results/tuned)")
     sp.add_argument("--state-dir", default=None, metavar="DIR",
-                    help="request-ledger directory "
+                    help="event-log directory "
                          "(default: results/serve)")
     sp.add_argument("--batch-size", type=int, default=8, metavar="N",
                     help="requests per fairness chunk (default: 8)")
@@ -1011,9 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evict the store down to N entries on flush")
     sp.add_argument("--max-bytes", type=int, default=None, metavar="N",
                     help="evict the store down to N payload bytes on flush")
-    sp.add_argument("--no-telemetry", action="store_true",
-                    help="disable job-lifecycle telemetry (spans, latency "
-                         "histograms, event log; docs/observability.md)")
     sp.set_defaults(fn=cmd_serve, serve_fn=cmd_serve_start)
 
     sp = serve_sub.add_parser(

@@ -23,6 +23,10 @@ from .cache import cache_key
 RUN_KINDS = ("bcast", "allreduce", "reduce", "barrier", "gather",
              "alltoall", "pingpong")
 
+#: Every request's default options: latency only, no data movement.
+#: ``RunOptions`` is frozen, so all requests share this one instance.
+_LATENCY_ONLY = RunOptions(data_movement=False)
+
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -53,8 +57,7 @@ class RunRequest:
     mapping: "str | tuple[int, ...]" = "core"
     root: int = 0
     smsc: SmscConfig | None = None
-    options: RunOptions = field(
-        default_factory=lambda: RunOptions(data_movement=False))
+    options: RunOptions = _LATENCY_ONLY
 
     def __post_init__(self) -> None:
         if self.collective not in RUN_KINDS:
@@ -130,13 +133,13 @@ class RunRequest:
             from ..shmem.smsc import SmscConfig as _Smsc
             kwargs["smsc"] = _Smsc(**smsc)
         options = kwargs.get("options")
-        if isinstance(options, dict):
-            kwargs["options"] = RunOptions(**options)
-        if engine is not None:
-            base = kwargs.get("options")
-            if base is None:
-                base = RunOptions(data_movement=False)
-            kwargs["options"] = base.with_(engine=engine)
+        if options is None:
+            options = _LATENCY_ONLY
+        elif isinstance(options, dict):
+            options = RunOptions(**options)
+        if engine is not None and engine != options.engine:
+            options = options.with_(engine=engine)
+        kwargs["options"] = options
         mapping = kwargs.get("mapping")
         if isinstance(mapping, list):
             kwargs["mapping"] = tuple(mapping)

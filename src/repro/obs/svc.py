@@ -17,14 +17,17 @@ through :func:`repro.obs.export.spans_to_chrome_trace` as one trace and
 passes the same :func:`~repro.obs.export.validate_chrome_trace` check CI
 runs on simulated-time traces.
 
-Alongside the spans, the telemetry feeds the daemon's shared
-:class:`~repro.obs.metrics.MetricsRegistry` (queue-wait / scheduling /
-execution / end-to-end latency histograms with p50/p95/p99, per-tenant
-queue-depth gauges and job counters, mirrored cache totals) and appends
-one line per lifecycle transition to a size-rotated JSONL event log —
-the durable record ``repro serve top`` and the CI smoke job read back.
+:class:`ServiceTelemetry` is the one place a served job is recorded. It
+feeds the daemon's shared :class:`~repro.obs.metrics.MetricsRegistry`
+(the job counters, per-tenant job counters and queue-depth gauges,
+queue-wait / scheduling / execution / end-to-end latency histograms with
+p50/p95/p99, mirrored cache totals) and appends one line per lifecycle
+transition to a size-rotated JSONL event log. A job's ``done`` line
+carries its ``SIM_VERSION`` and request hashes: it is the daemon's only
+durable job record, which ``repro serve manifest``, ``repro serve top``
+and the CI smoke job read back.
 
-Telemetry is *on* in the daemon and *off* everywhere else: a bare
+Telemetry is always on in the daemon and absent everywhere else: a bare
 :class:`~repro.exec.Executor` has no timing hooks installed and pays two
 ``None`` checks per sweep; simulated latencies are wall-clock-free by
 construction, so golden snapshots cannot move either way.
@@ -37,8 +40,8 @@ import json
 import os
 import threading
 import time  # lint: disable=RC101  (service wall clock, not simulated time)
-from collections import OrderedDict
 
+from ..exec.cache import SIM_VERSION
 from .export import spans_to_chrome_trace
 from .metrics import MetricsRegistry
 from .spans import SpanRecord
@@ -52,7 +55,8 @@ DEFAULT_LOG_MAX_BYTES = 1 << 20
 #: Rotations kept (``events.jsonl.1`` is the newest closed segment).
 DEFAULT_LOG_KEEP = 3
 
-#: Finished job traces retained in memory for the ``trace`` op.
+#: Job traces retained in memory for the ``trace`` op (only finished
+#: ones are evicted to stay under it).
 DEFAULT_MAX_TRACES = 256
 
 
@@ -169,35 +173,32 @@ class ServiceTelemetry:
     :class:`MetricsRegistry`; the daemon calls the ``job_*``/``chunk_*``
     hooks from its event loop and installs :meth:`executor_phase` as the
     executor's timing hook (it fires on the worker thread — span
-    mutation is lock-protected). ``enabled=False`` turns every hook into
-    a cheap no-op, which is also the default posture of a bare
-    :class:`~repro.exec.Executor` outside the daemon.
+    mutation is lock-protected). It is the only place a served job is
+    counted: the daemon's ``status`` op and ``bye`` event read
+    :attr:`submitted`, :attr:`completed` and :meth:`tenant_totals`.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None,
                  state_dir: str | os.PathLike | None = None, *,
-                 enabled: bool = True,
                  max_traces: int = DEFAULT_MAX_TRACES,
-                 log_max_bytes: int = DEFAULT_LOG_MAX_BYTES,
-                 log_keep: int = DEFAULT_LOG_KEEP,
                  clock=None) -> None:
-        self.enabled = enabled
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.clock = clock or time.monotonic
         self.epoch = self.clock()
-        log_path = (os.path.join(os.fspath(state_dir), EVENT_LOG_NAME)
-                    if (enabled and state_dir is not None) else None)
-        self.events = EventLog(log_path, max_bytes=log_max_bytes,
-                               keep=log_keep)
+        self.events = EventLog(
+            os.path.join(os.fspath(state_dir), EVENT_LOG_NAME)
+            if state_dir is not None else None)
         self.max_traces = max_traces
-        self._traces: "OrderedDict[int, JobTrace]" = OrderedDict()
+        self._traces: dict[int, JobTrace] = {}
         self._tenant_pids: dict[str, int] = {}
         self._current: JobTrace | None = None
         self._ids = itertools.count()
         self._lock = threading.Lock()
-        if not enabled:
-            return
         m = self.metrics
+        self._c_submitted = m.counter(
+            "serve.jobs.submitted", "sweep jobs accepted")
+        self._c_completed = m.counter(
+            "serve.jobs.completed", "sweep jobs fully served")
         self._h_job = m.histogram(
             "serve.job.latency_seconds",
             "end-to-end job latency (submit to publish)", scale=1e-6)
@@ -261,17 +262,15 @@ class ServiceTelemetry:
 
     def job_submitted(self, job) -> None:
         """A job was accepted: open its root + queue-wait spans."""
-        if not self.enabled:
-            return
         with self._lock:
             trace = JobTrace(job.id, job.tenant, job.total, self.now())
             self._traces[job.id] = trace
-            while len(self._traces) > self.max_traces:
-                self._traces.popitem(last=False)
+            self._evict()
             self._tenant_pid(job.tenant)
             self._open(trace, "job", "job",
                        {"tenant": job.tenant, "total": job.total})
             self._open(trace, "queue-wait", "queue")
+            self._c_submitted.inc()
             self.metrics.counter(
                 f"serve.tenant.jobs.{job.tenant}",
                 "jobs submitted by this tenant").inc()
@@ -281,8 +280,6 @@ class ServiceTelemetry:
 
     def chunk_started(self, job, indices: "list[int]") -> None:
         """A chunk of ``job`` was dispatched to the executor."""
-        if not self.enabled:
-            return
         with self._lock:
             trace = self._traces.get(job.id)
             if trace is None:
@@ -307,8 +304,6 @@ class ServiceTelemetry:
         """Executor timing hook: a ``cache-lookup`` or ``worker-execute``
         phase of the in-flight chunk finished (runs on the worker
         thread)."""
-        if not self.enabled:
-            return
         with self._lock:
             trace = self._current
             now = self.now()
@@ -328,8 +323,6 @@ class ServiceTelemetry:
         """The in-flight chunk of ``job`` completed; ``new``, ``cached``
         and ``errors`` are the counts ``FairScheduler.record`` returned
         for it."""
-        if not self.enabled:
-            return
         with self._lock:
             trace = self._traces.get(job.id)
             if trace is not None:
@@ -347,10 +340,11 @@ class ServiceTelemetry:
                             "cached": cached, "errors": errors,
                             "wall_s": round(wall_s, 6)})
 
-    def job_finished(self, job) -> None:
-        """Every chunk of ``job`` is done: publish + close the tree."""
-        if not self.enabled:
-            return
+    def job_finished(self, job, request_hashes: "list[str]") -> None:
+        """Every chunk of ``job`` is done: publish + close the tree,
+        count the job, and append its ``done`` line (the job's durable
+        record: counts, wall time, ``SIM_VERSION`` and the
+        ``request_hashes``, one :meth:`RunRequest.key` per request)."""
         with self._lock:
             trace = self._traces.get(job.id)
             if trace is None or trace.finished:
@@ -366,22 +360,35 @@ class ServiceTelemetry:
             while trace.stack:
                 self._close(trace)
             self._h_job.observe(trace.wall_s)
+            self._c_completed.inc()
             self.metrics.counter(
                 f"serve.tenant.completed.{job.tenant}",
                 "jobs fully served for this tenant").inc()
+            self._evict()
         self.events.append({
             "event": "done", "t": round(self.now(), 6), "job": job.id,
             "tenant": job.tenant, "requests": job.total, "new": job.new,
             "cached": job.cached, "errors": job.errors,
-            "wall_s": round(trace.wall_s, 6)})
+            "wall_s": round(trace.wall_s, 6), "sim_version": SIM_VERSION,
+            "request_hashes": request_hashes})
+
+    def _evict(self) -> None:
+        """Drop the oldest *finished* traces beyond ``max_traces``. A
+        live job keeps its trace however many jobs overtake it, so its
+        chunks and its finish are still recorded."""
+        excess = len(self._traces) - self.max_traces
+        if excess > 0:
+            stale = list(itertools.islice(
+                (job_id for job_id, trace in self._traces.items()
+                 if trace.finished), excess))
+            for job_id in stale:
+                del self._traces[job_id]
 
     # -- scraped state (cache, queue) -------------------------------------
 
     def scrape_cache(self, stats) -> None:
         """Mirror a :class:`~repro.exec.CacheStats` snapshot into gauges
         so the ``metrics`` op and ``serve top`` see store totals."""
-        if not self.enabled:
-            return
         m = self.metrics
         m.gauge("serve.cache.hits", "result-cache hits").set(stats.hits)
         m.gauge("serve.cache.misses", "result-cache misses").set(
@@ -398,8 +405,6 @@ class ServiceTelemetry:
     def update_queue(self, tenants: dict) -> None:
         """Refresh per-tenant queue-depth gauges from
         :meth:`FairScheduler.tenants` (tenants that drained read 0)."""
-        if not self.enabled:
-            return
         m = self.metrics
         for tenant in self._tenant_pids:
             depth = tenants.get(tenant, {}).get("requests", 0)
@@ -408,22 +413,39 @@ class ServiceTelemetry:
 
     # -- export -----------------------------------------------------------
 
+    @property
+    def submitted(self) -> int:
+        """Jobs accepted since the daemon started."""
+        return self._c_submitted.value
+
+    @property
+    def completed(self) -> int:
+        """Jobs fully served (and logged) since the daemon started."""
+        return self._c_completed.value
+
+    def tenant_totals(self) -> dict[str, dict]:
+        """Cumulative per-tenant submitted/completed job counts. Unlike
+        :meth:`FairScheduler.tenants`, which forgets a tenant once its
+        queue drains, these are monotone over the daemon's lifetime."""
+        m = self.metrics
+        return {
+            tenant: {
+                "submitted": m.value(f"serve.tenant.jobs.{tenant}"),
+                "completed": m.value(f"serve.tenant.completed.{tenant}"),
+            }
+            for tenant in sorted(self._tenant_pids)
+        }
+
     def job_ids(self) -> list[int]:
         return list(self._traces)
 
     def get_trace(self, job_id: int) -> JobTrace | None:
         return self._traces.get(job_id)
 
-    def job_wall(self, job_id: int) -> float | None:
-        trace = self._traces.get(job_id)
-        return trace.wall_s if trace is not None else None
-
     def trace_doc(self, job_id: int | None = None) -> dict | None:
         """Perfetto/Chrome-trace document for one job (or the whole
         retained session). ``None`` when the job is unknown or nothing
         has been traced yet."""
-        if not self.enabled:
-            return None
         with self._lock:
             if job_id is not None:
                 trace = self._traces.get(job_id)

@@ -5,9 +5,10 @@ this package turns the executor into a *service*: a long-lived asyncio
 daemon speaking JSON lines over a local socket, with a tenant-fair
 request queue, streamed progress, a sharded size-bounded result store,
 served tuned-decision tables, provenance on every answer, and full
-job-lifecycle telemetry (:mod:`repro.obs.svc`): latency histograms with
-percentiles behind the ``metrics`` op (JSON + Prometheus text), Perfetto
-traces behind the ``trace`` op, and a rotated JSONL event log. See
+job-lifecycle telemetry (:mod:`repro.obs.svc`): job counts and latency
+histograms with percentiles behind the ``metrics`` op (JSON + Prometheus
+text), Perfetto traces behind the ``trace`` op, and a rotated JSONL
+event log, the daemon's only durable job record. See
 docs/serving.md for the protocol, fairness and eviction policies, the
 provenance schema, and the telemetry surface.
 
@@ -34,8 +35,7 @@ from .client import ServeClient, ServeError, ServeUnreachable
 from .daemon import ServeDaemon
 from .manifest import build_manifest, write_manifest
 from .protocol import PROTOCOL_VERSION, default_socket_path
-from .provenance import (RequestLog, config_digest, provenance_for,
-                         result_to_json)
+from .provenance import config_digest, provenance_for, result_to_json
 from .queue import FairScheduler, Job
 from .tables import TableServer
 
@@ -43,7 +43,6 @@ __all__ = [
     "FairScheduler",
     "Job",
     "PROTOCOL_VERSION",
-    "RequestLog",
     "ServeClient",
     "ServeDaemon",
     "ServeError",

@@ -36,7 +36,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.svc import ServiceTelemetry
 from .protocol import (PROTOCOL_VERSION, ProtocolError, default_socket_path,
                        error_event, read_message, write_message)
-from .provenance import RequestLog, job_record, result_to_json
+from .provenance import result_to_json
 from .queue import FairScheduler, Job
 from .tables import DEFAULT_TABLES_ROOT, TableServer
 
@@ -52,7 +52,6 @@ class ServeDaemon:
                  batch_size: int = 8,
                  max_entries: int | None = None,
                  max_bytes: int | None = None,
-                 telemetry: bool = True,
                  log: "callable | None" = None) -> None:
         self.socket_path = os.fspath(socket_path) if socket_path \
             else default_socket_path()
@@ -68,15 +67,12 @@ class ServeDaemon:
         self.scheduler = FairScheduler(batch_size=batch_size)
         self.tables = TableServer(tables_root if tables_root is not None
                                   else DEFAULT_TABLES_ROOT)
-        self.request_log = RequestLog(self.state_dir)
         self.metrics = MetricsRegistry()
-        # Service telemetry: lifecycle spans + latency histograms + the
-        # rotated event log. On by default *in the daemon*; the bare
-        # Executor stays hook-free unless installed here.
-        self.telemetry = ServiceTelemetry(self.metrics, self.state_dir,
-                                          enabled=telemetry)
-        if telemetry:
-            self.executor.on_timing = self.telemetry.executor_phase
+        # Service telemetry: lifecycle spans, job counts, latency
+        # histograms and the rotated event log, the daemon's only job
+        # record. A bare Executor has no timing hook; this one does.
+        self.telemetry = ServiceTelemetry(self.metrics, self.state_dir)
+        self.executor.on_timing = self.telemetry.executor_phase
         self.log = log or (lambda msg: None)
         self._events: dict[int, asyncio.Queue] = {}   # job id -> stream
         self._conns: "set[asyncio.Task]" = set()
@@ -87,10 +83,6 @@ class ServeDaemon:
         self._started = time.monotonic()
         self._m_messages = self.metrics.counter(
             "serve.messages", "protocol messages handled")
-        self._m_jobs = self.metrics.counter(
-            "serve.jobs.submitted", "sweep jobs accepted")
-        self._m_jobs_done = self.metrics.counter(
-            "serve.jobs.completed", "sweep jobs fully served")
         self._m_new = self.metrics.counter(
             "serve.simulations.new", "results that ran fresh simulations")
         self._m_cached = self.metrics.counter(
@@ -153,7 +145,7 @@ class ServeDaemon:
         while not (self.scheduler.idle() and not self._busy
                    and not self._events):
             await asyncio.sleep(0.02)
-        drained = self.scheduler.completed
+        drained = self.telemetry.completed
         self.executor.cache.save()
         self._stop.set()
         return {"event": "bye", "drained_jobs": drained,
@@ -222,21 +214,22 @@ class ServeDaemon:
         return results
 
     async def _publish_progress(self, job: Job) -> None:
-        queue = self._events.get(job.id)
-        if queue is None:
+        queue = self._events.get(job.id)          # None: submitter left
+        if queue is not None:
+            await queue.put({
+                "event": "progress", "job": job.id, "tenant": job.tenant,
+                "done": job.done, "total": job.total,
+                "new": job.new, "cached": job.cached, "errors": job.errors,
+            })
+        if not job.finished:
             return
-        await queue.put({
-            "event": "progress", "job": job.id, "tenant": job.tenant,
-            "done": job.done, "total": job.total,
-            "new": job.new, "cached": job.cached, "errors": job.errors,
-        })
-        if job.finished:
-            self._m_jobs_done.inc()
-            self.telemetry.job_finished(job)
-            self.request_log.append(
-                job_record(job, socket_path=self.socket_path,
-                           wall_s=self.telemetry.job_wall(job.id)))
-            await queue.put(self._job_done_event(job))
+        # Recorded whether or not anyone is left to tell; the log reuses
+        # the request hashes of the answer's provenance blocks.
+        done = self._job_done_event(job)
+        self.telemetry.job_finished(
+            job, [r["provenance"]["request_hash"] for r in done["results"]])
+        if queue is not None:
+            await queue.put(done)
 
     def _job_done_event(self, job: Job) -> dict:
         return {
@@ -311,11 +304,11 @@ class ServeDaemon:
             "queue": {
                 "pending_chunks": self.scheduler.pending_chunks,
                 "pending_requests": self.scheduler.pending_requests,
-                "submitted_jobs": self.scheduler.submitted,
-                "completed_jobs": self.scheduler.completed,
+                "submitted_jobs": self.telemetry.submitted,
+                "completed_jobs": self.telemetry.completed,
                 "inflight_chunks": 1 if self._busy else 0,
                 "tenants": self.scheduler.tenants(),
-                "tenant_totals": self.scheduler.tenant_totals(),
+                "tenant_totals": self.telemetry.tenant_totals(),
             },
             "executor": self.executor.stats(),
             "cache": self.executor.cache.stats().as_dict(),
@@ -331,7 +324,6 @@ class ServeDaemon:
             "protocol": PROTOCOL_VERSION,
             "sim_version": SIM_VERSION,
             "uptime_s": round(self.uptime_s, 3),
-            "telemetry": telemetry.enabled,
             "metrics": self.metrics.snapshot(),
             "prometheus": self.metrics.to_prometheus(),
             "event_log": {
@@ -343,9 +335,6 @@ class ServeDaemon:
         }
 
     def _trace_event(self, message: dict) -> dict:
-        if not self.telemetry.enabled:
-            self._m_errors.inc()
-            return error_event("telemetry is disabled on this daemon")
         job_id = message.get("job")
         if job_id is not None:
             try:
@@ -405,7 +394,6 @@ class ServeDaemon:
                 f"bad request payload: {exc}"))
             return
         job = self.scheduler.submit(tenant, requests)
-        self._m_jobs.inc()
         self.telemetry.job_submitted(job)
         events: asyncio.Queue = asyncio.Queue()
         self._events[job.id] = events
@@ -417,10 +405,6 @@ class ServeDaemon:
                 "event": "accepted", "job": job.id, "tenant": tenant,
                 "total": job.total, "chunks": job.chunks_left,
             })
-            if job.finished:              # zero-request edge: done already
-                self.telemetry.job_finished(job)
-                await write_message(writer, self._job_done_event(job))
-                return
             while True:
                 event = await events.get()
                 await write_message(writer, event)

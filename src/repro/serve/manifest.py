@@ -5,7 +5,8 @@ Modeled on the Kadoshima ``results/final/manifest.md`` exemplar
 (SNIPPETS.md #1): for every published artifact, the ledger answers
 *which inputs produced this, and how do I regenerate it?* Here the
 artifacts are the committed ``BENCH_<n>.json`` perf-trajectory records,
-the tuned decision tables, and the daemon's served jobs; the inputs are
+the tuned decision tables, and the daemon's served jobs (the ``done``
+records of its event log, rotated segments included); the inputs are
 content-addressed :class:`~repro.exec.RunRequest` hashes — the same
 digests the sharded result store files entries under, so every number in
 a BENCH series is traceable to an on-disk cache entry.
@@ -22,7 +23,7 @@ import os
 
 from ..exec.cache import SIM_VERSION
 from ..exec.request import RUN_KINDS, RunRequest
-from .provenance import RequestLog
+from ..obs.svc import EVENT_LOG_NAME, EventLog
 from .tables import TableServer
 
 
@@ -167,8 +168,10 @@ def build_manifest(root: str | os.PathLike = ".", *,
         ]
 
     lines += ["## Served jobs (request ledger)", ""]
-    log = RequestLog(state_dir or os.path.join(root, "results", "serve"))
-    records = [r for r in log.records() if r.get("kind") == "job"]
+    log = EventLog(os.path.join(
+        state_dir or os.path.join(root, "results", "serve"),
+        EVENT_LOG_NAME))
+    records = [r for r in log.records() if r.get("event") == "done"]
     if not records:
         lines += ["(no serve request ledger found)", ""]
     else:

@@ -32,7 +32,7 @@ import os
 #: is advisory — clients warn on mismatch, they don't refuse.
 PROTOCOL_VERSION = 1
 
-#: Where the daemon listens (and keeps its request ledger) by default.
+#: Where the daemon listens (and keeps its event log) by default.
 DEFAULT_STATE_DIR = os.path.join("results", "serve")
 DEFAULT_SOCKET_NAME = "daemon.sock"
 

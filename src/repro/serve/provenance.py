@@ -18,22 +18,21 @@ its on-disk entry byte-for-byte. ``config_digest`` hashes only the
 component identity (name + explicit config), letting clients group
 results by configuration across sizes and systems.
 
-The daemon also appends one line per finished job to a JSON-lines
-request ledger (``results/serve/requests.jsonl``), which is what
-``repro serve manifest`` mines to tie published artifacts back to exact
-requests (see :mod:`repro.serve.manifest`).
+The durable record of a served job is the ``done`` line its telemetry
+appends to the daemon's event log (``results/serve/events.jsonl``, see
+:mod:`repro.obs.svc`): the same counts, ``SIM_VERSION`` and the
+``request_hash`` of every request, which ``repro serve manifest`` mines
+to tie published artifacts back to exact requests (see
+:mod:`repro.serve.manifest`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 from ..exec.cache import SIM_VERSION
 from ..exec.request import RunRequest, RunResult
-
-REQUEST_LOG_NAME = "requests.jsonl"
 
 
 def config_digest(request: RunRequest) -> str:
@@ -71,67 +70,3 @@ def result_to_json(request: RunRequest,
     if result is not None and result.error is not None:
         out["error"] = result.error
     return out
-
-
-class RequestLog:
-    """Append-only JSON-lines ledger of served jobs.
-
-    One line per finished job: tenant, request hashes, hit/miss split,
-    SIM_VERSION. Appends are line-atomic (single ``write`` of one line,
-    opened with ``O_APPEND``), so concurrent daemons sharing a state dir
-    interleave whole records, never tear them.
-    """
-
-    def __init__(self, state_dir: str | os.PathLike | None) -> None:
-        self.path = (os.path.join(os.fspath(state_dir), REQUEST_LOG_NAME)
-                     if state_dir is not None else None)
-
-    def append(self, record: dict) -> None:
-        if self.path is None:
-            return
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-        with open(self.path, "a") as fh:
-            fh.write(line)
-
-    def records(self) -> list[dict]:
-        """Every intact record (torn/corrupt lines are skipped, never
-        fatal — mirrors the cache's corruption-is-a-miss discipline)."""
-        if self.path is None or not os.path.exists(self.path):
-            return []
-        out = []
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
-                    out.append(record)
-        return out
-
-
-def job_record(job, *, socket_path: str | None = None,
-               wall_s: float | None = None) -> dict:
-    """The ledger line for one finished :class:`~repro.serve.queue.Job`.
-
-    ``wall_s`` is the telemetry-measured end-to-end service latency
-    (submit to publish); ``None`` when telemetry is off.
-    """
-    return {
-        "kind": "job",
-        "job": job.id,
-        "tenant": job.tenant,
-        "requests": job.total,
-        "new": job.new,
-        "cached": job.cached,
-        "errors": job.errors,
-        "sim_version": SIM_VERSION,
-        "request_hashes": [req.key() for req in job.requests],
-        "socket": socket_path,
-        "wall_s": round(wall_s, 6) if wall_s is not None else None,
-    }

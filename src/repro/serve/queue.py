@@ -59,12 +59,6 @@ class FairScheduler:
         self._jobs: dict[str, deque[Job]] = {}    # tenant -> FIFO of jobs
         self._rotation: deque[str] = deque()      # tenants with work
         self._next_job_id = 1
-        self.submitted = 0
-        self.completed = 0
-        # Cumulative per-tenant accounting (monotone; survives a tenant
-        # draining out of the rotation) — the ``status`` op reports it.
-        self.submitted_by_tenant: dict[str, int] = {}
-        self.completed_by_tenant: dict[str, int] = {}
 
     # -- intake -----------------------------------------------------------
 
@@ -78,9 +72,6 @@ class FairScheduler:
         job = Job(id=self._next_job_id, tenant=tenant,
                   requests=list(requests), chunks=chunks)
         self._next_job_id += 1
-        self.submitted += 1
-        self.submitted_by_tenant[tenant] = \
-            self.submitted_by_tenant.get(tenant, 0) + 1
         queue = self._jobs.get(tenant)
         if queue is None:
             queue = self._jobs[tenant] = deque()
@@ -90,9 +81,6 @@ class FairScheduler:
             self._rotation.append(tenant)
         if not job.chunks:           # zero-request job: trivially finished
             job.finished = True
-            self.completed += 1
-            self.completed_by_tenant[tenant] = \
-                self.completed_by_tenant.get(tenant, 0) + 1
             self._prune(tenant)
         return job
 
@@ -140,9 +128,6 @@ class FairScheduler:
         job.errors += errors
         if job.done >= job.total and not job.finished:
             job.finished = True
-            self.completed += 1
-            self.completed_by_tenant[job.tenant] = \
-                self.completed_by_tenant.get(job.tenant, 0) + 1
             self._prune(job.tenant)
         return new, cached, errors
 
@@ -180,21 +165,6 @@ class FairScheduler:
                 "requests": sum(job.total - job.done for job in queue),
             }
         return out
-
-    def tenant_totals(self) -> dict[str, dict]:
-        """Cumulative per-tenant submitted/completed job counts.
-
-        Unlike :meth:`tenants` (which forgets a tenant once its queue
-        drains), these totals are monotone over the daemon's lifetime.
-        """
-        names = set(self.submitted_by_tenant) | set(self.completed_by_tenant)
-        return {
-            tenant: {
-                "submitted": self.submitted_by_tenant.get(tenant, 0),
-                "completed": self.completed_by_tenant.get(tenant, 0),
-            }
-            for tenant in sorted(names)
-        }
 
     def idle(self) -> bool:
         return self.pending_chunks == 0

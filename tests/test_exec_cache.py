@@ -100,6 +100,44 @@ def test_payload_is_json_safe():
     assert cache_key(round_tripped) == req.key()
 
 
+@pytest.mark.parametrize("engine", ["event", "array"])
+def test_from_payload_inverts_payload(engine):
+    from repro.options import RunOptions
+    from repro.shmem.smsc import SmscConfig
+    plain = RunRequest("epyc-1p", "bcast", 1024, 16,
+                       options=RunOptions(data_movement=False, engine=engine))
+    rich = RunRequest("epyc-2p", "pingpong", 65536, 2, component="xhc",
+                      config={"hierarchy": "numa"}, mapping=(0, 8),
+                      smsc=SmscConfig(mechanism="cma"),
+                      options=RunOptions(data_movement=False, engine=engine))
+    for req in (plain, rich):
+        wire = json.loads(json.dumps(req.payload()))
+        assert RunRequest.from_payload(wire) == req
+
+
+def test_from_payload_takes_an_explicit_options_dict():
+    from repro.options import RunOptions
+    options = RunOptions(data_movement=False, observe="spans")
+    req = RunRequest("epyc-1p", "bcast", 64, 8, options=options)
+    wire = {**req.payload(), "options": {"data_movement": False,
+                                         "observe": "spans"}}
+    assert RunRequest.from_payload(wire) == req
+    # The payload's engine overrides the dict's.
+    wire["engine"] = "array"
+    assert RunRequest.from_payload(wire).options \
+        == options.with_(engine="array")
+
+
+def test_requests_share_the_default_options():
+    # RunOptions is frozen: every latency-only request, built directly
+    # or from the wire, holds the same instance rather than a copy.
+    a = RunRequest("epyc-1p", "bcast", 64, 8)
+    b = RunRequest("epyc-1p", "bcast", 4096, 8)
+    assert a.options is b.options
+    assert a.options.data_movement is False
+    assert RunRequest.from_payload(a.payload()).options is a.options
+
+
 # -- corruption hardening (sharded store, via the cache API) -----------------
 
 

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.exec import SIM_VERSION
 from repro.obs.export import validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.obs.svc import EventLog, JobTrace, ServiceTelemetry
@@ -44,9 +45,12 @@ def make_telemetry(tmp_path=None, **kw):
     return tel, clock
 
 
-def run_job(tel, clock, job, chunks=2, cached_per_chunk=0):
-    """Drive one job through the full lifecycle hook sequence."""
-    tel.job_submitted(job)
+def hashes(job):
+    return [f"{job.id}-{i}" for i in range(job.total)]
+
+
+def run_chunks(tel, clock, job, chunks=2, cached_per_chunk=0):
+    """Drive an already submitted job through its chunks and finish."""
     per_chunk = max(1, job.total // chunks)
     for c in range(chunks):
         clock.tick(0.5)                      # queue / schedule wait
@@ -58,7 +62,13 @@ def run_job(tel, clock, job, chunks=2, cached_per_chunk=0):
         cached = min(cached_per_chunk, per_chunk)
         tel.chunk_finished(job, per_chunk - cached, cached, 0, 0.1)
     clock.tick(0.05)
-    tel.job_finished(job)
+    tel.job_finished(job, hashes(job))
+
+
+def run_job(tel, clock, job, chunks=2, cached_per_chunk=0):
+    """Drive one job through the full lifecycle hook sequence."""
+    tel.job_submitted(job)
+    run_chunks(tel, clock, job, chunks, cached_per_chunk)
 
 
 # -- EventLog -----------------------------------------------------------------
@@ -157,8 +167,13 @@ def test_metrics_feed_from_lifecycle(tmp_path):
     run_job(tel, clock, FakeJob(1, "alice", 4), chunks=2,
             cached_per_chunk=1)
     m = tel.metrics
+    assert m.value("serve.jobs.submitted") == 1
+    assert m.value("serve.jobs.completed") == 1
     assert m.value("serve.tenant.jobs.alice") == 1
     assert m.value("serve.tenant.completed.alice") == 1
+    assert (tel.submitted, tel.completed) == (1, 1)
+    assert tel.tenant_totals() == {"alice": {"submitted": 1,
+                                             "completed": 1}}
     assert m.get("serve.job.latency_seconds").count == 1
     assert m.get("serve.job.queue_wait_seconds").count == 1
     assert m.get("serve.chunk.execute_seconds").count == 2
@@ -179,6 +194,10 @@ def test_event_log_records_lifecycle(tmp_path):
     assert done["job"] == 1
     assert done["tenant"] == "alice"
     assert done["wall_s"] == pytest.approx(1.25)
+    # The done line is the job's durable record: the manifest reads its
+    # SIM_VERSION and request hashes.
+    assert done["sim_version"] == SIM_VERSION
+    assert done["request_hashes"] == ["1-0", "1-1", "1-2", "1-3"]
 
 
 def test_cached_error_result_counts_as_an_error_everywhere(tmp_path):
@@ -204,7 +223,7 @@ def test_cached_error_result_counts_as_an_error_everywhere(tmp_path):
     ]
     counts = sched.record(job, indices, results)
     tel.chunk_finished(job, *counts, 0.1)
-    tel.job_finished(job)
+    tel.job_finished(job, [r.key() for r in requests])
 
     assert counts == (1, 1, 1)
     assert (job.new, job.cached, job.errors) == (1, 1, 1)
@@ -218,23 +237,50 @@ def test_cached_error_result_counts_as_an_error_everywhere(tmp_path):
     assert (done["new"], done["cached"], done["errors"]) == (1, 1, 1)
 
 
-def test_disabled_telemetry_is_inert(tmp_path):
-    tel, clock = make_telemetry(tmp_path, enabled=False)
-    run_job(tel, clock, FakeJob(1, "alice", 2), chunks=1)
-    assert tel.job_ids() == []
-    assert tel.trace_doc() is None
-    assert tel.metrics.snapshot() == {}
-    assert not os.path.exists(os.path.join(str(tmp_path), "events.jsonl"))
-
-
 def test_trace_retention_evicts_oldest(tmp_path):
     tel, clock = make_telemetry(tmp_path, max_traces=3)
     for i in range(1, 6):
         run_job(tel, clock, FakeJob(i, "t", 2), chunks=1)
     assert tel.job_ids() == [3, 4, 5]
     assert tel.get_trace(1) is None
-    assert tel.job_wall(1) is None
-    assert tel.job_wall(5) is not None
+    assert tel.get_trace(5).wall_s is not None
+
+
+def test_trace_cap_never_drops_a_live_job(tmp_path):
+    # A long batch job stays live while four short jobs overtake it past
+    # the trace cap. Evicting its trace would lose its chunk spans, its
+    # latency sample, its completion counts and its done line.
+    tel, clock = make_telemetry(tmp_path, max_traces=3)
+    sweep = FakeJob(1, "batch", 4)
+    tel.job_submitted(sweep)
+    for i in range(2, 6):
+        run_job(tel, clock, FakeJob(i, "interactive", 1), chunks=1)
+    assert 1 in tel.job_ids()
+    assert len(tel.job_ids()) == 3
+    run_chunks(tel, clock, sweep, chunks=2)
+
+    m = tel.metrics
+    done = [r for r in tel.events.records() if r["event"] == "done"]
+    assert sorted(r["job"] for r in done) == [1, 2, 3, 4, 5]
+    assert m.value("serve.jobs.completed") == 5
+    assert m.get("serve.job.latency_seconds").count == 5
+    assert m.value("serve.tenant.completed.batch") == 1
+    assert tel.tenant_totals()["batch"] == {"submitted": 1, "completed": 1}
+    chunks = [s for s in tel.get_trace(1).spans if s.name == "chunk"]
+    assert len(chunks) == 2
+    assert tel.job_ids() == [1, 4, 5]
+    # Finished, the sweep is the oldest trace and the next job evicts it.
+    run_job(tel, clock, FakeJob(6, "interactive", 1), chunks=1)
+    assert tel.job_ids() == [4, 5, 6]
+
+
+def test_job_is_recorded_once(tmp_path):
+    tel, clock = make_telemetry(tmp_path)
+    job = FakeJob(1, "alice", 2)
+    run_job(tel, clock, job, chunks=1)
+    tel.job_finished(job, hashes(job))
+    assert tel.completed == 1
+    assert [r["event"] for r in tel.events.records()].count("done") == 1
 
 
 # -- Perfetto export ----------------------------------------------------------

@@ -6,8 +6,10 @@ sun_path limit rules out pytest's deep tmp_path).
 """
 
 import asyncio
+import json
 import os
 import shutil
+import socket
 import tempfile
 import threading
 
@@ -15,7 +17,7 @@ import pytest
 
 from repro.exec import Executor, RunRequest, SIM_VERSION
 from repro.serve import (PROTOCOL_VERSION, ServeClient, ServeDaemon,
-                         ServeError, ServeUnreachable)
+                         ServeError, ServeUnreachable, build_manifest)
 from repro.tune.table import DecisionTable
 from repro.xhc import XhcConfig
 
@@ -251,7 +253,7 @@ def test_two_concurrent_tenants_both_make_progress(served):
     whale.start()
     # Make sure the whale's job is queued first.
     for _ in range(200):
-        if served.daemon.scheduler.submitted >= 1:
+        if served.daemon.telemetry.submitted >= 1:
             break
         threading.Event().wait(0.01)
     minnow = threading.Thread(target=run, args=("minnow", minnow_payloads))
@@ -330,7 +332,7 @@ def test_shutdown_drains_inflight_jobs():
         submitter = threading.Thread(target=submit)
         submitter.start()
         for _ in range(400):
-            if fixture.daemon.scheduler.submitted >= 1:
+            if fixture.daemon.telemetry.submitted >= 1:
                 break
             threading.Event().wait(0.01)
         # Shutdown while the job is (likely) still running chunks: the
@@ -365,11 +367,76 @@ def test_submit_after_drain_is_refused():
 
 def test_request_ledger_written_per_job(served):
     with ServeClient(served.socket_path) as client:
-        client.submit(_payloads(), tenant="alice")
-    from repro.serve import RequestLog
-    records = RequestLog(served.dir).records()
-    jobs = [r for r in records if r.get("kind") == "job"]
+        done = client.submit(_payloads(), tenant="alice")
+    jobs = [r for r in served.daemon.telemetry.events.records()
+            if r["event"] == "done"]
     assert len(jobs) == 1
     assert jobs[0]["tenant"] == "alice"
     assert jobs[0]["requests"] == 2
-    assert len(jobs[0]["request_hashes"]) == 2
+    assert jobs[0]["sim_version"] == SIM_VERSION
+    assert jobs[0]["request_hashes"] == [
+        r["provenance"]["request_hash"] for r in done["results"]]
+    # The event log is the daemon's only job record.
+    assert sorted(os.listdir(served.dir)) == ["cache", "d.sock",
+                                              "events.jsonl"]
+
+
+def test_manifest_lists_served_jobs_from_the_event_log(served):
+    # A fixed two-tenant session on a fresh store: the served-jobs
+    # section must read exactly as the separate request ledger rendered
+    # it before the event log's done records replaced that ledger.
+    with ServeClient(served.socket_path, timeout=60) as client:
+        client.submit(_payloads(sizes=(64, 4096)), tenant="alice")
+        client.submit(_payloads(sizes=(64, 4096, 128, 256)), tenant="bob")
+        client.submit(_payloads(sizes=(128,)), tenant="alice")
+    text = build_manifest(served.dir, state_dir=served.dir)
+    section = text.split("## Served jobs (request ledger)\n")[1]
+    assert section.splitlines()[1:6] == [
+        "3 job(s) on record; most recent first:",
+        "",
+        "- job 3 (tenant `alice`, SIM_VERSION 3): 1 request(s), 0 new / "
+        "1 cached — `a1bbae467d22…`",
+        "- job 2 (tenant `bob`, SIM_VERSION 3): 4 request(s), 2 new / "
+        "2 cached — `9a85edec18ab…`, `43e2cce7baf7…`, `a1bbae467d22…`, "
+        "… 1 more",
+        "- job 1 (tenant `alice`, SIM_VERSION 3): 2 request(s), 2 new / "
+        "0 cached — `9a85edec18ab…`, `43e2cce7baf7…`",
+    ]
+
+
+def test_job_of_a_departed_submitter_is_still_recorded():
+    # The submitter hangs up right after "accepted". The job still runs
+    # to the end, and its finish must be counted and logged like any
+    # other: the status count, the job counter, the latency histogram
+    # and the done lines agree.
+    fixture = DaemonFixture(workers=0, batch_size=1)
+    fixture.start()
+    try:
+        payloads = _payloads(sizes=tuple(64 + i for i in range(6)))
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(fixture.socket_path)
+        raw.sendall((json.dumps({"op": "submit", "tenant": "gone",
+                                 "requests": payloads}) + "\n").encode())
+        reader = raw.makefile("rb")
+        assert json.loads(reader.readline())["event"] == "accepted"
+        reader.close()
+        raw.close()
+        with ServeClient(fixture.socket_path, timeout=60) as client:
+            for _ in range(500):
+                status = client.status()
+                if status["queue"]["pending_requests"] == 0 \
+                        and status["queue"]["inflight_chunks"] == 0:
+                    break
+                threading.Event().wait(0.02)
+            status = client.status()
+            metrics = client.metrics()["metrics"]
+        done = [r for r in fixture.daemon.telemetry.events.records()
+                if r["event"] == "done"]
+        assert status["queue"]["completed_jobs"] == 1
+        assert metrics["serve.jobs.completed"]["value"] == 1
+        assert metrics["serve.job.latency_seconds"]["count"] == 1
+        assert len(done) == 1 and done[0]["tenant"] == "gone"
+        assert status["queue"]["tenant_totals"]["gone"] \
+            == {"submitted": 1, "completed": 1}
+    finally:
+        fixture.stop()

@@ -1,12 +1,13 @@
-"""Provenance blocks, the request ledger, and the rendered manifest."""
+"""Provenance blocks, the request ledger (the event log's ``done``
+records), and the rendered manifest."""
 
 import json
 
 from repro.exec import RunRequest, RunResult, SIM_VERSION
-from repro.serve import (RequestLog, build_manifest, config_digest,
-                         provenance_for, result_to_json, write_manifest)
+from repro.obs.svc import EventLog, ServiceTelemetry
+from repro.serve import (build_manifest, config_digest, provenance_for,
+                         result_to_json, write_manifest)
 from repro.serve.manifest import bench_requests
-from repro.serve.provenance import job_record
 from repro.serve.queue import FairScheduler
 
 
@@ -67,29 +68,62 @@ def test_result_to_json_wire_shape():
 # -- the request ledger ------------------------------------------------------
 
 
+def _done(job, tenant="alice", requests=3):
+    return {"event": "done", "job": job, "tenant": tenant,
+            "requests": requests, "new": requests, "cached": 0,
+            "errors": 0, "wall_s": 0.5, "sim_version": SIM_VERSION,
+            "request_hashes": ["ab" * 32] * requests}
+
+
 def test_request_log_round_trips_and_skips_torn_lines(tmp_path):
-    log = RequestLog(tmp_path)
-    log.append({"kind": "job", "job": 1})
-    log.append({"kind": "job", "job": 2})
+    log = EventLog(tmp_path / "events.jsonl")
+    log.append(_done(1))
+    log.append(_done(2))
     with open(log.path, "a") as fh:
-        fh.write('{"kind": "job", "jo')  # a torn line (crash mid-append)
+        fh.write('{"event": "done", "jo')  # a torn line (crash mid-append)
     assert [r["job"] for r in log.records()] == [1, 2]
+    text = build_manifest(tmp_path, state_dir=str(tmp_path))
+    assert "2 job(s) on record; most recent first:" in text
+    assert text.index("- job 2 ") < text.index("- job 1 ")
 
 
-def test_request_log_without_state_dir_is_inert(tmp_path):
-    log = RequestLog(None)
-    log.append({"kind": "job"})
-    assert log.records() == []
+def test_request_log_reads_only_done_records(tmp_path):
+    # submit and chunk lines share the log; only a finished job is one
+    # the ledger lists.
+    log = EventLog(tmp_path / "events.jsonl")
+    log.append({"event": "submit", "job": 1, "tenant": "alice",
+                "requests": 3})
+    log.append({"event": "chunk", "job": 1, "tenant": "alice",
+                "requests": 3, "new": 3, "cached": 0, "errors": 0})
+    text = build_manifest(tmp_path, state_dir=str(tmp_path))
+    assert "(no serve request ledger found)" in text
 
 
-def test_job_record_carries_hashes_and_version():
+def test_request_log_spans_rotated_segments(tmp_path):
+    log = EventLog(tmp_path / "events.jsonl", max_bytes=600)
+    for job in range(1, 9):
+        log.append(_done(job, requests=1))
+    assert log.rotations > 0
+    text = build_manifest(tmp_path, state_dir=str(tmp_path))
+    jobs = [r["job"] for r in log.records()]
+    assert f"{len(jobs)} job(s) on record" in text
+    live = (tmp_path / "events.jsonl").read_text().splitlines()
+    assert len(jobs) > len(live)
+    assert "- job 8 " in text
+
+
+def test_done_record_carries_hashes_and_version(tmp_path):
     sched = FairScheduler(batch_size=2)
+    telemetry = ServiceTelemetry(state_dir=tmp_path)
     reqs = [_req(64), _req(4096)]
     job = sched.submit("alice", reqs)
+    telemetry.job_submitted(job)
     _job, indices = sched.next_chunk()
     sched.record(job, indices,
                  [_result(reqs[0]), _result(reqs[1], cached=True)])
-    record = job_record(job, socket_path="/tmp/x.sock")
+    telemetry.job_finished(job, [r.key() for r in reqs])
+    (record,) = [r for r in telemetry.events.records()
+                 if r["event"] == "done"]
     assert record["tenant"] == "alice"
     assert record["requests"] == 2
     assert record["new"] == 1
@@ -147,11 +181,8 @@ def test_manifest_links_bench_entry_to_hashes_and_sim_version(tmp_path):
 
 
 def test_manifest_includes_served_jobs(tmp_path):
-    log = RequestLog(tmp_path / "serve")
-    log.append({"kind": "job", "job": 7, "tenant": "alice", "requests": 3,
-                "new": 3, "cached": 0, "errors": 0,
-                "sim_version": SIM_VERSION,
-                "request_hashes": ["ab" * 32]})
+    log = EventLog(tmp_path / "serve" / "events.jsonl")
+    log.append(_done(7))
     text = build_manifest(tmp_path, state_dir=str(tmp_path / "serve"))
     assert "tenant `alice`" in text
     assert "3 request(s), 3 new / 0 cached" in text

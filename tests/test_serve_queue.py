@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exec import RunRequest
+from repro.obs.svc import ServiceTelemetry
 from repro.serve import FairScheduler
 
 
@@ -79,14 +80,18 @@ def test_record_counts_new_cached_and_errors():
             self.error = error
 
     sched = FairScheduler(batch_size=4)
+    telemetry = ServiceTelemetry()
     job = sched.submit("a", _reqs(4))
+    telemetry.job_submitted(job)
     _job, indices = sched.next_chunk()
     chunk = sched.record(job, indices,
                          [R(), R(cached=True), R(error="boom"), None])
     assert chunk == (1, 1, 2)
     assert (job.new, job.cached, job.errors) == (1, 1, 2)
     assert job.finished
-    assert sched.completed == 1
+    # The scheduler is the queue policy alone; the telemetry counts jobs.
+    telemetry.job_finished(job, [req.key() for req in job.requests])
+    assert (telemetry.submitted, telemetry.completed) == (1, 1)
 
 
 def test_zero_request_job_finishes_immediately():

@@ -77,7 +77,6 @@ def test_metrics_op_counts_match_submitted_work(served):
         reply = client.metrics()
 
     assert reply["op"] == "metrics"
-    assert reply["telemetry"] is True
     m = reply["metrics"]
     assert m["serve.jobs.submitted"]["value"] == 2
     assert m["serve.jobs.completed"]["value"] == 2
@@ -264,35 +263,54 @@ def test_status_gains_cache_inflight_and_tenant_totals(served):
 def test_request_ledger_carries_wall_seconds(served):
     with ServeClient(served.socket_path) as client:
         client.submit(_payloads(), tenant="alice")
-    from repro.serve import RequestLog
-    jobs = [r for r in RequestLog(served.dir).records()
-            if r.get("kind") == "job"]
+    jobs = [r for r in served.daemon.telemetry.events.records()
+            if r["event"] == "done"]
     assert len(jobs) == 1
     assert jobs[0]["wall_s"] is not None
     assert jobs[0]["wall_s"] >= 0
 
 
-# -- telemetry off ------------------------------------------------------------
-
-
-def test_daemon_with_telemetry_off_still_serves():
-    fixture = DaemonFixture(workers=0, telemetry=False)
+def test_job_overtaken_past_the_trace_cap_is_still_recorded():
+    # A sweep of eight one-request chunks stays live while another
+    # tenant's single-request jobs finish ahead of it, past a trace cap
+    # of two. The sweep's finish must still be counted and logged.
+    fixture = DaemonFixture(workers=0, batch_size=1)
+    fixture.daemon.telemetry.max_traces = 2
     fixture.start()
     try:
-        with ServeClient(fixture.socket_path) as client:
-            done = client.submit(_payloads(), tenant="alice")
-            assert done["stats"]["errors"] == 0
-            with pytest.raises(ServeError, match="telemetry is disabled"):
-                client.trace(done["job"])
-            reply = client.metrics()
-        assert reply["telemetry"] is False
-        # The core PR-5 counters still exist; the lifecycle histograms
-        # were never registered.
-        assert reply["metrics"]["serve.jobs.completed"]["value"] == 1
-        assert "serve.job.latency_seconds" not in reply["metrics"]
-        assert fixture.daemon.executor.on_timing is None
-        assert not os.path.exists(
-            os.path.join(fixture.dir, "events.jsonl"))
+        sweep = {}
+
+        def submit_sweep():
+            with ServeClient(fixture.socket_path, timeout=60) as client:
+                sweep["done"] = client.submit(
+                    _payloads(sizes=tuple(64 + i for i in range(8))),
+                    tenant="batch")
+
+        thread = threading.Thread(target=submit_sweep)
+        thread.start()
+        for _ in range(400):
+            if fixture.daemon.telemetry.submitted >= 1:
+                break
+            threading.Event().wait(0.01)
+        with ServeClient(fixture.socket_path, timeout=60) as client:
+            for i in range(3):
+                client.submit(_payloads(sizes=(128 + i,)),
+                              tenant="interactive")
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+            assert sweep["done"]["stats"]["errors"] == 0
+            status = client.status()
+            metrics = client.metrics()["metrics"]
+        done = [r for r in fixture.daemon.telemetry.events.records()
+                if r["event"] == "done"]
+        assert status["queue"]["completed_jobs"] == 4
+        assert metrics["serve.jobs.completed"]["value"] == 4
+        assert metrics["serve.job.latency_seconds"]["count"] == 4
+        assert len(done) == 4
+        assert status["queue"]["tenant_totals"] == {
+            "batch": {"submitted": 1, "completed": 1},
+            "interactive": {"submitted": 3, "completed": 3},
+        }
     finally:
         fixture.stop()
 
