@@ -39,7 +39,9 @@ def main() -> None:
     print("\nBroadcast message distances per sensitivity (96 ranks, 1 MB):")
     rows = []
     for sensitivity in ("flat", "numa", "numa+socket"):
-        node = Node(topo, options=RunOptions(data_movement=False))
+        # Messages are recorded only by the observer (as instants).
+        node = Node(topo, options=RunOptions(data_movement=False,
+                                             observe="spans"))
         world = World(node, topo.n_cores)
         comm = world.communicator(Xhc(hierarchy=sensitivity))
 
@@ -49,7 +51,7 @@ def main() -> None:
 
         comm.run(program)
         counts = Counter()
-        for _t, label, meta in node.engine.trace:
+        for _t, _track, label, meta in node.obs.instants:
             if label == "message":
                 counts[message_distance_label(topo, meta["src"],
                                               meta["dst"])] += 1

@@ -354,7 +354,10 @@ def fig9_layout_root(quick: bool = False) -> FigureResult:
 
 def _count_messages(system: str, nranks: int, component: str, mapping,
                     root: int, size: int = 1 << 20) -> dict[str, int]:
-    node = Node(get_system(system), options=RunOptions(data_movement=False))
+    # The messages are the observer's instants; observing moves no
+    # simulated time.
+    node = Node(get_system(system),
+                options=RunOptions(data_movement=False, observe="spans"))
     world = World(node, nranks, mapping=mapping)
     comm = world.communicator(make_component(component))
 

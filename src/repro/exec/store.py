@@ -196,9 +196,6 @@ class ShardedStore:
         self.digests(version).add(digest)
         return path
 
-    def contains(self, version: int, digest: str) -> bool:
-        return digest in self.digests(version)
-
     # -- enumeration ------------------------------------------------------
 
     def _scan_digests(self, version: int) -> set[str]:

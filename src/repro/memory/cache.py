@@ -90,9 +90,6 @@ class CacheLevel:
         n = hi - lo
         return n if n > 0 else 0
 
-    def holds_any(self, buf: "Buffer") -> bool:
-        return buf.id in self._hw
-
     @property
     def used(self) -> int:
         return self._total

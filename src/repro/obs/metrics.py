@@ -1,11 +1,13 @@
 """Metrics registry: counters, gauges and histograms for the simulator.
 
-The scattered ad-hoc counters that :mod:`repro.sim.stats` used to scrape
-(XPMEM attach totals, regcache hits, flag traffic) register here instead,
-so every report reads the same numbers. A metric is created once (usually
-at component setup) and updated on the hot path through a pre-resolved
-handle — with observability disabled the handles are shared no-op
-singletons, so the cost of an update is one attribute call.
+The registry is a run's only count of logical messages, XPMEM syscalls
+and flag traffic; no subsystem keeps a shadow copy, so every report
+reads the same numbers. (Each rank's ``RegistrationCache`` hits, misses
+and evictions are that cache's own state, which ``regcache.*`` sums.)
+A metric is created once (usually at component setup) and updated on
+the hot path through a pre-resolved handle — with observability disabled
+the handles are shared no-op singletons, so the cost of an update is one
+attribute call.
 
 Naming convention: dot-separated, subsystem first —
 ``xpmem.attaches``, ``regcache.hits``, ``flags.sets``,

@@ -302,7 +302,8 @@ class Observer:
 
     def instant(self, proc: "SimProcess | None", label: str,
                 meta: dict) -> None:
-        """Zero-duration annotation (mirrors engine Trace primitives)."""
+        """Zero-duration annotation: one per ``Trace`` primitive a run
+        yields (``sim.trace`` reads the ``"message"`` ones)."""
         track = self._track_of(proc)
         self.instants.append((self.engine.now, track, label, meta))
         if label == "message":

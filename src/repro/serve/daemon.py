@@ -139,13 +139,14 @@ class ServeDaemon:
         """Refuse new jobs, finish accepted ones, flush, stop serving."""
         self._accepting = False
         self._work.set()                  # wake the worker if it is idle
+        # The jobs this drain waits for: accepted, not yet finished.
+        drained = self.telemetry.submitted - self.telemetry.completed
         # Drained means: nothing queued, nothing running, and every
         # submitter has been handed its final ``done`` event (the event
         # registry empties as submit handlers finish streaming).
         while not (self.scheduler.idle() and not self._busy
                    and not self._events):
             await asyncio.sleep(0.02)
-        drained = self.telemetry.completed
         self.executor.cache.save()
         self._stop.set()
         return {"event": "bye", "drained_jobs": drained,

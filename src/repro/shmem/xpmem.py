@@ -28,10 +28,8 @@ class XpmemService:
         # node keeps the ownership graph acyclic (docs/architecture.md).
         self.engine = node.engine
         self._exposed: set[int] = set()
-        self.makes = 0
-        self.attaches = 0
-        self.detaches = 0
-        # Metric handles resolve to shared no-ops when the node is not
+        # The observer's metrics are the only count of these syscalls.
+        # Their handles resolve to shared no-ops when the node is not
         # observed, so the hot paths below pay one call per event.
         metrics = node.engine.obs.metrics
         self._m_makes = metrics.counter(
@@ -46,12 +44,8 @@ class XpmemService:
         if buf.id in self._exposed:
             return
         self._exposed.add(buf.id)
-        self.makes += 1
         self._m_makes.inc()
         yield P.Syscall("generic")
-
-    def is_exposed(self, buf: "Buffer") -> bool:
-        return buf.id in self._exposed
 
     def attach(self, buf: "Buffer") -> Iterator:
         """Peer maps ``buf`` (xpmem_get/attach + first-touch page faults)."""
@@ -60,7 +54,6 @@ class XpmemService:
                 f"attach to unexposed buffer {buf.name!r}; owner must "
                 f"expose() it first"
             )
-        self.attaches += 1
         self._m_attaches.inc()
         engine = self.engine
         if engine.checker is not None:
@@ -70,7 +63,6 @@ class XpmemService:
             yield P.PageFaults((buf.size + PAGE_SIZE - 1) // PAGE_SIZE)
 
     def detach(self, buf: "Buffer") -> Iterator:
-        self.detaches += 1
         self._m_detaches.inc()
         engine = self.engine
         if engine.checker is not None:

@@ -50,7 +50,8 @@ and discussed in docs/performance.md. Array runs are fully
 deterministic and the engine name is part of the result-cache key.
 
 Instrumentation (``observe``/``check``) is per-event by nature and
-refused up front (``Node`` raises ``ConfigError``);
+refused up front (``Node`` raises ``ConfigError``), so an array run
+records nothing: a ``Trace`` only flushes the accumulated rows.
 ``run(until=...)`` is likewise unsupported.
 """
 
@@ -81,8 +82,8 @@ class ArrayEngine(Engine):
     """Array-mode execution: see the module docstring.
 
     Public surface matches :class:`Engine` (``spawn``/``run``/``now``/
-    ``trace``/``processes``/``alive``); the heap-event internals are
-    replaced wholesale.
+    ``processes``/``alive``); the heap-event internals are replaced
+    wholesale.
     """
 
     engine_kind = "array"
@@ -210,8 +211,9 @@ class ArrayEngine(Engine):
                 elif cls is P.AtomicRMW:
                     send_value = self._acc_atomic(proc, prim)
                 elif cls is P.Trace:
+                    # Nothing is recorded, but the flush point is part of
+                    # the numbers the array goldens pin.
                     self._flush()
-                    self.trace.append((proc.vt, prim.label, prim.meta))
                 else:
                     acc_step(proc, prim)
                 if steps >= watchdog:

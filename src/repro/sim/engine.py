@@ -119,19 +119,16 @@ class Engine:
 
     Observability is opt-in through the single ``observe`` knob:
 
-    * ``None``/``False`` (default) — no recording beyond zero-cost
-      ``Trace`` annotations; each hook in the handlers costs one test of
-      a cached boolean.
+    * ``None``/``False`` (default) — no recording at all; each hook in
+      the handlers costs one test of a cached boolean.
     * ``True`` / ``"full"`` — attach an :class:`~repro.obs.spans.Observer`
       recording spans, waits (with wakers), copy spans and metrics.
     * ``"spans"`` — spans/waits/metrics without per-copy spans (lower
       volume for long runs).
-    * an :class:`Observer` instance — bring your own (rebound to this
-      engine).
 
-    The observer is a run's only recorder of where time went; ``trace``
-    keeps just the ``Trace`` annotations programs yield (Table II's
-    ``"message"`` records). Leave ``observe`` off for large sweeps —
+    The observer is a run's only recorder: ``Trace`` annotations (Table
+    II's ``"message"`` records) become its instants and are dropped on
+    an unobserved run. Leave ``observe`` off for large sweeps —
     overhead numbers are in docs/observability.md.
 
     Correctness checking is opt-in through the ``check`` knob, mirroring
@@ -154,7 +151,7 @@ class Engine:
     engine_kind = "event"
 
     def __init__(self, pricer,
-                 observe: "bool | str | Observer | None" = None,
+                 observe: "bool | str | None" = None,
                  check: "bool | str | None" = None) -> None:
         # The pricer (the Node) owns this engine, so the engine holds it
         # strongly only while run() executes (see _bind_run) and through
@@ -167,7 +164,6 @@ class Engine:
         self._seq = itertools.count()
         self._heap: list[tuple] = []
         self.processes: list[SimProcess] = []
-        self.trace: list[tuple[float, str, dict]] = []
         self.events_processed = 0
         self._running = False
         self._current_proc: SimProcess | None = None
@@ -178,13 +174,10 @@ class Engine:
             self.obs = Observer(self._proxy, record_copies=True)
         elif observe == "spans":
             self.obs = Observer(self._proxy, record_copies=False)
-        elif isinstance(observe, Observer):
-            self.obs = observe
-            self.obs.engine = self._proxy
         else:
             raise SimulationError(
                 f"unknown observe mode {observe!r}; expected True, False, "
-                f"'full', 'spans' or an Observer"
+                f"'full' or 'spans'"
             )
         self._observe = self.obs.enabled
         if check is True:
@@ -841,7 +834,6 @@ class Engine:
         self._schedule(self.now + cost, proc)
 
     def _h_trace(self, proc: SimProcess, prim: P.Trace) -> None:
-        self.trace.append((self.now, prim.label, prim.meta))
         if self._observe:
             self.obs.instant(proc, prim.label, prim.meta)
         self._resume(proc, None)

@@ -198,7 +198,9 @@ class PageFaults:
 
 @dataclass(slots=True)
 class Trace:
-    """Zero-cost annotation recorded in the engine trace (Table II counts)."""
+    """Zero-cost annotation: an observed run records it as one of the
+    observer's instants (Table II's ``"message"`` counts); an unobserved
+    run drops it."""
 
     label: str
     meta: dict = field(default_factory=dict)

@@ -1,14 +1,15 @@
 """Engine statistics: where did the simulated time go?
 
-Collects per-core busy time, event counts by primitive kind, flag traffic
-and XPMEM counters into one report — the first thing to look at when a
-collective is slower than expected. On an observed run (``Node(...,
-options=RunOptions(observe="spans"))``, as ``repro trace`` runs) it also
-carries the observer's blocked time per wait family and the full
-metrics-registry snapshot, so every counter any subsystem registered
-rides along without this module having to know about it.
+Collects simulated time, the event count and per-core busy time into one
+report — the first thing to look at when a collective is slower than
+expected. Everything else comes from the observer, a run's only
+recorder: on an observed run (``Node(...,
+options=RunOptions(observe="spans"))``, as ``repro trace`` runs) the
+report carries the blocked time per wait family and the full
+metrics-registry snapshot, message and XPMEM counts included, so every
+counter any subsystem registered rides along without this module having
+to know about it.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -25,11 +26,6 @@ class RunStats:
     processes: int
     processes_done: int
     core_busy: dict[int, float] = field(default_factory=dict)
-    xpmem_makes: int = 0
-    xpmem_attaches: int = 0
-    xpmem_detaches: int = 0
-    messages: int = 0
-    message_bytes: int = 0
     # Observed blocked time per wait family, merged across processes by
     # ``Flag.wait_key`` (``flag xhc.avail``, ``atomic sm.ctr`` — rank
     # suffixes stripped), so one family is one row.
@@ -51,11 +47,6 @@ class RunStats:
             f"processes          {self.processes:12d} "
             f"({self.processes_done} finished)",
             f"mean core busy     {100 * self.mean_core_utilization:11.1f} %",
-            f"xpmem make/attach  {self.xpmem_makes:6d} /"
-            f" {self.xpmem_attaches:6d}",
-            f"xpmem detaches     {self.xpmem_detaches:12d}",
-            f"logical messages   {self.messages:12d} "
-            f"({self.message_bytes} bytes)",
         ]
         if self.wait_breakdown:
             lines.append("")
@@ -85,10 +76,10 @@ def _metric_cell(value) -> str:
 
 
 def collect_stats(node: "Node") -> RunStats:
-    """Snapshot the node's counters and its observer's waits/metrics."""
+    """Snapshot the engine's clock and busy times and its observer's
+    waits/metrics."""
     engine = node.engine
     busy = dict(engine._core_busy)
-    msgs = [m for _t, label, m in engine.trace if label == "message"]
     done = sum(1 for p in engine.processes
                if p.finish_time is not None)
     obs = engine.obs
@@ -102,11 +93,6 @@ def collect_stats(node: "Node") -> RunStats:
         processes=len(engine.processes),
         processes_done=done,
         core_busy={c: min(t, engine.now) for c, t in busy.items()},
-        xpmem_makes=node.xpmem.makes,
-        xpmem_attaches=node.xpmem.attaches,
-        xpmem_detaches=node.xpmem.detaches,
-        messages=len(msgs),
-        message_bytes=sum(m.get("nbytes", 0) for m in msgs),
         wait_breakdown=waits,
-        metrics=obs.metrics.snapshot() if obs.enabled else {},
+        metrics=obs.metrics.snapshot(),
     )

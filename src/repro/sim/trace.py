@@ -1,18 +1,20 @@
 """Trace analysis: message accounting and copy timelines.
 
-``engine.trace`` keeps the zero-cost :class:`~repro.sim.primitives.Trace`
-events programs yield (collectives emit one ``"message"`` per logical
-transfer); an ``observe="full"`` run's observer keeps one ``cat="copy"``
-span per transfer quantum. This module turns them into the reports the
-paper's methodology needs:
+Both read the run's observer, its only recorder. An observed run
+(``RunOptions(observe="spans")`` or ``"full"``) keeps one instant per
+zero-cost :class:`~repro.sim.primitives.Trace` event programs yield
+(collectives emit one ``"message"`` per logical transfer), and an
+``observe="full"`` run one ``cat="copy"`` span per transfer quantum.
+This module turns them into the reports the paper's methodology needs:
 
 * :func:`message_matrix` / :func:`count_message_distances` — the Table II
-  analysis, for any run;
+  analysis; they raise on an unobserved run, which recorded no messages;
 * :class:`Timeline` — per-core copy activity from the observer's copy
   spans, renderable as a text Gantt chart for debugging pipelining
   behaviour.
 
-Blocked time per wait family is :func:`repro.sim.stats.collect_stats`'s
+Payload per distance class is the ``message.bytes.<class>`` metric;
+blocked time per wait family is :func:`repro.sim.stats.collect_stats`'s
 ``wait_breakdown``; :mod:`repro.obs.critical_path` explains the rest.
 """
 
@@ -22,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..errors import SimulationError
 from ..topology.distance import message_distance_label
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,8 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def messages(engine: "Engine") -> list[dict]:
-    """All logical-message records of a run."""
-    return [meta for _t, label, meta in engine.trace if label == "message"]
+    """All logical-message records of an observed run."""
+    obs = engine.obs
+    if not obs.enabled:
+        raise SimulationError(
+            'message records need an observed run: build the node with '
+            'RunOptions(observe="spans")')
+    return [meta for _t, _track, label, meta in obs.instants
+            if label == "message"]
 
 
 def message_matrix(engine: "Engine", nranks: int) -> list[list[int]]:
@@ -61,16 +70,6 @@ def count_message_distances(node: "Node",
             seen.add(key)
         counts[message_distance_label(topo, meta["src"], meta["dst"])] += 1
     return dict(counts)
-
-
-def bytes_by_distance(node: "Node") -> dict[str, int]:
-    """Total logical-message payload per distance class."""
-    topo = node.topo
-    out: Counter = Counter()
-    for meta in messages(node.engine):
-        label = message_distance_label(topo, meta["src"], meta["dst"])
-        out[label] += meta.get("nbytes", 0)
-    return dict(out)
 
 
 @dataclass

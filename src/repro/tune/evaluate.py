@@ -53,10 +53,6 @@ def simulate_payload(payload: dict) -> float:
     return result.latency_s
 
 
-class BudgetExhausted(RuntimeError):
-    """Raised internally when the simulation budget hits zero."""
-
-
 class Evaluator:
     """Cached, optionally-parallel scoring of candidate configs.
 

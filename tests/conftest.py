@@ -22,14 +22,16 @@ def small_topo(name="mini", sockets=2, numa_per_socket=2, cores_per_numa=4,
 
 def run_bcast(component_factory, *, topo=None, nranks=8, size=256, root=0,
               iters=2, mapping="core", smsc=None, data_movement=True,
-              pattern=None):
+              pattern=None, observe=None):
     """Run ``iters`` broadcasts and return per-rank payloads + timings.
 
     The root's buffer is rewritten (simulated) before every iteration so
-    cache state behaves like a real application.
+    cache state behaves like a real application. Pass ``observe`` to
+    read messages and XPMEM counts from ``node.obs`` afterwards.
     """
     topo = topo if topo is not None else small_topo()
-    node = Node(topo, options=RunOptions(data_movement=data_movement))
+    node = Node(topo, options=RunOptions(data_movement=data_movement,
+                                         observe=observe))
     world = World(node, nranks, mapping=mapping, smsc=smsc)
     comm = world.communicator(component_factory())
     out = {}
@@ -55,10 +57,10 @@ def run_bcast(component_factory, *, topo=None, nranks=8, size=256, root=0,
 
 def run_allreduce(component_factory, *, topo=None, nranks=8, size=256,
                   iters=2, mapping="core", smsc=None, data_movement=True,
-                  op=SUM, dtype=FLOAT, engine="event"):
+                  op=SUM, dtype=FLOAT, engine="event", observe=None):
     topo = topo if topo is not None else small_topo()
     node = Node(topo, options=RunOptions(data_movement=data_movement,
-                                         engine=engine))
+                                         engine=engine, observe=observe))
     world = World(node, nranks, mapping=mapping, smsc=smsc)
     comm = world.communicator(component_factory())
     out = {}
@@ -82,6 +84,13 @@ def run_allreduce(component_factory, *, topo=None, nranks=8, size=256,
             )
     comm.run(program)
     return out, node
+
+
+def xpmem_attaches(node):
+    """XPMEM attaches of an observed run (the observer's metric is the
+    only count)."""
+    assert node.obs.enabled, "run with observe= to count attaches"
+    return node.obs.metrics.value("xpmem.attaches")
 
 
 def assert_bcast_correct(out, nranks, expected_value):

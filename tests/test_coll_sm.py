@@ -8,14 +8,15 @@ from repro.node import Node
 from repro.sim import primitives as P
 
 from conftest import (assert_allreduce_correct, assert_bcast_correct,
-                      run_allreduce, run_bcast, small_topo)
+                      run_allreduce, run_bcast, small_topo, xpmem_attaches)
 
 
 def test_bcast_fragments_large_messages():
-    out, node = run_bcast(SmColl, nranks=4, size=100_000, iters=1)
+    out, node = run_bcast(SmColl, nranks=4, size=100_000, iters=1,
+                          observe="spans")
     assert_bcast_correct(out, 4, 100)
     # No single-copy involvement whatsoever: pure CICO.
-    assert node.xpmem.attaches == 0
+    assert xpmem_attaches(node) == 0
 
 
 def test_custom_fragment_size():

@@ -7,15 +7,15 @@ from repro.mpi.colls import Smhc
 from repro.node import Node
 
 from conftest import (assert_allreduce_correct, assert_bcast_correct,
-                      run_allreduce, run_bcast, small_topo)
+                      run_allreduce, run_bcast, small_topo, xpmem_attaches)
 
 
 def test_flat_and_tree_bcast():
     for tree in (False, True):
         out, node = run_bcast(lambda: Smhc(tree=tree), nranks=16,
-                              size=70_000, iters=2)
+                              size=70_000, iters=2, observe="spans")
         assert_bcast_correct(out, 16, 101)
-        assert node.xpmem.attaches == 0  # never single-copy
+        assert xpmem_attaches(node) == 0  # never single-copy
 
 
 def test_tree_roles_socket_leaders():

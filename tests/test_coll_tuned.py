@@ -8,18 +8,16 @@ from repro.mpi.colls.tuned import (ALLREDUCE_RD_MAX, BCAST_BINOMIAL_MAX,
 from repro.mpi import World
 from repro.node import Node
 from repro.sim import primitives as P
+from repro.sim.trace import messages
 
 from conftest import (assert_allreduce_correct, run_allreduce, run_bcast,
                       small_topo)
 
 
-def messages(node):
-    return [m for _, label, m in node.engine.trace if label == "message"]
-
-
 def test_small_bcast_uses_binomial_eager():
-    out, node = run_bcast(Tuned, nranks=8, size=64, iters=1)
-    msgs = messages(node)
+    out, node = run_bcast(Tuned, nranks=8, size=64, iters=1,
+                          observe="spans")
+    msgs = messages(node.engine)
     # Binomial tree over 8 ranks: exactly 7 messages, all eager.
     assert len(msgs) == 7
     assert all(m["proto"] == "eager" for m in msgs)
@@ -27,16 +25,18 @@ def test_small_bcast_uses_binomial_eager():
 
 def test_medium_bcast_is_segmented():
     size = BCAST_SEGMENTED_MAX  # 4 segments of 32 KiB
-    out, node = run_bcast(Tuned, nranks=4, size=size, iters=1)
-    msgs = messages(node)
+    out, node = run_bcast(Tuned, nranks=4, size=size, iters=1,
+                          observe="spans")
+    msgs = messages(node.engine)
     # More messages than tree edges: segments flow separately.
     assert len(msgs) == 4 * 3
 
 
 def test_large_bcast_uses_chain():
     size = BCAST_SEGMENTED_MAX * 2
-    out, node = run_bcast(Tuned, nranks=6, size=size, iters=1)
-    msgs = messages(node)
+    out, node = run_bcast(Tuned, nranks=6, size=size, iters=1,
+                          observe="spans")
+    msgs = messages(node.engine)
     edges = {(m["src_rank"], m["dst_rank"]) for m in msgs}
     # A chain: rank r sends only to r+1.
     assert edges == {(r, r + 1) for r in range(5)}
@@ -44,15 +44,16 @@ def test_large_bcast_uses_chain():
 
 def test_allreduce_rd_vs_ring_selection():
     # Small payload: recursive doubling (messages between distant ranks).
-    out, node = run_allreduce(Tuned, nranks=8, size=256, iters=1)
+    out, node = run_allreduce(Tuned, nranks=8, size=256, iters=1,
+                              observe="spans")
     assert_allreduce_correct(out, 8, iters=1)
-    edges_small = {(m["src_rank"], m["dst_rank"]) for m in messages(node)}
+    edges_small = {(m["src_rank"], m["dst_rank"]) for m in messages(node.engine)}
     assert (0, 4) in edges_small  # a doubling exchange
     # Large payload: ring (only neighbour traffic).
     out, node = run_allreduce(Tuned, nranks=8, size=ALLREDUCE_RD_MAX * 8,
-                              iters=1)
+                              iters=1, observe="spans")
     assert_allreduce_correct(out, 8, iters=1)
-    edges_large = {(m["src_rank"], m["dst_rank"]) for m in messages(node)}
+    edges_large = {(m["src_rank"], m["dst_rank"]) for m in messages(node.engine)}
     assert all((d - s) % 8 == 1 for s, d in edges_large)
 
 

@@ -9,19 +9,20 @@ from repro.node import Node
 from repro.sim import primitives as P
 
 from conftest import (assert_allreduce_correct, assert_bcast_correct,
-                      run_allreduce, run_bcast, small_topo)
+                      run_allreduce, run_bcast, small_topo, xpmem_attaches)
 
 
 def test_small_bcast_stays_in_shared_memory():
-    out, node = run_bcast(Ucc, nranks=8, size=512, iters=2)
+    out, node = run_bcast(Ucc, nranks=8, size=512, iters=2, observe="spans")
     assert_bcast_correct(out, 8, 101)
-    assert node.xpmem.attaches == 0  # cico slots only
+    assert xpmem_attaches(node) == 0  # cico slots only
 
 
 def test_large_bcast_single_copy():
-    out, node = run_bcast(Ucc, nranks=8, size=200_000, iters=1)
+    out, node = run_bcast(Ucc, nranks=8, size=200_000, iters=1,
+                          observe="spans")
     assert_bcast_correct(out, 8, 100)
-    assert node.xpmem.attaches > 0
+    assert xpmem_attaches(node) > 0
 
 
 def test_radix_configurable():

@@ -6,7 +6,8 @@ from repro.mpi import FLOAT, SUM, World
 from repro.mpi.colls import Xbrc
 from repro.node import Node
 
-from conftest import assert_allreduce_correct, run_allreduce, small_topo
+from conftest import (assert_allreduce_correct, run_allreduce, small_topo,
+                      xpmem_attaches)
 
 
 def test_allreduce_correct_across_sizes():
@@ -16,8 +17,9 @@ def test_allreduce_correct_across_sizes():
 
 
 def test_uses_direct_xpmem_reduction():
-    _, node = run_allreduce(Xbrc, nranks=8, size=60_000, iters=1)
-    assert node.xpmem.attaches > 0
+    _, node = run_allreduce(Xbrc, nranks=8, size=60_000, iters=1,
+                            observe="spans")
+    assert xpmem_attaches(node) > 0
 
 
 def test_min_slice_serializes_small_messages():

@@ -8,13 +8,15 @@ from repro.mpi import World
 from repro.mpi.colls import Tuned
 from repro.mpi import p2p
 from repro.node import Node
+from repro.options import RunOptions
 from repro.shmem.smsc import SmscConfig
+from repro.sim.trace import messages
 
-from conftest import small_topo
+from conftest import small_topo, xpmem_attaches
 
 
-def make_comm(nranks=4, smsc=None):
-    node = Node(small_topo())
+def make_comm(nranks=4, smsc=None, observe=None):
+    node = Node(small_topo(), options=RunOptions(observe=observe))
     world = World(node, nranks, smsc=smsc)
     comm = world.communicator(Tuned())
     return node, world, comm
@@ -38,25 +40,26 @@ def exchange(comm, size, tag=0):
 
 
 def test_eager_path():
-    node, world, comm = make_comm(2)
+    node, world, comm = make_comm(2, observe="spans")
     data = exchange(comm, 1024)
     assert (data == 7).all()
     # Eager messages go through the shared slot, no xpmem attach.
-    assert node.xpmem.attaches == 0
+    assert xpmem_attaches(node) == 0
 
 
 def test_rendezvous_path():
-    node, world, comm = make_comm(2)
+    node, world, comm = make_comm(2, observe="spans")
     data = exchange(comm, 128 * 1024)
     assert (data == 7).all()
-    assert node.xpmem.attaches == 1  # receiver mapped the sender's buffer
+    assert xpmem_attaches(node) == 1  # receiver mapped the sender's buffer
 
 
 def test_rendezvous_cico_fallback():
-    node, world, comm = make_comm(2, smsc=SmscConfig(mechanism=None))
+    node, world, comm = make_comm(2, smsc=SmscConfig(mechanism=None),
+                                  observe="spans")
     data = exchange(comm, 200 * 1024)
     assert (data == 7).all()
-    assert node.xpmem.attaches == 0  # pipelined through the shared slot
+    assert xpmem_attaches(node) == 0  # pipelined through the shared slot
 
 
 def test_many_messages_in_order():
@@ -163,9 +166,9 @@ def test_self_send_rejected():
 
 
 def test_message_trace_emitted():
-    node, world, comm = make_comm(2)
+    node, world, comm = make_comm(2, observe="spans")
     exchange(comm, 256)
-    msgs = [m for _, label, m in node.engine.trace if label == "message"]
+    msgs = messages(node.engine)
     assert len(msgs) == 1
     assert msgs[0]["src_rank"] == 0 and msgs[0]["dst_rank"] == 1
     assert msgs[0]["proto"] == "eager"

@@ -9,7 +9,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                NullMetricsRegistry, prometheus_name,
                                validate_prometheus)
 from repro.options import RunOptions
-from repro.sim.trace import bytes_by_distance
+from repro.sim.trace import count_message_distances
 from repro.xhc import Xhc
 
 from conftest import small_topo
@@ -221,22 +221,23 @@ def test_observed_run_populates_registry():
     m = node.obs.metrics
     assert m.value("messages.count") == 7
     assert m.value("messages.bytes") == 7 * 4096
-    assert m.value("xpmem.attaches") == node.xpmem.attaches
-    assert m.value("xpmem.makes") == node.xpmem.makes
+    # The counts the service's deleted attribute counters reported.
+    assert m.value("xpmem.attaches") == 7
+    assert m.value("xpmem.makes") == 2
     assert m.value("flags.sets") > 0
     assert m.value("flags.wakeups") > 0
     hist = m.get("flags.wait_seconds")
     assert hist is not None and hist.count == m.value("flags.blocked_waits")
 
 
-def test_message_bytes_by_distance_matches_trace():
+def test_message_bytes_by_distance_match_message_instants():
     node = run_bcast(size=1000)
-    by_trace = bytes_by_distance(node)
+    counts = count_message_distances(node, unique_edges=False)
     m = node.obs.metrics
-    for label, nbytes in by_trace.items():
-        assert m.value(f"message.bytes.{label}") == nbytes
-    total = sum(by_trace.values())
-    assert m.value("messages.bytes") == total == 7 * 1000
+    for label, n in counts.items():
+        assert m.value(f"message.bytes.{label}") == n * 1000
+    assert m.value("messages.bytes") == 7 * 1000
+    assert counts == {"intra-numa": 6, "inter-numa": 1, "inter-socket": 0}
 
 
 def test_regcache_and_smsc_metrics():
@@ -251,5 +252,19 @@ def test_disabled_run_registers_nothing():
     node = run_bcast(observe=False)
     assert not node.obs.enabled
     assert node.obs.metrics.snapshot() == {}
-    # Legacy attribute counters still work without the registry.
-    assert node.xpmem.attaches > 0
+
+
+def test_latency_only_run_keeps_no_record_outside_the_observer():
+    """The observer is a run's only recorder: an unobserved run leaves
+    no message log on its engine and no counters on its XPMEM service."""
+    from repro.exec import RunRequest, execute
+    from repro.obs import NULL_OBSERVER
+
+    result = execute(RunRequest("epyc-1p", "bcast", 4096, 8),
+                     keep_node=True)
+    node = result.node
+    assert result.latency_s > 0
+    assert node.obs is NULL_OBSERVER
+    assert not hasattr(node.engine, "trace")
+    for counter in ("makes", "attaches", "detaches"):
+        assert not hasattr(node.xpmem, counter)

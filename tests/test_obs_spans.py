@@ -151,6 +151,11 @@ def test_invalid_observe_value_rejected():
     with pytest.raises(SimulationError):
         Node(small_topo(),
              options=RunOptions(data_movement=False, observe="loud"))
+    # An observer belongs to the engine that built it; none is adopted.
+    other = run_bcast(observe="spans").obs
+    with pytest.raises(SimulationError, match="unknown observe mode"):
+        Node(small_topo(),
+             options=RunOptions(data_movement=False, observe=other))
 
 
 def test_span_tree_groups_and_sorts():

@@ -5,6 +5,8 @@ qualitative relationships the paper reports — who wins, in which regime,
 and roughly by how much. EXPERIMENTS.md records the quantitative runs.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ def test_table2_xhc_invariance_and_tuned_sensitivity():
     tuned_numa = res.data[("tuned", "map-numa")]
     assert tuned_numa["inter-socket"] > tuned_core["inter-socket"]
     assert tuned_numa["inter-numa"] > tuned_core["inter-numa"]
+    # Read from the observer's message instants, the table renders
+    # exactly what the benchmarks committed.
+    root = Path(__file__).resolve().parent.parent
+    committed = (root / "results" / "table2.txt").read_text(encoding="utf-8")
+    assert res.text + "\n" == committed
 
 
 def test_small_message_flat_vs_tree_epyc_vs_arm():

@@ -352,6 +352,25 @@ def test_shutdown_drains_inflight_jobs():
         fixture.stop()
 
 
+def test_drain_counts_only_unfinished_jobs():
+    """``drained_jobs`` is the jobs the drain waited for, not every job
+    the daemon ever finished."""
+    fixture = DaemonFixture(workers=0)
+    fixture.start()
+    try:
+        with ServeClient(fixture.socket_path) as client:
+            for size in (64, 128, 256):
+                done = client.submit(_payloads(sizes=(size,)), tenant="a")
+                assert done["event"] == "done"
+            assert client.status()["queue"]["completed_jobs"] == 3
+            bye = client.shutdown()
+        fixture.thread.join(timeout=10)
+        assert bye["event"] == "bye"
+        assert bye["drained_jobs"] == 0
+    finally:
+        fixture.stop()
+
+
 def test_submit_after_drain_is_refused():
     fixture = DaemonFixture(workers=0)
     fixture.start()

@@ -11,7 +11,8 @@ from conftest import small_topo
 
 
 def setup():
-    node = Node(small_topo(), options=RunOptions(data_movement=False))
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe="spans"))
     sp = node.new_address_space(0, 0)
     return node, sp.alloc("buf", 64 * 1024)
 
@@ -27,7 +28,7 @@ def test_expose_costs_one_syscall_and_is_idempotent():
     assert t1 == pytest.approx(node.model.syscall_cost)
     t2 = drive(node, node.xpmem.expose(buf), core=0)
     assert t2 == t1  # no extra cost
-    assert node.xpmem.makes == 1
+    assert node.obs.metrics.value("xpmem.makes") == 1
 
 
 def test_attach_requires_exposure():
@@ -44,7 +45,7 @@ def test_attach_pays_syscall_plus_page_faults():
     pages = node.pages_of(buf.size)
     expected = node.model.syscall_cost + pages * node.model.page_fault_cost
     assert t1 - t0 == pytest.approx(expected)
-    assert node.xpmem.attaches == 1
+    assert node.obs.metrics.value("xpmem.attaches") == 1
 
 
 def test_shared_segments_attach_without_exposure():
@@ -60,4 +61,4 @@ def test_detach_cost():
     t0 = node.engine.now
     t1 = drive(node, node.xpmem.detach(buf))
     assert t1 - t0 == pytest.approx(node.model.xpmem_detach_cost)
-    assert node.xpmem.detaches == 1
+    assert node.obs.metrics.value("xpmem.detaches") == 1

@@ -170,13 +170,22 @@ def test_non_primitive_yield_rejected():
         node.engine.run()
 
 
-def test_trace_records():
-    node = fresh_node()
+def test_trace_is_recorded_as_an_observer_instant():
     def prog():
+        yield P.Compute(1e-6)
         yield P.Trace("message", {"src": 1, "dst": 2})
-    node.engine.spawn(prog(), core=0)
+
+    node = Node(small_topo(), options=RunOptions(observe="spans"))
+    proc = node.engine.spawn(prog(), core=0)
     node.engine.run()
-    assert node.engine.trace == [(0.0, "message", {"src": 1, "dst": 2})]
+    assert node.obs.instants == [(pytest.approx(1e-6), proc.pid, "message",
+                                  {"src": 1, "dst": 2})]
+    # Unobserved, the annotation costs its event and records nothing.
+    plain = fresh_node()
+    plain.engine.spawn(prog(), core=0)
+    plain.engine.run()
+    assert plain.engine.events_processed == node.engine.events_processed
+    assert plain.obs.instants == ()
 
 
 def test_run_until():

@@ -1,14 +1,15 @@
 """Trace analysis utilities."""
 
 import numpy as np
+import pytest
 
+from repro.errors import SimulationError
 from repro.mpi import World
 from repro.node import Node
 from repro.options import RunOptions
 from repro.sim.stats import collect_stats
-from repro.sim.trace import (Timeline, bytes_by_distance,
-                             count_message_distances, message_matrix,
-                             messages)
+from repro.sim.trace import (Timeline, count_message_distances,
+                             message_matrix, messages)
 from repro.xhc import Xhc
 
 from conftest import small_topo
@@ -28,7 +29,7 @@ def run_bcast(observe=None, nranks=8, size=4096):
 
 
 def test_messages_and_matrix():
-    node = run_bcast()
+    node = run_bcast(observe="spans")
     msgs = messages(node.engine)
     assert len(msgs) == 7          # one pull edge per non-root rank
     matrix = message_matrix(node.engine, 8)
@@ -37,7 +38,7 @@ def test_messages_and_matrix():
 
 
 def test_count_message_distances_matches_hierarchy():
-    node = run_bcast()
+    node = run_bcast(observe="spans")
     counts = count_message_distances(node)
     # mini topo (2 sockets x 2 numa x 4): L0 = 4 numa groups of 2 ranks?
     # With 8 ranks on cores 0-7 (socket 0): 2 numa groups of 4, socket
@@ -48,10 +49,16 @@ def test_count_message_distances_matches_hierarchy():
     assert counts["intra-numa"] == 6
 
 
-def test_bytes_by_distance():
-    node = run_bcast(size=1000)
-    by = bytes_by_distance(node)
-    assert sum(by.values()) == 7 * 1000
+def test_message_analysis_raises_on_unobserved_run():
+    """An unobserved run recorded no messages; zeros would be a wrong
+    Table II, so every message reader refuses it."""
+    node = run_bcast()
+    with pytest.raises(SimulationError, match="observe"):
+        count_message_distances(node)
+    with pytest.raises(SimulationError, match="observe"):
+        message_matrix(node.engine, 8)
+    with pytest.raises(SimulationError, match="observe"):
+        messages(node.engine)
 
 
 def test_timeline_rendering():

@@ -54,7 +54,8 @@ def test_unsupported_component_reported_not_raised():
 
 
 def test_collect_stats():
-    node = Node(small_topo(), options=RunOptions(data_movement=False))
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe="spans"))
     world = World(node, 8)
     comm = world.communicator(Xhc())
 
@@ -66,12 +67,14 @@ def test_collect_stats():
     assert stats.sim_time > 0
     assert stats.events > 50
     assert stats.processes_done == 8
-    assert stats.messages == 7
-    assert stats.message_bytes == 7 * 65536
-    assert stats.xpmem_attaches > 0
+    # Message and XPMEM counts come only through the metrics snapshot.
+    assert stats.metrics["messages.count"]["value"] == 7
+    assert stats.metrics["messages.bytes"]["value"] == 7 * 65536
+    assert stats.metrics["xpmem.attaches"]["value"] > 0
     assert 0 < stats.mean_core_utilization <= 1
     text = stats.render()
-    assert "simulated time" in text and "logical messages" in text
+    assert "simulated time" in text
+    assert "messages.count" in text and "xpmem.attaches" in text
 
 
 def test_stats_empty_engine():
@@ -81,11 +84,12 @@ def test_stats_empty_engine():
     assert stats.events == 0
 
 
-def test_stats_render_lists_xpmem_detaches():
-    node = Node(small_topo(), options=RunOptions(data_movement=False))
+def test_stats_render_lists_xpmem_counters_of_an_observed_run():
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe="spans"))
     text = collect_stats(node).render()
-    assert "xpmem make/attach" in text
-    assert "xpmem detaches" in text
+    for name in ("xpmem.makes", "xpmem.attaches", "xpmem.detaches"):
+        assert name in text
 
 
 def test_collect_stats_carries_metrics_snapshot():
@@ -103,7 +107,7 @@ def test_collect_stats_carries_metrics_snapshot():
 
     observed = run(True)
     assert observed.metrics
-    assert observed.metrics["messages.count"]["value"] == observed.messages
+    assert observed.metrics["messages.count"]["value"] == 7
     text = observed.render()
     assert "messages.count" in text and "flags.sets" in text
     # Histograms render compactly, not as raw dicts.

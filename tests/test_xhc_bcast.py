@@ -8,26 +8,29 @@ from repro.node import Node
 from repro.sim import primitives as P
 from repro.xhc import Xhc, XhcConfig
 
-from conftest import assert_bcast_correct, run_bcast, small_topo
+from conftest import (assert_bcast_correct, run_bcast, small_topo,
+                      xpmem_attaches)
 
 
 def test_cico_path_below_threshold():
-    out, node = run_bcast(Xhc, nranks=8, size=1024, iters=2)
+    out, node = run_bcast(Xhc, nranks=8, size=1024, iters=2,
+                          observe="spans")
     assert_bcast_correct(out, 8, 101)
-    assert node.xpmem.attaches == 0
+    assert xpmem_attaches(node) == 0
 
 
 def test_single_copy_path_above_threshold():
-    out, node = run_bcast(Xhc, nranks=8, size=1025, iters=2)
+    out, node = run_bcast(Xhc, nranks=8, size=1025, iters=2,
+                          observe="spans")
     assert_bcast_correct(out, 8, 101)
-    assert node.xpmem.attaches > 0
+    assert xpmem_attaches(node) > 0
 
 
 def test_threshold_configurable():
     out, node = run_bcast(lambda: Xhc(cico_threshold=4096), nranks=8,
-                          size=4000, iters=1)
+                          size=4000, iters=1, observe="spans")
     assert_bcast_correct(out, 8, 100)
-    assert node.xpmem.attaches == 0
+    assert xpmem_attaches(node) == 0
 
 
 def test_pipelining_with_tiny_chunks():
@@ -94,16 +97,12 @@ def test_multi_separate_uses_one_line_per_child():
 
 def test_message_pattern_is_root_invariant():
     """Table II: XHC-tree's edge distances do not change with the root."""
-    from repro.topology.distance import message_distance_label
+    from repro.sim.trace import count_message_distances
 
     def pattern(root):
-        out, node = run_bcast(Xhc, nranks=16, size=2048, iters=1, root=root)
-        counts = {"intra-numa": 0, "inter-numa": 0, "inter-socket": 0}
-        for _t, label, m in node.engine.trace:
-            if label == "message":
-                counts[message_distance_label(node.topo, m["src"],
-                                              m["dst"])] += 1
-        return counts
+        out, node = run_bcast(Xhc, nranks=16, size=2048, iters=1, root=root,
+                              observe="spans")
+        return count_message_distances(node, unique_edges=False)
     assert pattern(0) == pattern(9)
 
 
