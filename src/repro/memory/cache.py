@@ -99,34 +99,6 @@ class CacheLevel:
 
     # -- mutation ------------------------------------------------------------
 
-    def insert(self, buf: "Buffer", upto: int, system: "CacheSystem") -> None:  # hot-path
-        """Record that the buffer's prefix now reaches ``upto`` here."""
-        if upto <= 0:
-            return
-        hw = self._hw
-        buf_id = buf.id
-        old = hw.pop(buf_id, 0)
-        new = old if old >= upto else upto
-        size = buf.size
-        if new > size:
-            new = size
-        hw[buf_id] = new
-        if new == old:
-            # High water unchanged: the pop+reinsert above was a pure LRU
-            # touch. Totals, the holders directory and eviction pressure
-            # are all exactly as before, so skip them.
-            return
-        cap = self.capacity
-        self._total += ((new if new < cap else cap)
-                        - (old if old < cap else cap))
-        holders = system._holders.get(buf_id)
-        if holders is None:
-            system._holders[buf_id] = {self.id: self}  # lint: disable=RC106
-        else:
-            holders[self.id] = self
-        if self._total > cap:
-            self._evict(system, keep=buf_id)
-
     def invalidate(self, buf: "Buffer", system: "CacheSystem") -> None:
         old = self._hw.pop(buf.id, None)
         if old is not None:
@@ -135,19 +107,25 @@ class CacheLevel:
             if holders is not None:
                 holders.pop(self.id, None)
 
-    def _evict(self, system: "CacheSystem", keep: int) -> None:
-        while self._total > self.capacity and len(self._hw) > 1:
-            victim_id = next(iter(self._hw))
+    def _evict(self, system: "CacheSystem", keep: int) -> None:  # hot-path
+        """Drop LRU-head entries until the level fits, never ``keep``."""
+        hw = self._hw
+        cap = self.capacity
+        directory = system._holders
+        total = self._total
+        while total > cap and len(hw) > 1:
+            victim_id = next(iter(hw))
             if victim_id == keep:
-                self._hw[victim_id] = self._hw.pop(victim_id)  # re-queue
-                victim_id = next(iter(self._hw))
+                hw[victim_id] = hw.pop(victim_id)  # re-queue
+                victim_id = next(iter(hw))
                 if victim_id == keep:  # pragma: no cover - single entry
-                    return
-            victim_hw = self._hw.pop(victim_id)
-            self._total -= min(victim_hw, self.capacity)
-            holders = system._holders.get(victim_id)
+                    break
+            victim_hw = hw.pop(victim_id)
+            total -= victim_hw if victim_hw < cap else cap
+            holders = directory.get(victim_id)
             if holders is not None:
                 holders.pop(self.id, None)
+        self._total = total
 
 
 class CacheSystem:
@@ -180,17 +158,13 @@ class CacheSystem:
         self._holders: dict[int, dict[int, CacheLevel]] = {}
         # core -> its shared cache (GROUP on Epycs, SLC on ARM), if any.
         self._shared_of_core: list[Optional[CacheLevel]] = []
-        for core in topo.cores:
-            shared: Optional[CacheLevel] = None
-            if self.group:
-                llc = topo.llc_of_core(core.index)
-                if llc is not None:
-                    shared = self.group[llc.index]
-            elif self.slc:
-                sock = topo.socket_of_core(core.index)
-                if sock is not None:
-                    shared = self.slc[sock.index]
-            self._shared_of_core.append(shared)
+        if self.group:
+            by_index, of_core = self.group, topo.core_indices(ObjKind.LLC)
+        else:
+            by_index, of_core = self.slc, topo.core_indices(ObjKind.SOCKET)
+        for index in of_core:
+            self._shared_of_core.append(
+                None if index is None else by_index.get(index))
 
     # -- lookup ---------------------------------------------------------------
 
@@ -202,60 +176,80 @@ class CacheSystem:
 
     # -- read/write accounting ---------------------------------------------
 
-    def record_read(self, core: int, buf: "Buffer", upto: int) -> None:  # hot-path
-        """A core consumed the buffer's prefix up to ``upto``.
+    def record_transfer(self, core: int, spans, write: bool = True) -> None:  # hot-path
+        """Record one copy or reduce by ``core``: it read the prefix of
+        each ``(buf, upto)`` of ``spans`` in order and, with ``write``,
+        wrote the last one (a copy is ``((src, src_end), (dst,
+        dst_end))``; a reduce lists its operands before the destination).
 
-        Equivalent to ``insert`` on the core's private then shared level,
-        with both bodies inlined: this pair runs on every simulated copy
-        completion, and the call/attribute overhead of two ``insert``
-        frames is measurable there."""
-        if upto <= 0:
-            return
-        buf_id = buf.id
-        size = buf.size
-        level = self.private[core]
-        while True:  # private level, then the shared level if any
-            hw = level._hw
-            old = hw.pop(buf_id, 0)
-            new = old if old >= upto else upto
-            if new > size:
-                new = size
-            hw[buf_id] = new
-            if new != old:  # else: pure LRU touch, bookkeeping unchanged
-                cap = level.capacity
-                level._total += ((new if new < cap else cap)
-                                 - (old if old < cap else cap))
-                holders = self._holders.get(buf_id)
-                if holders is None:
-                    self._holders[buf_id] = {level.id: level}  # lint: disable=RC106
-                else:
-                    holders[level.id] = level
-                if level._total > cap:
-                    level._evict(self, keep=buf_id)
-            shared = self._shared_of_core[core]
-            if shared is None or level is shared:
-                return
-            level = shared
-
-    def record_write(self, core: int, buf: "Buffer", upto: int) -> None:  # hot-path
-        """A core wrote the prefix up to ``upto``: peer copies invalidate."""
-        writer_private = self.private[core]
-        writer_shared = self._shared_of_core[core]
-        holders = self._holders.get(buf.id)
-        if holders:
-            stale = None
-            for level in holders.values():
-                if level is not writer_private and level is not writer_shared:
-                    if stale is None:
-                        stale = [level]  # lint: disable=RC106
+        Every span goes through the core's private level, then its shared
+        level if any: the buffer's high water there rises to ``upto``
+        (clamped to the buffer size) and its entry moves to the LRU tail;
+        a level over capacity evicts from its LRU head. A write first
+        invalidates every other cache's copy of the written buffer. That
+        is exactly one :meth:`record_read` per read and one
+        :meth:`record_write`, with the core's two levels fetched once:
+        invalidating before the reads commutes with them, since a read
+        touches only the core's own levels and their directory entries.
+        """
+        private = self.private[core]
+        shared = self._shared_of_core[core]
+        if shared is None:
+            shared = private
+        directory = self._holders
+        if write:
+            buf_id = spans[-1][0].id
+            holders = directory.get(buf_id)
+            if holders:
+                stale = None
+                for level in holders.values():
+                    if level is not private and level is not shared:
+                        if stale is None:
+                            stale = [level]  # lint: disable=RC106
+                        else:
+                            stale.append(level)
+                if stale is not None:
+                    # The directory guarantees presence in each _hw.
+                    for level in stale:
+                        old = level._hw.pop(buf_id)
+                        cap = level.capacity
+                        level._total -= old if old < cap else cap
+                        del holders[level.id]
+        for buf, upto in spans:
+            if upto <= 0:
+                continue
+            buf_id = buf.id
+            size = buf.size
+            level = private
+            while True:  # the private level, then the shared level if any
+                hw = level._hw
+                old = hw.pop(buf_id, 0)
+                new = old if old >= upto else upto
+                if new > size:
+                    new = size
+                hw[buf_id] = new
+                if new != old:  # else: pure LRU touch, bookkeeping unchanged
+                    cap = level.capacity
+                    level._total += ((new if new < cap else cap)
+                                     - (old if old < cap else cap))
+                    holders = directory.get(buf_id)
+                    if holders is None:
+                        directory[buf_id] = {level.id: level}  # lint: disable=RC106
                     else:
-                        stale.append(level)
-            if stale is not None:
-                for level in stale:
-                    level.invalidate(buf, self)
-        writer_private.insert(buf, upto, self)
-        if writer_shared is not None:
-            writer_shared.insert(buf, upto, self)
+                        holders[level.id] = level
+                    if level._total > cap:
+                        level._evict(self, keep=buf_id)
+                if level is shared:
+                    break
+                level = shared
+
+    def record_read(self, core: int, buf: "Buffer", upto: int) -> None:
+        """A core consumed the buffer's prefix up to ``upto``."""
+        self.record_transfer(core, ((buf, upto),), write=False)
+
+    def record_write(self, core: int, buf: "Buffer", upto: int) -> None:
+        """A core wrote the prefix up to ``upto``: peer copies invalidate."""
+        self.record_transfer(core, ((buf, upto),))
 
     def drop(self, buf: "Buffer") -> None:
         """Remove a freed buffer from every cache."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, TopologyError
 from .memory.address_space import AddressSpace, Buffer, BufView
 from .memory.cache import CacheLevel, CacheSystem
 from .memory.model import MachineModel, PAGE_SIZE, model_for
@@ -40,6 +40,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .mpi.ops import ReduceOp
 
 _NO_RESOURCES: list = []
+# The distance classes the pricing paths test, bound once: reading an
+# enum member as a class attribute is a lookup through the enum
+# machinery, dearer than the arithmetic around it.
+_SELF = Distance.SELF
+_CACHE_LOCAL = Distance.CACHE_LOCAL
+_INTRA_NUMA = Distance.INTRA_NUMA
+_CROSS_NUMA = Distance.CROSS_NUMA
+_CROSS_SOCKET = Distance.CROSS_SOCKET
 
 
 class Node:
@@ -51,11 +59,6 @@ class Node:
     single ``DeprecationWarning`` per call (docs/api.md);
     ``record_copies=True`` runs as ``observe="full"``.
     """
-
-    # Bound on the write-resource memo: a full memo evicts its oldest
-    # entry (insertion-order LRU via dict ordering). Eviction only costs
-    # recomputation — prices never depend on the memo.
-    _MEMO_CAP = 32768
 
     def __init__(
         self,
@@ -100,26 +103,23 @@ class Node:
             rows = topo._dist_rows = [None] * topo.n_cores
         self._dist_rows: list[Optional[list[Distance]]] = rows
         # Core index -> NUMA/socket indices, precomputed for pricing.
-        self._numa_of = [
-            t.index if t is not None else 0
-            for t in (topo.numa_of_core(c.index) for c in topo.cores)
+        self._numa_of = [0 if i is None else i
+                         for i in topo.core_indices(ObjKind.NUMA)]
+        self._sock_of = [0 if i is None else i
+                         for i in topo.core_indices(ObjKind.SOCKET)]
+        self._numa_sock = {}
+        for numa in topo.objects(ObjKind.NUMA):
+            sock = numa.ancestor(ObjKind.SOCKET)
+            self._numa_sock[numa.index] = sock.index if sock else 0
+        # Core -> LLC index (None without an LLC level), the topology's
+        # own table: the line-fetch path never walks the topology tree.
+        self._llc_index: list[Optional[int]] = topo.core_indices(ObjKind.LLC)
+        # Write spill: a destination larger than the writer's shared cache
+        # (its L2 without one) streams to its home DRAM (copy_terms_span).
+        self._spill_limit = [
+            shared.capacity if shared is not None else self.model.l2_size
+            for shared in self.caches._shared_of_core
         ]
-        self._sock_of = [
-            t.index if t is not None else 0
-            for t in (topo.socket_of_core(c.index) for c in topo.cores)
-        ]
-        self._numa_sock = {
-            numa.index: (numa.ancestor(ObjKind.SOCKET).index
-                         if numa.ancestor(ObjKind.SOCKET) else 0)
-            for numa in topo.objects(ObjKind.NUMA)
-        }
-        # Core -> LLC index (None without an LLC level), precomputed so the
-        # line-fetch path never walks the topology tree.
-        self._llc_index: list[Optional[int]] = [
-            (llc.index if llc is not None else None)
-            for llc in (topo.llc_of_core(c.index) for c in topo.cores)
-        ]
-        self._write_res_memo: dict[tuple[int, int], list[Resource]] = {}
         # Read-route entries (see _source_route).
         self._routes: dict[tuple, tuple] = {}
         self._self_route = self._source_route(self.caches.private[0], 0,
@@ -160,11 +160,10 @@ class Node:
     # -- setup helpers -----------------------------------------------------
 
     def new_address_space(self, rank: int, core: int) -> AddressSpace:
-        numa = self.topo.numa_of_core(core)
-        return AddressSpace(
-            rank, core, numa.index if numa else 0,
-            data_movement=self.data_movement,
-        )
+        if not 0 <= core < len(self._numa_of):
+            raise TopologyError(f"core index {core} out of range")
+        return AddressSpace(rank, core, self._numa_of[core],
+                            data_movement=self.data_movement)
 
     def distance(self, core_a: int, core_b: int) -> Distance:  # hot-path
         row = self._dist_rows[core_a]
@@ -179,35 +178,38 @@ class Node:
     def numa_distance(self, core: int, numa_index: int) -> Distance:
         """Distance of a core to a NUMA node's memory."""
         if self._numa_of[core] == numa_index:
-            return Distance.INTRA_NUMA
+            return _INTRA_NUMA
         if self._sock_of[core] == self._numa_sock[numa_index]:
-            return Distance.CROSS_NUMA
-        return Distance.CROSS_SOCKET
+            return _CROSS_NUMA
+        return _CROSS_SOCKET
 
     # -- source location ---------------------------------------------------
 
-    def _cache_source_span(  # hot-path
+    def _read_source(  # hot-path
         self, core: int, buf: Buffer, off: int, length: int
-    ) -> tuple[Optional[CacheLevel], int]:
-        """Best cache source for reading ``buf[off:off+length]`` by ``core``.
+    ) -> tuple[Optional[CacheLevel], int, tuple]:
+        """Best source for reading ``buf[off:off+length]`` by ``core``.
 
-        Returns (cache_level, hit_bytes); (None, 0) when no cache holds any
-        of the range (DRAM at the buffer's home is then the source). The
-        nearest cache wins; a farther one only wins by covering strictly
-        more of the range. One walk of the holders directory, with
-        :meth:`CacheLevel.hit_bytes` inlined (the directory guarantees
-        presence, so no ``.get``).
+        Returns ``(level, hit_bytes, entry)``: the cache level selected
+        and the bytes of the range it holds, or ``(None, 0)`` when no
+        cache holds any of it (DRAM at the buffer's home is then the
+        source), and the route entry of reading that source (see
+        :meth:`_source_route`). The nearest cache wins; a farther one only
+        wins by covering strictly more of the range. One walk of the
+        holders directory, with :meth:`CacheLevel.hit_bytes` inlined (the
+        directory guarantees presence, so no ``.get``); the distance class
+        the walk computed for the winner keys its entry.
         """
         buf_id = buf.id
         holders = self.caches._holders.get(buf_id)
         if not holders:
-            return None, 0
+            return None, 0, self._dram_route(core, buf.home_numa)
         end = off + length
         # The private level goes first: the full-coverage exit below must
         # not let an equally complete shared level win ahead of it.
         private = self.caches.private[core]
         best: Optional[CacheLevel] = None
-        best_dist = Distance.SELF
+        best_dist = _SELF
         best_hit = 0
         if private.id in holders:
             hw = private._hw[buf_id]
@@ -218,7 +220,7 @@ class Node:
             if hi > lo:
                 best, best_hit = private, hi - lo
                 if best_hit >= length:
-                    return best, best_hit
+                    return best, best_hit, self._self_route
         row = self._dist_rows[core]
         if row is None:
             row = self._distance_row(core)
@@ -235,16 +237,24 @@ class Node:
                 continue
             # Another core's private level is never home to ``core``.
             if core in level.home_set:
-                dist = Distance.CACHE_LOCAL
+                dist = _CACHE_LOCAL
             else:
                 dist = row[level.home_cores[0]]
             # hit > best_hit also covers best is None (best_hit is 0).
             if hit > best_hit or dist < best_dist:
                 best, best_dist, best_hit = level, dist, hit
-                if best_hit >= length and dist <= Distance.CACHE_LOCAL:
+                if best_hit >= length and dist <= _CACHE_LOCAL:
                     # A full-coverage local source cannot be beaten.
                     break
-        return best, best_hit
+        if best is None:
+            return None, 0, self._dram_route(core, buf.home_numa)
+        if best is private:
+            return best, best_hit, self._self_route
+        key = (best, best_dist)
+        entry = self._routes.get(key)
+        if entry is None:
+            entry = self._routes[key] = self._source_route(best, 0, best_dist)
+        return best, best_hit, entry
 
     # A read price decomposes into static terms (fixed by the selected
     # source) and a dynamic bandwidth-share evaluation. Term tuple layout:
@@ -307,23 +317,11 @@ class Node:
 
     def _read_terms(self, core: int, buf: Buffer, length: int,  # hot-path
                     level: Optional[CacheLevel], hit_bytes: int,
-                    bw_factor: float) -> tuple:
+                    entry: tuple, bw_factor: float) -> tuple:
         """Static terms of reading ``length`` bytes of ``buf`` by ``core``
-        from the source :meth:`_cache_source_span` selected."""
-        if level is None:
-            lat_term, bw, route, _ = self._dram_route(core, buf.home_numa)
-        elif level is self.caches.private[core]:
-            lat_term, bw, route, _ = self._self_route
-        else:
-            if core in level.home_set:
-                dist = Distance.CACHE_LOCAL
-            else:
-                dist = self.distance(core, level.home_cores[0])
-            key = (level, dist)
-            entry = self._routes.get(key)
-            if entry is None:
-                entry = self._routes[key] = self._source_route(level, 0, dist)
-            lat_term, bw, route, _ = entry
+        from the source :meth:`_read_source` selected: ``level``, the
+        ``hit_bytes`` it holds and its route ``entry``."""
+        lat_term, bw, route, _ = entry
         miss_bytes = length - hit_bytes
         resources = list(route)  # callers append the write resources
         if miss_bytes > 0 and level is not None:
@@ -367,25 +365,6 @@ class Node:
             else:
                 duration = duration + miss_bytes / eff_bw
         return duration
-
-    def _write_resources_for(self, core: int, buf: Buffer) -> list[Resource]:
-        """Big destinations spill past the caches to their home DRAM."""
-        # Depends only on static geometry (buffer size/home, cache
-        # capacities), so the memo never needs invalidating.
-        key = (core, buf.id)
-        cached = self._write_res_memo.get(key)
-        if cached is not None:
-            return cached
-        shared = self.caches.shared_cache_of(core)
-        limit = shared.capacity if shared is not None else self.model.l2_size
-        if buf.size > limit:
-            res = [self.resources.dram[buf.home_numa]]
-        else:
-            res = _NO_RESOURCES
-        if len(self._write_res_memo) >= self._MEMO_CAP:
-            del self._write_res_memo[next(iter(self._write_res_memo))]
-        self._write_res_memo[key] = res
-        return res
 
     # -- engine pricing protocol ------------------------------------------
 
@@ -437,13 +416,16 @@ class Node:
         """
         if nbytes <= 0:
             return None
-        level, hit = self._cache_source_span(core, src_buf, src_off, src_len)
-        terms = self._read_terms(core, src_buf, src_len, level, hit,
+        level, hit, entry = self._read_source(core, src_buf, src_off,
+                                              src_len)
+        terms = self._read_terms(core, src_buf, src_len, level, hit, entry,
                                  bw_factor)
         resources = terms[8]
-        for res in self._write_resources_for(core, dst_buf):
-            if res not in resources:
-                resources.append(res)
+        if dst_buf.size > self._spill_limit[core]:
+            # Big destinations spill past the caches to their home DRAM.
+            dram = self.resources.dram[dst_buf.home_numa]
+            if dram not in resources:
+                resources.append(dram)
 
         caches = self.caches
         src_end = src_off + nbytes
@@ -451,8 +433,8 @@ class Node:
         data_movement = self.data_movement
 
         def complete() -> None:
-            caches.record_read(core, src_buf, src_end)
-            caches.record_write(core, dst_buf, dst_end)
+            caches.record_transfer(core, ((src_buf, src_end),
+                                          (dst_buf, dst_end)))
             if data_movement and src_buf.data is not None \
                     and dst_buf.data is not None:
                 dst_buf.data[dst_off:dst_end] = \
@@ -491,10 +473,10 @@ class Node:
         term_list = []  # lint: disable=RC106
         resources: list[Resource] = []  # lint: disable=RC106
         for src in srcs:
-            level, hit = self._cache_source_span(core, src.buf, src.offset,
-                                                 src.length)
+            level, hit, entry = self._read_source(core, src.buf, src.offset,
+                                                  src.length)
             terms = self._read_terms(core, src.buf, src.length, level, hit,
-                                     1.0)
+                                     entry, 1.0)
             term_list.append(terms)
             for r in terms[8]:
                 if r not in resources:
@@ -503,18 +485,23 @@ class Node:
         # the arithmetic on real hardware, so this term is charged once,
         # not per source.
         reduce_term = nbytes / self.model.reduce_bw
-        for res in self._write_resources_for(core, dst.buf):
-            if res not in resources:
-                resources.append(res)
+        dst_buf = dst.buf
+        if dst_buf.size > self._spill_limit[core]:
+            dram = self.resources.dram[dst_buf.home_numa]
+            if dram not in resources:
+                resources.append(dram)
 
         caches = self.caches
         data_movement = self.data_movement
+        dst_end = dst.offset + nbytes
 
         def complete() -> None:
-            for src in srcs:
-                caches.record_read(core, src.buf, src.offset + src.length)
-            caches.record_write(core, dst.buf, dst.offset + nbytes)
-            if data_movement and dst.buf.data is not None:
+            # The spans are built here, not with the terms: a reduce in
+            # flight then holds no per-operand record.
+            spans = [(s.buf, s.offset + s.length) for s in srcs]  # lint: disable=RC106
+            spans.append((dst_buf, dst_end))
+            caches.record_transfer(core, spans)
+            if data_movement and dst_buf.data is not None:
                 Node._apply_reduce(prim)
 
         return term_list, reduce_term, resources, complete
@@ -533,8 +520,8 @@ class Node:
         src_buf, dst_buf = src.buf, dst.buf
         src_end = src.offset + off + nbytes
         dst_end = dst.offset + off + nbytes
-        self.caches.record_read(core, src_buf, src_end)
-        self.caches.record_write(core, dst_buf, dst_end)
+        self.caches.record_transfer(core, ((src_buf, src_end),
+                                           (dst_buf, dst_end)))
         if self.data_movement and src_buf.data is not None \
                 and dst_buf.data is not None:
             dst_buf.data[dst_end - nbytes:dst_end] = \
@@ -549,11 +536,10 @@ class Node:
         ``[off, off+nbytes)`` slice of full-payload operand views."""
         if nbytes <= 0:
             return
-        caches = self.caches
         end = off + nbytes
-        for s in srcs:
-            caches.record_read(core, s.buf, s.offset + end)
-        caches.record_write(core, dst.buf, dst.offset + end)
+        self.caches.record_transfer(
+            core, [(s.buf, s.offset + end) for s in srcs]
+            + [(dst.buf, dst.offset + end)])
         if self.data_movement and dst.buf.data is not None:
             Node._apply_reduce(P.Reduce(
                 srcs=tuple(s.sub(off, nbytes) for s in srcs),
@@ -590,7 +576,7 @@ class Node:
             # A same-LLC peer already pulled the line into the group cache:
             # the implicit hardware assist of SSV-D1.
             line.holders.add(core)
-            return t + model.lat[Distance.CACHE_LOCAL]
+            return t + model.lat[_CACHE_LOCAL]
         owner = line.owner_core
         start = self._line_port.get(owner, 0.0)
         if start < t:
@@ -623,7 +609,7 @@ class Node:
         llc_index = self._llc_index[core]
         if llc_index is not None and llc_index in line.shared_holders:
             line.holders.add(core)
-            return t + model.lat[Distance.CACHE_LOCAL]
+            return t + model.lat[_CACHE_LOCAL]
         owner = line.owner_core
         port = self._arr_port.get(owner)
         if port is None:

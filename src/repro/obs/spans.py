@@ -280,12 +280,16 @@ class Observer:
         stack = self._stacks.get(wait.track)
         parent = stack[-1].id if stack else None
         obj = proc.blocked_obj
-        name = None if obj is None else self._wait_span_names.get(
-            obj.wait_key)
-        if name is None:
+        if obj is None:
             name = f"wait:{wait.group}"
-            if obj is not None:
-                self._wait_span_names[obj.wait_key] = name
+        else:
+            key = obj.wait_key
+            name = self._wait_span_names.get(key)
+            if name is None:
+                # The key is "<kind> <group>"; the span is named by the
+                # group, the WaitRecord's own.
+                name = self._wait_span_names[key] = \
+                    "wait:" + key.partition(" ")[2]
         self._store(SpanRecord(
             next(self._ids), name, "wait", wait.track,
             wait.start, wait.end, parent,

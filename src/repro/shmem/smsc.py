@@ -79,6 +79,9 @@ class SmscEndpoint:
         self._m_reduces = metrics.counter(
             "smsc.reduces", "direct reductions over peer buffers")
         self.lookup_cost = node.model.regcache_lookup_cost
+        # The step a registration-cache hit yields. Primitives are never
+        # mutated once built, so every hit yields this one.
+        self._lookup = P.Compute(self.lookup_cost)
 
     @property
     def xpmem(self) -> "XpmemService":
@@ -132,14 +135,19 @@ class SmscEndpoint:
         buf = view.buf
         if buf.owner_rank == self.rank or buf.shared:
             return
-        if self.config.use_regcache:
-            if not self.regcache.lookup(buf):
-                yield from self.xpmem.attach(buf)
-                self.regcache.insert(buf)
-            else:
-                yield P.Compute(self.lookup_cost)
+        if self.config.use_regcache and self.regcache.lookup(buf):
+            yield self._lookup
         else:
-            yield from self.xpmem.attach(buf)
+            yield from self._attach(buf)
+
+    def _attach(self, buf) -> Iterator:
+        """:meth:`map_peer`'s miss path for a peer's ``buf``: the XPMEM
+        attach, kept in the registration cache when there is one. The
+        transfers below test for a cache hit themselves and yield its
+        lookup ``Compute`` directly, so a hit builds no generator."""
+        yield from self.xpmem.attach(buf)
+        if self.config.use_regcache:
+            self.regcache.insert(buf)
 
     def _unmap_if_uncached(self, view: "BufView") -> Iterator:
         if (self.config.mechanism == "xpmem"
@@ -199,9 +207,14 @@ class SmscEndpoint:
                 # delegation entirely (hot on every pipelined pull).
                 yield P.Copy(src=src, dst=dst)
                 return
-            yield from self.map_peer(src)
+            cached = self.config.use_regcache
+            if cached and self.regcache.lookup(buf):
+                yield self._lookup
+            else:
+                yield from self._attach(buf)
             yield P.Copy(src=src, dst=dst)
-            yield from self._unmap_if_uncached(src)
+            if not cached:
+                yield from self.xpmem.detach(buf)
         elif mech == "cma":
             yield P.Syscall("cma")
             yield P.Copy(src=src, dst=dst,
@@ -242,8 +255,14 @@ class SmscEndpoint:
                 f"{self.config.mechanism!r}; copy-in first"
             )
         self._m_reduces.inc()
-        for src in srcs:
-            yield from self.map_peer(src)
-        yield from self.map_peer(dst)
+        cached = self.config.use_regcache
+        for view in (*srcs, dst):  # map_peer's effect, hits inlined
+            buf = view.buf
+            if buf.owner_rank == self.rank or buf.shared:
+                continue
+            if cached and self.regcache.lookup(buf):
+                yield self._lookup
+            else:
+                yield from self._attach(buf)
         yield P.Reduce(srcs=tuple(srcs), dst=dst, op=op, dtype=dtype,
                        accumulate=accumulate)

@@ -22,7 +22,10 @@ Event-loop layout (see docs/performance.md): heap entries are
 which covers the overwhelming majority of events without allocating a
 closure per event. Handler dispatch goes through one table,
 ``_HANDLERS``; the observe, race and deadlock-probe hooks inside the
-handlers each sit behind a boolean cached at construction. A
+handlers each sit behind a boolean cached at construction. A handler
+returns True for a primitive that takes no simulated time (a ``Trace``,
+an empty ``ChunkRun``), and ``_resume`` sends into the generator again
+in its own loop, so no run of such primitives nests frames. A
 :class:`~repro.sim.primitives.ChunkRun` runs as exactly the per-chunk
 events it stands for, chained in-engine (see ``_h_chunk_run``).
 
@@ -400,20 +403,28 @@ class Engine:
             proc.cont = None
             cont()
             return
-        try:
-            prim = proc.gen.send(send_value)
-        except StopIteration as stop:
-            proc.state = _DONE
-            proc.result = stop.value
-            proc.finish_time = self.now
-            if self._dl_proactive:
-                self._dl_probe.stale = True
-            return
-        handler = _HANDLERS.get(prim.__class__)
-        if handler is None:
-            self._unknown_primitive(proc, prim)
-            return
-        handler(self, proc, prim)
+        gen = proc.gen
+        while True:
+            try:
+                prim = gen.send(send_value)
+            except StopIteration as stop:
+                proc.state = _DONE
+                proc.result = stop.value
+                proc.finish_time = self.now
+                if self._dl_proactive:
+                    self._dl_probe.stale = True
+                return
+            handler = _HANDLERS.get(prim.__class__)
+            if handler is None:
+                self._unknown_primitive(proc, prim)
+                return
+            if not handler(self, proc, prim):
+                return
+            # A zero-time primitive (a Trace, an empty ChunkRun): resume
+            # the generator here, not through a nested _resume, so a long
+            # run of them cannot exhaust the stack.
+            send_value = None
+            self._progress += 1
 
     # -- primitive dispatch ------------------------------------------------
 
@@ -485,8 +496,8 @@ class Engine:
     def _copy_slice(self, proc: SimProcess, prim: P.Copy, total: int,
                     done: int, then) -> None:  # hot-path
         """Price and run the next ``COPY_QUANTUM`` of an oversized copy;
-        the last slice records the whole copy and resumes the process
-        (or runs ``then``)."""
+        each slice records its own span, and the last one resumes the
+        process (or runs ``then``)."""
         n = total - done
         if n > self.COPY_QUANTUM:
             n = self.COPY_QUANTUM
@@ -495,29 +506,12 @@ class Engine:
         duration, resources, complete = self._plan_span(
             proc.core, src.buf, src.offset + done, n,
             dst.buf, dst.offset + done, n, prim.bw_factor)
-        in_kernel = prim.in_kernel
-        pool = self.pricer.resources
-        start = self._cpu_start(proc.core, duration)
-
-        def finish() -> None:
-            for res in resources:
-                res.release()
-            if in_kernel:
-                pool.kernel_ops -= 1
-            if complete is not None:
-                complete()
-            if done + n < total:
+        after = then
+        if done + n < total:
+            def after() -> None:
                 self._copy_slice(proc, prim, total, done + n, then)
-                return
-            if then is None:
-                self._resume(proc, None)
-            else:
-                then()
-
-        if self._observe and self.obs.record_copies:
-            self.obs.record(proc, "copy", "copy", start, start + duration,
-                            nbytes=n)
-        self._hold(start, duration, resources, in_kernel, finish)
+        self._transfer(proc, "copy", prim.in_kernel, n, duration,
+                       resources, complete, after)
 
     def _h_reduce(self, proc: SimProcess, prim: P.Reduce,
                   then: Optional[Callable[[], None]] = None) -> None:  # hot-path
@@ -533,7 +527,14 @@ class Engine:
                   nbytes: int, duration: float, resources, complete,
                   then) -> None:  # hot-path
         """Run one priced copy or reduce of ``nbytes`` on ``proc``'s core,
-        then resume the process (or run ``then``)."""
+        then resume the process (or run ``then``).
+
+        The path resources are held only while the transfer actually
+        runs, from ``start`` (the core's booked slot) until ``finish``
+        releases them at ``start + duration``: a transfer queued behind
+        other work on its core must not inflate everyone else's
+        contention meanwhile.
+        """
         pool = self.pricer.resources
         start = self._cpu_start(proc.core, duration)
 
@@ -552,16 +553,6 @@ class Engine:
         if self._observe and self.obs.record_copies:
             self.obs.record(proc, kind, "copy", start, start + duration,
                             nbytes=nbytes)
-        self._hold(start, duration, resources, in_kernel, finish)
-
-    def _hold(self, start: float, duration: float, resources,
-              in_kernel: bool, finish: Callable[[], None]) -> None:  # hot-path
-        """Hold the path resources only while the transfer actually runs,
-        from ``start`` (the core's booked slot) until ``finish`` releases
-        them at ``start + duration`` — a transfer queued behind other
-        work on its core must not inflate everyone else's contention
-        meanwhile."""
-        pool = self.pricer.resources
         heap = self._heap
         seq = self._seq
         if start > self.now:
@@ -589,13 +580,16 @@ class Engine:
     # in place of the generator. Only the last step of the last chunk
     # resumes the generator itself.
 
-    def _h_chunk_run(self, proc: SimProcess, prim: P.ChunkRun) -> None:
+    def _h_chunk_run(self, proc: SimProcess, prim: P.ChunkRun) -> bool:
+        """Start the run; True (resume the generator at once) for an
+        empty one."""
         if prim.stop <= prim.start:
-            self._resume(proc, None)
-        elif prim.first_ready:
+            return True
+        if prim.first_ready:
             self._run_body(proc, prim, prim.start)
         else:
             self._run_waits(proc, prim, prim.start, 0)
+        return False
 
     def _run_waits(self, proc: SimProcess, prim: P.ChunkRun, o: int,
                    j: int) -> None:  # hot-path
@@ -833,10 +827,12 @@ class Engine:
         cost = self.pricer.page_fault_cost(prim.npages)
         self._schedule(self.now + cost, proc)
 
-    def _h_trace(self, proc: SimProcess, prim: P.Trace) -> None:
+    def _h_trace(self, proc: SimProcess, prim: P.Trace) -> bool:
+        """An observer instant, taking no time: True resumes the
+        generator at once."""
         if self._observe:
             self.obs.instant(proc, prim.label, prim.meta)
-        self._resume(proc, None)
+        return True
 
 
 _HANDLERS = {

@@ -77,26 +77,54 @@ def wait_group(name: str) -> str:
     return ".".join(kept) if kept else name
 
 
-class Flag:
+class _SyncObject:
+    """What a flag and an atomic share: a value that blocked waiters
+    test, and the wait family the observer groups their waits by."""
+
+    __slots__ = ()
+    kind = ""
+
+    @property
+    def wait_key(self) -> str:
+        """``kind`` plus :func:`wait_group` of the name (``flag
+        xhc.avail``), derived on first read and kept: only an observed
+        run reads it, so building the object pays nothing for it. The
+        observer names wait spans by it without formatting a string per
+        blocked wait, and :func:`repro.sim.stats.collect_stats` sums
+        blocked time under the same string (a ``WaitRecord``'s
+        ``f"{kind} {group}"``)."""
+        key = self._wait_key
+        if key is None:
+            key = self._wait_key = f"{self.kind} {wait_group(self.name)}"
+        return key
+
+    def satisfied(self, threshold: int, cmp: str) -> bool:
+        return _compare(self.value, threshold, cmp)
+
+    def reset(self, value: int = 0) -> None:
+        if self.waiters:
+            raise SimulationError(
+                f"reset of {self.kind} {self.name!r} with blocked waiters"
+            )
+        self.value = value
+        self.hist = None
+
+
+class Flag(_SyncObject):
     """Single-writer, multi-reader control flag.
 
     ``owner_core`` is fixed at creation; only the owner may ``SetFlag``.
     Several flags may share one :class:`Line` (the Fig. 10 experiment), in
     which case a write to any of them invalidates readers of all of them.
-
-    ``wait_key`` is the flag's interned wait family, ``"flag "`` plus
-    :func:`wait_group` of its name (``flag xhc.avail``), computed once
-    here: the observer names wait spans by it without formatting a
-    string per blocked wait, and
-    :func:`repro.sim.stats.collect_stats` sums blocked time under the
-    same string (a ``WaitRecord``'s ``f"{kind} {group}"``).
+    Its :attr:`wait_key` (``flag xhc.avail``) is derived on first read,
+    not when the flag is built.
     """
 
     _ids = itertools.count()
     kind = "flag"
 
     __slots__ = ("id", "name", "owner_core", "line", "value", "waiters",
-                 "wait_key", "hist")
+                 "_wait_key", "hist")
 
     def __init__(self, name: str, owner_core: int, line: Line | None = None):
         self.id = next(Flag._ids)
@@ -106,35 +134,25 @@ class Flag:
         self.value = 0
         # Blocked readers: (process, threshold, cmp).
         self.waiters: list[tuple["SimProcess", int, str]] = []
-        self.wait_key = "flag " + wait_group(name)
+        self._wait_key: str | None = None
         # Array-mode set history: ``[(time, value), ...]`` in set order.
         # The event engine never touches it; the array engine uses it to
         # resolve *when* a wait's threshold became true, which may be far
         # in a fast process's past (docs/performance.md).
         self.hist: list[tuple[float, int]] | None = None
 
-    def satisfied(self, threshold: int, cmp: str) -> bool:
-        return _compare(self.value, threshold, cmp)
-
-    def reset(self, value: int = 0) -> None:
-        if self.waiters:
-            raise SimulationError(
-                f"reset of flag {self.name!r} with blocked waiters"
-            )
-        self.value = value
-        self.hist = None
-
     def __repr__(self) -> str:
         return f"<Flag {self.name!r} ={self.value} owner=core{self.owner_core}>"
 
 
-class Atomic:
+class Atomic(_SyncObject):
     """A counter updated with atomic read-modify-write operations."""
 
     _ids = itertools.count()
     kind = "atomic"
 
-    __slots__ = ("id", "name", "line", "value", "waiters", "wait_key", "hist")
+    __slots__ = ("id", "name", "line", "value", "waiters", "_wait_key",
+                 "hist")
 
     def __init__(self, name: str, home_core: int, line: Line | None = None):
         self.id = next(Atomic._ids)
@@ -142,20 +160,9 @@ class Atomic:
         self.line = line if line is not None else Line(home_core)
         self.value = 0
         self.waiters: list[tuple["SimProcess", int, str]] = []
-        self.wait_key = "atomic " + wait_group(name)
+        self._wait_key: str | None = None
         # Array-mode update history, mirroring Flag.hist.
         self.hist: list[tuple[float, int]] | None = None
-
-    def satisfied(self, threshold: int, cmp: str) -> bool:
-        return _compare(self.value, threshold, cmp)
-
-    def reset(self, value: int = 0) -> None:
-        if self.waiters:
-            raise SimulationError(
-                f"reset of atomic {self.name!r} with blocked waiters"
-            )
-        self.value = value
-        self.hist = None
 
     def __repr__(self) -> str:
         return f"<Atomic {self.name!r} ={self.value}>"

@@ -127,14 +127,17 @@ class Topology:
         for obj in machine.descendants():
             self._by_kind[obj.kind].append(obj)
         self._validate()
-        # Fast core-index -> ancestor tables.
+        # Fast core-index -> ancestor tables, and the same as indices.
         self._core_tab: dict[ObjKind, list[Optional[TopoObject]]] = {}
+        self._core_idx: dict[ObjKind, list[Optional[int]]] = {}
         ncores = self.n_cores
         for kind in (ObjKind.SOCKET, ObjKind.NUMA, ObjKind.LLC):
             tab: list[Optional[TopoObject]] = [None] * ncores
             for core in self.cores:
                 tab[core.index] = core.ancestor(kind)
             self._core_tab[kind] = tab
+            self._core_idx[kind] = [None if obj is None else obj.index
+                                    for obj in tab]
 
     # -- validation ------------------------------------------------------
 
@@ -199,6 +202,14 @@ class Topology:
         if kind is ObjKind.CORE:
             return self.cores[core_index]
         return self._core_tab[kind][core_index]
+
+    def core_indices(self, kind: ObjKind) -> list[Optional[int]]:
+        """The index of every core's SOCKET, NUMA or LLC ancestor (None
+        where the core has none), by core index: one list per topology,
+        shared by every caller, so read it and never mutate it. A Node,
+        its caches and XHC's hierarchy build their per-core tables from
+        these instead of one :meth:`ancestor_of_core` call per core."""
+        return self._core_idx[kind]
 
     def numa_of_core(self, core_index: int) -> Optional[TopoObject]:
         return self.ancestor_of_core(core_index, ObjKind.NUMA)

@@ -45,6 +45,7 @@ from ..mpi.colls.base import CollComponent, OpLedger, partition
 from ..shmem.segment import SharedSegment
 from ..sim import primitives as P
 from ..sim.syncobj import Flag, Line
+from ..topology.objects import ObjKind
 from .config import XhcConfig
 from .hierarchy import Group, Hierarchy, build_hierarchy
 
@@ -114,17 +115,17 @@ class Xhc(CollComponent):
         # one per member. Flags are placed on separate lines only "where
         # that is necessary" (SSIII-E) — i.e. on machines without LLC
         # groups, where line sharing would couple distant writers.
-        topo = comm.node.topo
+        llc_of = comm.node.topo.core_indices(ObjKind.LLC)
         ack_lines: dict[int, Line] = {}
         self.ack = []
         for c in comm.ranks:
-            llc = topo.llc_of_core(c.core)
+            llc = llc_of[c.core]
             line = None
             if llc is not None:
-                line = ack_lines.get(llc.index)
+                line = ack_lines.get(llc)
                 if line is None:
                     line = Line(c.core)
-                    ack_lines[llc.index] = line
+                    ack_lines[llc] = line
             self.ack.append(Flag(f"xhc.ack.{c.rank}", c.core, line))
         self.ready = [
             [Flag(f"xhc.ready.{c.rank}.l{l}", c.core)

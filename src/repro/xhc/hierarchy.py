@@ -144,11 +144,11 @@ def build_hierarchy(
         return level_groups
 
     for kind in tokens:
+        index_of = topo.core_indices(kind)
         buckets: dict[int, list[int]] = {}
         for r in current:
-            obj = topo.ancestor_of_core(rank_cores[r], kind)
-            key = obj.index if obj is not None else -1
-            buckets.setdefault(key, []).append(r)
+            key = index_of[rank_cores[r]]
+            buckets.setdefault(-1 if key is None else key, []).append(r)
         grouped = [buckets[k] for k in sorted(buckets)]
         if all(len(g) == 1 for g in grouped):
             continue  # degenerate level: adds serialization, no locality

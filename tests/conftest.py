@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import socket
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,26 @@ from repro.options import RunOptions
 from repro.shmem.smsc import SmscConfig
 from repro.sim import primitives as P
 from repro.topology import build_symmetric, get_system
+
+
+def daemon_listening(socket_path: str, tries: int = 200) -> bool:
+    """Wait until a serve daemon accepts connections on ``socket_path``.
+
+    The socket file appears when the daemon binds it, a moment before
+    the daemon listens on it, and a client connecting in between is
+    refused; so a probe must connect, not only find the file."""
+    for _ in range(tries):
+        if os.path.exists(socket_path):
+            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                probe.connect(socket_path)
+                return True
+            except OSError:
+                pass
+            finally:
+                probe.close()
+        threading.Event().wait(0.02)
+    return False
 
 
 def small_topo(name="mini", sockets=2, numa_per_socket=2, cores_per_numa=4,

@@ -169,8 +169,9 @@ def test_span_tree_groups_and_sorts():
 
 def test_wait_spans_and_metrics_from_the_interned_wait_key(monkeypatch):
     """A blocked wait's span is named from its object's wait family,
-    derived once per family, and the wait metrics are registered by the
-    first blocked wait."""
+    which each object derives once, at its first blocked wait and not
+    when it is built, and the wait metrics are registered by the first
+    blocked wait."""
     from repro.sim import primitives as P
     from repro.sim import syncobj
     from repro.sim.syncobj import Atomic, Flag
@@ -180,8 +181,13 @@ def test_wait_spans_and_metrics_from_the_interned_wait_key(monkeypatch):
     metrics = node.obs.metrics
     assert "flags.blocked_waits" not in metrics.snapshot()
     assert "flags.wait_seconds" not in metrics.snapshot()
+    derived = []
+    real = syncobj.wait_group
+    monkeypatch.setattr(syncobj, "wait_group",
+                        lambda name: derived.append(name) or real(name))
     flags = [Flag(f"demo.ready.{i}.l2", owner_core=0) for i in range(2)]
     atom = Atomic("demo.count.7", home_core=0)
+    assert derived == []
 
     def writer():
         for flag in flags:
@@ -197,13 +203,9 @@ def test_wait_spans_and_metrics_from_the_interned_wait_key(monkeypatch):
     for i, flag in enumerate(flags):
         node.engine.spawn(waiter(flag), core=1 + i, name=f"w{i}")
     node.engine.spawn(writer(), core=0, name="writer")
-    derived = []
-    real = syncobj.wait_group
-    monkeypatch.setattr(syncobj, "wait_group",
-                        lambda name: derived.append(name) or real(name))
     node.engine.run()
     monkeypatch.undo()
-    assert derived == ["demo.ready.0.l2", "demo.count.7"]
+    assert derived == ["demo.ready.0.l2", "demo.ready.1.l2", "demo.count.7"]
     names = sorted(s.name for s in node.obs.spans if s.cat == "wait")
     assert names == ["wait:demo.count", "wait:demo.count",
                      "wait:demo.ready.l2", "wait:demo.ready.l2"]

@@ -125,13 +125,36 @@ class _ReferenceSelection:
         return best, best_hit
 
 
+def _reference_entry(node: Node, core: int, level: Optional[CacheLevel],
+                     buf) -> tuple:
+    """The route entry of reading ``level`` (DRAM at ``buf``'s home when
+    None) by ``core``, built afresh from the distance class instead of
+    read from the node's entries."""
+    if level is None:
+        numa = buf.home_numa
+        return node._source_route(None, numa,
+                                  node.numa_distance(core, numa))
+    if level is node.caches.private[core]:
+        return node._source_route(level, 0, Distance.SELF)
+    if core in level.home_cores:
+        return node._source_route(level, 0, Distance.CACHE_LOCAL)
+    return node._source_route(level, 0,
+                              classify_distance(node.topo, core,
+                                                level.home_cores[0]))
+
+
 def _assert_same_source(node: Node, buf, off: int, length: int) -> None:
+    """Every core's source walk returns the reference's winner and hit
+    bytes, and the route entry of that winner."""
     ref = _ReferenceSelection(node)
     for core in range(node.topo.n_cores):
         want = ref._cache_source_span(core, buf, off, length)
-        got = node._cache_source_span(core, buf, off, length)
-        assert got[0] is want[0] and got[1] == want[1], (
-            f"core {core}, {buf.name}[{off}:+{length}]: {got} != {want}")
+        level, hit, entry = node._read_source(core, buf, off, length)
+        assert level is want[0] and hit == want[1], (
+            f"core {core}, {buf.name}[{off}:+{length}]: "
+            f"{(level, hit)} != {want}")
+        assert entry == _reference_entry(node, core, level, buf), (
+            f"core {core}, {buf.name}[{off}:+{length}]: route entry")
 
 
 # The full machines: multi-LLC groups (Epyc), socket-level caches (ARM).
@@ -199,7 +222,7 @@ def test_source_selection_ties_and_private_first():
 
     def source():
         _assert_same_source(node, buf, 0, buf.size)
-        return node._cache_source_span(q, buf, 0, buf.size)
+        return node._read_source(q, buf, 0, buf.size)[:2]
 
     assert source() == (None, 0)
     caches.record_read(far, buf, buf.size)

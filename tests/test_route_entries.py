@@ -3,10 +3,11 @@
 ``Node._read_terms`` takes each source's latency term, bandwidth and
 resource route from an entry the node builds once per (cache level or
 NUMA node, distance class), instead of rebuilding the route for every
-priced operand. The differential test keeps the route builder and the
-terms function as they were before the entries, verbatim, as the
-reference, and compares every reader core, cache level, NUMA home,
-bandwidth factor and hit case on the full machines bit for bit.
+priced operand; ``Node._read_source`` returns that entry with the source
+it selects. The differential test keeps the route builder and the terms
+function as they were before the entries, verbatim, as the reference,
+and compares every reader core, cache level, NUMA home, bandwidth factor
+and hit case on the full machines bit for bit.
 """
 
 import struct
@@ -135,6 +136,28 @@ def _float_bits(terms: tuple) -> bytes:
     return _pack(terms[0], terms[2], terms[5], terms[6])
 
 
+def _entry(node: Node, core: int, level: Optional[CacheLevel],
+           numa: int) -> tuple:
+    """The route entry of a source: the lookup the terms function did
+    before the source walk returned the entry itself, kept verbatim
+    (``self`` is the node)."""
+    self = node
+    if level is None:
+        return self._dram_route(core, numa)
+    elif level is self.caches.private[core]:
+        return self._self_route
+    else:
+        if core in level.home_set:
+            dist = Distance.CACHE_LOCAL
+        else:
+            dist = self.distance(core, level.home_cores[0])
+        key = (level, dist)
+        entry = self._routes.get(key)
+        if entry is None:
+            entry = self._routes[key] = self._source_route(level, 0, dist)
+        return entry
+
+
 def _levels(node: Node) -> list[CacheLevel]:
     caches = node.caches
     return (list(caches.private) + list(caches.group.values())
@@ -170,17 +193,20 @@ def test_read_terms_match_reference(system):
         own = node.caches.private[core]
         for home in homes:
             pairs.add(_source_key(node, core, None, home.home_numa))
+            dram = _entry(node, core, None, home.home_numa)
             for f in factors:
                 want = ref._read_terms(core, home, LENGTH, None, 0, f)
-                got = node._read_terms(core, home, LENGTH, None, 0, f)
+                got = node._read_terms(core, home, LENGTH, None, 0, dram,
+                                       f)
                 assert _same(got, want), (core, home.home_numa, f)
             for level in levels:
+                entry = _entry(node, core, level, home.home_numa)
                 for hit in HITS:
                     for f in factors:
                         want = ref._read_terms(core, home, LENGTH, level,
                                                hit, f)
                         got = node._read_terms(core, home, LENGTH, level,
-                                               hit, f)
+                                               hit, entry, f)
                         assert _same(got, want), (
                             core, level.kind, level.home_cores[0],
                             home.home_numa, hit, f)
@@ -192,12 +218,12 @@ def test_read_terms_match_reference(system):
 
 
 def _recording_selection(node: Node, pairs: set, reads: set) -> None:
-    """Wrap the node's source selection to record the (source, distance
-    class) pairs and the (reader, source) pairs each priced read reaches."""
-    select = node._cache_source_span
+    """Wrap the node's source walk to record the (source, distance class)
+    pairs and the (reader, source) pairs each priced read reaches."""
+    select = node._read_source
 
     def recording(core, buf, off, length):
-        level, hit = select(core, buf, off, length)
+        level, hit, entry = select(core, buf, off, length)
         reached = []
         if level is None or hit < length:
             reached.append(_source_key(node, core, None, buf.home_numa))
@@ -206,9 +232,9 @@ def _recording_selection(node: Node, pairs: set, reads: set) -> None:
         for key in reached:
             pairs.add(key)
             reads.add((core, key[0]))
-        return level, hit
+        return level, hit, entry
 
-    node._cache_source_span = recording
+    node._read_source = recording
 
 
 @pytest.mark.parametrize("system", FULL_SYSTEMS)

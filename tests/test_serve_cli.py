@@ -19,6 +19,8 @@ from repro.serve import ServeDaemon
 from repro.tune.table import DecisionTable
 from repro.xhc import XhcConfig
 
+from conftest import daemon_listening
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -43,10 +45,7 @@ def live():
     thread = threading.Thread(target=lambda: asyncio.run(daemon.run()),
                               daemon=True)
     thread.start()
-    for _ in range(200):
-        if os.path.exists(socket_path):
-            break
-        threading.Event().wait(0.02)
+    daemon_listening(socket_path)
     yield {"socket": socket_path, "dir": workdir}
     if thread.is_alive():
         main(["serve", "stop", "--socket", socket_path])
@@ -244,10 +243,7 @@ def test_stop_then_status_exits_two(capsys):
     thread = threading.Thread(target=lambda: asyncio.run(daemon.run()),
                               daemon=True)
     thread.start()
-    for _ in range(200):
-        if os.path.exists(sock):
-            break
-        threading.Event().wait(0.02)
+    daemon_listening(sock)
     try:
         code, out, _err = run_cli(capsys, "serve", "stop", "--socket", sock)
         assert code == 0

@@ -21,6 +21,8 @@ from repro.serve import (PROTOCOL_VERSION, ServeClient, ServeDaemon,
 from repro.tune.table import DecisionTable
 from repro.xhc import XhcConfig
 
+from conftest import daemon_listening
+
 
 class DaemonFixture:
     def __init__(self, **kwargs):
@@ -35,10 +37,8 @@ class DaemonFixture:
 
     def start(self):
         self.thread.start()
-        for _ in range(200):
-            if os.path.exists(self.socket_path):
-                return self
-            threading.Event().wait(0.02)
+        if daemon_listening(self.socket_path):
+            return self
         raise RuntimeError("daemon socket never appeared")
 
     def stop(self):
@@ -162,10 +162,7 @@ def test_cache_survives_daemon_restart():
         thread = threading.Thread(
             target=lambda: asyncio.run(reborn.run()), daemon=True)
         thread.start()
-        for _ in range(200):
-            if os.path.exists(fixture.socket_path):
-                break
-            threading.Event().wait(0.02)
+        daemon_listening(fixture.socket_path)
         with ServeClient(fixture.socket_path) as client:
             warm = client.submit(payloads)
             client.shutdown()

@@ -22,6 +22,8 @@ from repro.obs.export import validate_chrome_trace
 from repro.obs.metrics import validate_prometheus
 from repro.serve import ServeClient, ServeDaemon, ServeError
 
+from conftest import daemon_listening
+
 
 class DaemonFixture:
     def __init__(self, **kwargs):
@@ -36,10 +38,8 @@ class DaemonFixture:
 
     def start(self):
         self.thread.start()
-        for _ in range(200):
-            if os.path.exists(self.socket_path):
-                return self
-            threading.Event().wait(0.02)
+        if daemon_listening(self.socket_path):
+            return self
         raise RuntimeError("daemon socket never appeared")
 
     def stop(self):

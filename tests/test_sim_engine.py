@@ -6,6 +6,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.node import Node
 from repro.options import RunOptions
 from repro.sim import primitives as P
+from repro.sim.resources import Resource
 from repro.sim.syncobj import Atomic, Flag
 
 from conftest import small_topo
@@ -186,6 +187,78 @@ def test_trace_is_recorded_as_an_observer_instant():
     plain.engine.run()
     assert plain.engine.events_processed == node.engine.events_processed
     assert plain.obs.instants == ()
+
+
+# A run of zero-time primitives longer than the interpreter's recursion
+# limit: each used to resume the generator through a nested _resume.
+ZERO_TIME_RUN = 5000
+
+
+def _zero_time_program(step):
+    yield P.Compute(1e-6)
+    for _ in range(ZERO_TIME_RUN):
+        yield step
+    yield P.Compute(1e-6)
+    return "done"
+
+
+@pytest.mark.parametrize("observe", [None, "spans"])
+def test_long_run_of_traces_resumes_in_a_loop(observe):
+    """5,000 Traces in a row take no time and no events of their own;
+    each advances the generator once, and an observed run holds one
+    instant per Trace."""
+    node = Node(small_topo(), options=RunOptions(observe=observe))
+    proc = node.engine.spawn(_zero_time_program(P.Trace("tick")), core=0)
+    assert node.engine.run() == pytest.approx(2e-6)
+    assert proc.result == "done"
+    assert node.engine.events_processed == 3
+    assert node.engine._progress == ZERO_TIME_RUN + 3
+    if observe:
+        assert node.obs.instants == [(pytest.approx(1e-6), proc.pid, "tick",
+                                      {})] * ZERO_TIME_RUN
+    else:
+        assert node.obs.instants == ()
+
+
+def test_long_run_of_empty_chunk_runs_resumes_in_a_loop():
+    """An empty ChunkRun resumes its generator at once, in the same loop."""
+    node = fresh_node()
+    proc = node.engine.spawn(
+        _zero_time_program(P.ChunkRun(start=0, stop=0, chunk=64)), core=0)
+    assert node.engine.run() == pytest.approx(2e-6)
+    assert proc.result == "done"
+    assert node.engine.events_processed == 3
+    assert node.engine._progress == ZERO_TIME_RUN + 3
+
+
+def test_releasing_an_idle_resource_raises():
+    """A transfer holds its route's resources while it runs; a release
+    that finds one idle raises."""
+    node = fresh_node()
+    res = Resource("probe", 1e9)
+    node.plan_copy_span = lambda *args: (1e-6, [res], None)
+    sp = node.new_address_space(0, 0)
+    a, b = sp.alloc("a", 64), sp.alloc("b", 64)
+    held = []
+
+    def copier():
+        yield P.Copy(src=a.whole(), dst=b.whole())
+
+    def watcher(meddle):
+        yield P.Compute(0.5e-6)
+        held.append(res.active)
+        if meddle:
+            res.active = 0
+
+    node.engine.spawn(copier(), core=0)
+    node.engine.spawn(watcher(False), core=1)
+    node.engine.run()
+    assert held == [1] and res.active == 0
+    node.engine.spawn(copier(), core=0)
+    node.engine.spawn(watcher(True), core=1)
+    with pytest.raises(SimulationError,
+                       match="release of idle resource 'probe'"):
+        node.engine.run()
 
 
 def test_run_until():
