@@ -149,13 +149,6 @@ class SmscEndpoint:
         if self.config.use_regcache:
             self.regcache.insert(buf)
 
-    def _unmap_if_uncached(self, view: "BufView") -> Iterator:
-        if (self.config.mechanism == "xpmem"
-                and not self.config.use_regcache
-                and view.buf.owner_rank != self.rank
-                and not view.buf.shared):
-            yield from self.xpmem.detach(view.buf)
-
     # -- chunk-run accounting ----------------------------------------------
 
     def _account_lookups(self, views: Sequence["BufView"],
@@ -225,20 +218,6 @@ class SmscEndpoint:
             yield P.Copy(src=src, dst=dst,
                          bw_factor=self.node.model.knem_bw_factor,
                          in_kernel=True)
-
-    def copy_to(self, src: "BufView", dst: "BufView") -> Iterator:
-        """Single-copy local ``src`` into a peer's ``dst`` (write-side)."""
-        mech = self.config.mechanism
-        if mech is None:
-            raise ShmemError("SMSC disabled; use a CICO path instead")
-        if mech == "xpmem":
-            self._m_copies.inc()
-            self._m_bytes.inc(src.length)
-            yield from self.map_peer(dst)
-            yield P.Copy(src=src, dst=dst)
-            yield from self._unmap_if_uncached(dst)
-        else:
-            yield from self.copy_from(src, dst)  # kernel copies are symmetric
 
     def reduce_from(
         self,

@@ -51,8 +51,11 @@ deterministic and the engine name is part of the result-cache key.
 
 Instrumentation (``observe``/``check``) is per-event by nature and
 refused up front (``Node`` raises ``ConfigError``), so an array run
-records nothing: a ``Trace`` only flushes the accumulated rows.
-``run(until=...)`` is likewise unsupported.
+records nothing: a ``Trace`` only flushes the accumulated rows. As on
+the event engine, a wait is satisfied exactly when ``value >=
+threshold`` and parked waiters are ``(process, threshold)`` pairs:
+values only grow, so the first set to reach a threshold is the one
+that made it true.
 """
 
 from __future__ import annotations
@@ -136,12 +139,7 @@ class ArrayEngine(Engine):
         heapq.heappush(self._ready, (proc.vt, next(self._seq), proc))
         return proc
 
-    def run(self, until: float | None = None) -> float:
-        if until is not None:
-            raise SimulationError(
-                "the array engine cannot run to a bounded time "
-                "(run(until=...)); use RunOptions(engine='event')"
-            )
+    def run(self) -> float:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
@@ -198,12 +196,10 @@ class ArrayEngine(Engine):
                 self.events_processed += 1
                 cls = prim.__class__
                 if cls is P.WaitFlag:
-                    if not self._acc_wait(proc, prim.flag, prim.value,
-                                          prim.cmp):
+                    if not self._acc_wait(proc, prim.flag, prim.value):
                         return
                 elif cls is P.WaitAtomic:
-                    if not self._acc_wait(proc, prim.atom, prim.value,
-                                          prim.cmp):
+                    if not self._acc_wait(proc, prim.atom, prim.value):
                         return
                 elif cls is P.ChunkRun:
                     if not self._run_chunkrun(proc, prim):
@@ -327,9 +323,8 @@ class ArrayEngine(Engine):
         still = None
         val = obj.value
         for entry in obj.waiters:
-            wproc, threshold, cmp = entry
-            if (val >= threshold) if cmp == ">=" \
-                    else obj.satisfied(threshold, cmp):
+            wproc, threshold = entry
+            if val >= threshold:
                 if wakes is None:
                     wakes = []
                 wakes.append((wproc, obj))
@@ -366,37 +361,28 @@ class ArrayEngine(Engine):
         self._ops.append((_ATOMIC, atom, atom.value, prev_owner, wakes))
         return old
 
-    def _acc_wait(self, proc: SimProcess, obj, value: int,
-                  cmp: str) -> bool:
+    def _acc_wait(self, proc: SimProcess, obj, value: int) -> bool:
         """WaitFlag/WaitAtomic. Satisfied → a row carrying *when* the
         threshold became true (history or run-local set reference);
         returns True to keep accumulating. Unsatisfied → flush, park,
         return False (ends the dispatch)."""
-        if (obj.value >= value) if cmp == ">=" else obj.satisfied(value, cmp):
+        if obj.value >= value:
             t_sat = 0.0
             t_ref = -1
             hist = self._pruned_hist(obj)
             found = False
             if hist is not None:
-                if cmp == ">=":
-                    for t, v in hist:
-                        if v >= value:
-                            t_sat = t
-                            found = True
-                            break
-                else:
-                    for t, v in hist:
-                        if v == value:
-                            t_sat = t
-                            found = True
-                            break
+                for t, v in hist:
+                    if v >= value:
+                        t_sat = t
+                        found = True
+                        break
             if not found:
                 pend = self._local_sets.get(obj)
                 if pend is not None:
                     for op_idx, v in pend:
-                        if (v >= value) if cmp == ">=" else v == value:
+                        if v >= value:
                             t_ref = op_idx
-                            found = True
                             break
             # Not found anywhere → satisfied by the initial value: t=0.
             self._ops.append((_WAIT, obj, t_sat, t_ref))
@@ -406,7 +392,7 @@ class ArrayEngine(Engine):
         proc.blocked_obj = obj
         proc.blocked_value = value
         proc.blocked_since = proc.vt
-        obj.waiters.append((proc, value, cmp))
+        obj.waiters.append((proc, value))
         return False
 
     def _pruned_hist(self, obj):
@@ -495,7 +481,7 @@ class ArrayEngine(Engine):
                 proc.blocked_obj = park_flag
                 proc.blocked_value = park_target
                 proc.blocked_since = proc.vt
-                park_flag.waiters.append((proc, park_target, ">="))
+                park_flag.waiters.append((proc, park_target))
                 proc.seg = (prim, done)
                 return False
             self._chunkrun_sweep(proc, prim, done, n_ok)
@@ -759,19 +745,12 @@ class ArrayEngine(Engine):
         """Wake parked waiters a just-published schedule satisfies; each
         wakes at its earliest satisfying publication time."""
         still = None
+        last = values[-1]
         for entry in flag.waiters:
-            wproc, threshold, cmp = entry
-            idx = -1
-            if cmp == ">=":
-                if values[-1] >= threshold:
-                    idx = bisect_left(values, threshold)
-            else:
-                for j, v in enumerate(values):
-                    if v == threshold:
-                        idx = j
-                        break
-            if idx >= 0:
-                self._wake(wproc, flag, times[idx])
+            wproc, threshold = entry
+            if last >= threshold:
+                self._wake(wproc, flag,
+                           times[bisect_left(values, threshold)])
             else:
                 if still is None:
                     still = []

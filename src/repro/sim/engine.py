@@ -24,10 +24,12 @@ closure per event. Handler dispatch goes through one table,
 ``_HANDLERS``; the observe, race and deadlock-probe hooks inside the
 handlers each sit behind a boolean cached at construction. A handler
 returns True for a primitive that takes no simulated time (a ``Trace``,
-an empty ``ChunkRun``), and ``_resume`` sends into the generator again
-in its own loop, so no run of such primitives nests frames. A
-:class:`~repro.sim.primitives.ChunkRun` runs as exactly the per-chunk
-events it stands for, chained in-engine (see ``_h_chunk_run``).
+a ``ChunkRun`` with nothing to wait for, look up, move or set), and
+``_resume`` sends into the generator again in its own loop, so no run of
+such primitives nests frames. A :class:`~repro.sim.primitives.ChunkRun`
+runs as exactly the per-chunk events it stands for, chained in-engine
+(see ``_h_chunk_run``). A wait is satisfied exactly when ``value >=
+threshold``: flags and atomics carry monotonic counters.
 
 Ownership (see docs/architecture.md): the Node owns its engine, and the
 engine owns its observer and checker. The three back-references — the
@@ -249,8 +251,8 @@ class Engine:
         heapq.heappush(self._heap, (self.now, next(self._seq), proc))
         return proc
 
-    def run(self, until: float | None = None) -> float:
-        """Run to quiescence (or ``until``); returns the final time."""
+    def run(self) -> float:
+        """Drain the event queue; returns the final time."""
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
@@ -261,48 +263,22 @@ class Engine:
         resume = self._resume
         try:
             self._bind_run()
-            if until is None:
-                # The common drain-to-quiescence loop, with the bounded
-                # variant's per-event `until` comparison compiled out.
-                while heap:
-                    t, _, fn = pop(heap)
-                    if t < self.now - 1e-18:
-                        raise SimulationError("time went backwards")  # pragma: no cover
-                    self.now = t
-                    self.events_processed += 1
-                    if fn.__class__ is SimProcess:
-                        resume(fn, None)
-                    else:
-                        fn()
-                    if self.events_processed >= next_watch:
-                        if self._progress == progress_mark:
-                            self._watchdog_fire()
-                        progress_mark = self._progress
-                        next_watch = (self.events_processed
-                                      + self.watchdog_every)
-            else:
-                while heap:
-                    # Peek rather than pop and re-push: a re-pushed entry
-                    # would take a fresh sequence number and lose its FIFO
-                    # tie-break against events at the same time.
-                    if heap[0][0] > until:
-                        self.now = until
-                        return self.now
-                    t, _, fn = pop(heap)
-                    if t < self.now - 1e-18:
-                        raise SimulationError("time went backwards")  # pragma: no cover
-                    self.now = t
-                    self.events_processed += 1
-                    if fn.__class__ is SimProcess:
-                        resume(fn, None)
-                    else:
-                        fn()
-                    if self.events_processed >= next_watch:
-                        if self._progress == progress_mark:
-                            self._watchdog_fire()
-                        progress_mark = self._progress
-                        next_watch = (self.events_processed
-                                      + self.watchdog_every)
+            while heap:
+                t, _, fn = pop(heap)
+                if t < self.now - 1e-18:
+                    raise SimulationError("time went backwards")  # pragma: no cover
+                self.now = t
+                self.events_processed += 1
+                if fn.__class__ is SimProcess:
+                    resume(fn, None)
+                else:
+                    fn()
+                if self.events_processed >= next_watch:
+                    if self._progress == progress_mark:
+                        self._watchdog_fire()
+                    progress_mark = self._progress
+                    next_watch = (self.events_processed
+                                  + self.watchdog_every)
             self._check_deadlock()
             return self.now
         finally:
@@ -400,9 +376,11 @@ class Engine:
         self._current_proc = proc
         cont = proc.cont
         if cont is not None:
+            # A parked ChunkRun: True means it ended without taking time.
             proc.cont = None
-            cont()
-            return
+            if not cont():
+                return
+            self._progress += 1
         gen = proc.gen
         while True:
             try:
@@ -420,9 +398,9 @@ class Engine:
                 return
             if not handler(self, proc, prim):
                 return
-            # A zero-time primitive (a Trace, an empty ChunkRun): resume
-            # the generator here, not through a nested _resume, so a long
-            # run of them cannot exhaust the stack.
+            # A zero-time primitive (a Trace, a ChunkRun that took no
+            # time): resume the generator here, not through a nested
+            # _resume, so a long run of them cannot exhaust the stack.
             send_value = None
             self._progress += 1
 
@@ -577,88 +555,94 @@ class Engine:
     # non-wait steps chain through their ``then`` continuation, as the
     # next primitive would start the instant the previous one resumed the
     # generator; a wait parks the run in ``proc.cont``, which _resume runs
-    # in place of the generator. Only the last step of the last chunk
-    # resumes the generator itself.
+    # in place of the generator. A chunk with none of these steps takes no
+    # time, so _run_chunk goes on to the next chunk in its own loop, and a
+    # run that ends that way returns True to whoever resumes the
+    # generator: _resume's loop, or the continuation that ran the run.
+    # Otherwise the last step of the last chunk resumes the generator.
 
     def _h_chunk_run(self, proc: SimProcess, prim: P.ChunkRun) -> bool:
-        """Start the run; True (resume the generator at once) for an
-        empty one."""
-        if prim.stop <= prim.start:
+        """Start the run; True (resume the generator at once) when it
+        takes no time. A run with no chunks is empty, as on the array
+        engine."""
+        if prim.stop <= prim.start or prim.chunk <= 0:
             return True
         if prim.first_ready:
-            self._run_body(proc, prim, prim.start)
-        else:
-            self._run_waits(proc, prim, prim.start, 0)
-        return False
+            return self._run_chunk(proc, prim, prim.start, len(prim.waits), 0)
+        return self._run_chunk(proc, prim, prim.start, 0, prim.lookups)
 
-    def _run_waits(self, proc: SimProcess, prim: P.ChunkRun, o: int,
-                   j: int) -> None:  # hot-path
-        """Issue the waits of the chunk at offset ``o`` from spec ``j``
-        on, then its lookups and body."""
+    def _run_chunk(self, proc: SimProcess, prim: P.ChunkRun, o: int, j: int,
+                   k: int) -> bool:  # hot-path
+        """Issue the chunk at offset ``o`` from wait spec ``j`` on, with
+        ``k`` lookups left, then its body and sets; True when the run
+        ended without taking time, and the caller resumes the generator."""
         self._current_proc = proc
-        e = o + prim.chunk
-        if e > prim.stop:
-            e = prim.stop
         waits = prim.waits
-        while j < len(waits):
-            flag, base, lo, hi = waits[j]
-            j += 1
-            if e < hi:
-                hi = e
-            if hi <= lo:
+        stop = prim.stop
+        while True:
+            e = o + prim.chunk
+            if e > stop:
+                e = stop
+            while j < len(waits):
+                flag, base, lo, hi = waits[j]
+                j += 1
+                if e < hi:
+                    hi = e
+                if hi <= lo:
+                    continue
+                value = base + hi - lo
+                proc.cont = lambda: self._run_chunk(  # noqa: E731
+                    proc, prim, o, j, prim.lookups)
+                if flag.value >= value:
+                    if self._race:
+                        self.checker.on_acquire(proc, flag)
+                    t = self.pricer.line_read(proc.core, flag.line, self.now)
+                    heapq.heappush(self._heap, (t, next(self._seq), proc))
+                else:
+                    self._block(proc, flag, value)
+                return False
+            if k:
+                seconds = prim.lookup_cost
+                then = lambda: (self._run_chunk(  # noqa: E731
+                    proc, prim, o, j, k - 1) and self._resume(proc, None))
+                if seconds <= self.COMPUTE_QUANTUM:
+                    start = self._cpu_start(proc.core, seconds)
+                    self._schedule(start + seconds, then)
+                else:
+                    self._compute_slice(proc, seconds, then)
+                return False
+            self._progress += 1
+            if prim.copy is None and prim.reduce is None:
+                if prim.sets:
+                    self._run_sets(proc, prim, e, 0)
+                    return False
+                if e == stop:
+                    return True
+                o = e
+                j = 0
+                k = prim.lookups
                 continue
-            value = base + hi - lo
-            proc.cont = lambda: self._run_waits(proc, prim, o, j)  # noqa: E731
-            if flag.value >= value:
-                if self._race:
-                    self.checker.on_acquire(proc, flag)
-                t = self.pricer.line_read(proc.core, flag.line, self.now)
-                heapq.heappush(self._heap, (t, next(self._seq), proc))
+            # Every chunk of a run with a body or sets takes time, so the
+            # continuations here and in _run_sets ignore _run_chunk's
+            # result.
+            if prim.sets:
+                then = lambda: self._run_sets(proc, prim, e, 0)  # noqa: E731
+            elif e < stop:
+                then = lambda: self._run_chunk(  # noqa: E731
+                    proc, prim, e, 0, prim.lookups)
             else:
-                self._block(proc, flag, value, ">=", "flag")
-            return
-        self._run_lookups(proc, prim, o, prim.lookups)
-
-    def _run_lookups(self, proc: SimProcess, prim: P.ChunkRun, o: int,
-                     k: int) -> None:  # hot-path
-        if not k:
-            self._run_body(proc, prim, o)
-            return
-        seconds = prim.lookup_cost
-        then = lambda: self._run_lookups(proc, prim, o, k - 1)  # noqa: E731
-        if seconds <= self.COMPUTE_QUANTUM:
-            start = self._cpu_start(proc.core, seconds)
-            self._schedule(start + seconds, then)
-        else:
-            self._compute_slice(proc, seconds, then)
-
-    def _run_body(self, proc: SimProcess, prim: P.ChunkRun,
-                  o: int) -> None:  # hot-path
-        self._current_proc = proc
-        self._progress += 1
-        e = o + prim.chunk
-        if e > prim.stop:
-            e = prim.stop
-        if prim.sets:
-            then = lambda: self._run_sets(proc, prim, e, 0)  # noqa: E731
-        elif e < prim.stop:
-            then = lambda: self._run_waits(proc, prim, e, 0)  # noqa: E731
-        else:
-            then = None
-        n = e - o
-        if prim.copy is not None:
-            src, dst = prim.copy
-            self._h_copy(proc, P.Copy(src=src.sub(o, n), dst=dst.sub(o, n)),
-                         then)
-        elif prim.reduce is not None:
-            srcs, dst, op, dtype = prim.reduce
-            self._h_reduce(proc, P.Reduce(
-                srcs=tuple(s.sub(o, n) for s in srcs), dst=dst.sub(o, n),
-                op=op, dtype=dtype), then)
-        elif then is not None:
-            then()
-        else:
-            self._resume(proc, None)
+                then = None
+            n = e - o
+            if prim.copy is not None:
+                src, dst = prim.copy
+                self._h_copy(proc, P.Copy(src=src.sub(o, n),
+                                          dst=dst.sub(o, n)), then)
+            else:
+                srcs, dst, op, dtype = prim.reduce
+                self._h_reduce(proc, P.Reduce(
+                    srcs=tuple(s.sub(o, n) for s in srcs), dst=dst.sub(o, n),
+                    op=op, dtype=dtype), then)
+            return False
 
     def _run_sets(self, proc: SimProcess, prim: P.ChunkRun, e: int,
                   j: int) -> None:  # hot-path
@@ -669,7 +653,8 @@ class Engine:
         if j + 1 < len(sets):
             then = lambda: self._run_sets(proc, prim, e, j + 1)  # noqa: E731
         elif e < prim.stop:
-            then = lambda: self._run_waits(proc, prim, e, 0)  # noqa: E731
+            then = lambda: self._run_chunk(  # noqa: E731
+                proc, prim, e, 0, prim.lookups)
         else:
             then = None
         value = base + (e - prim.start)
@@ -733,15 +718,13 @@ class Engine:
     def _h_wait_flag(self, proc: SimProcess, prim: P.WaitFlag) -> None:  # hot-path
         flag = prim.flag
         value = prim.value
-        cmp = prim.cmp
-        # Inlined Flag.satisfied for the ubiquitous ">=" compare.
-        if (flag.value >= value) if cmp == ">=" else flag.satisfied(value, cmp):
+        if flag.value >= value:
             if self._race:
                 self.checker.on_acquire(proc, flag)
             t = self.pricer.line_read(proc.core, flag.line, self.now)
             heapq.heappush(self._heap, (t, next(self._seq), proc))
         else:
-            self._block(proc, flag, value, cmp, "flag")
+            self._block(proc, flag, value)
 
     def _h_atomic_rmw(self, proc: SimProcess, prim: P.AtomicRMW) -> None:
         atom = prim.atom
@@ -767,23 +750,23 @@ class Engine:
     def _h_wait_atomic(self, proc: SimProcess, prim: P.WaitAtomic) -> None:  # hot-path
         atom = prim.atom
         value = prim.value
-        cmp = prim.cmp
-        if (atom.value >= value) if cmp == ">=" else atom.satisfied(value, cmp):
+        if atom.value >= value:
             if self._race:
                 self.checker.on_acquire(proc, atom)
             t = self.pricer.line_read(proc.core, atom.line, self.now)
             heapq.heappush(self._heap, (t, next(self._seq), proc))
         else:
-            self._block(proc, atom, value, cmp, "atomic")
+            self._block(proc, atom, value)
 
-    def _block(self, proc: SimProcess, obj: Flag | Atomic, value: int,
-               cmp: str, kind: str) -> None:  # hot-path
+    def _block(self, proc: SimProcess, obj: Flag | Atomic,
+               value: int) -> None:  # hot-path
+        """Park ``proc`` until ``obj.value >= value``."""
         proc.state = _BLOCKED
         proc.blocked_obj = obj
         proc.blocked_value = value
         if self._observe:
-            self.obs.begin_wait(proc, obj.name, kind)
-        obj.waiters.append((proc, value, cmp))
+            self.obs.begin_wait(proc, obj.name, obj.kind)
+        obj.waiters.append((proc, value))
         if self._dl_proactive:
             self._deadlock_probe(obj)
 
@@ -798,9 +781,8 @@ class Engine:
         observe = self._observe
         race = self._race
         for entry in obj.waiters:
-            proc, threshold, cmp = entry
-            if (val >= threshold) if cmp == ">=" \
-                    else obj.satisfied(threshold, cmp):
+            proc, threshold = entry
+            if val >= threshold:
                 if observe:
                     self.obs.note_waker(proc, self._current_proc)
                     self._m_wakeups.inc()

@@ -100,16 +100,15 @@ class SetFlagGroup:
 
 @dataclass(slots=True)
 class WaitFlag:
-    """Block until ``flag`` satisfies ``value`` under ``cmp``.
+    """Block until ``flag >= value``.
 
-    ``cmp`` is one of ``">="``, ``"=="``. The waiter pays the line-fetch
-    cost on wake-up, serialized at the line's home point when the line is
-    not already shared locally.
+    Flags carry monotonic counters, so ``>=`` is the only wait there is.
+    The waiter pays the line-fetch cost on wake-up, serialized at the
+    line's home point when the line is not already shared locally.
     """
 
     flag: "Flag"
     value: int
-    cmp: str = ">="
 
 
 @dataclass(slots=True)
@@ -135,17 +134,18 @@ class ChunkRun:
     ``first_ready`` says the emitting loop already waited for the first
     chunk and mapped its operands itself.
 
-    Only ``>=`` waits are expressible — that is what makes the segment
-    zero-decision: availability counters only grow. Both engines run the
-    same ChunkRun and differ only in pricing. The event engine runs each
-    chunk as exactly the events of the per-chunk loop: one per gated
-    wait (skipped for the first chunk when ``first_ready``), one
-    :class:`Compute` per lookup (skipped likewise), the :class:`Copy` or
-    :class:`Reduce`, then a :class:`SetFlag` per single-flag set and a
-    :class:`SetFlagGroup` per other set. The array engine prices the
-    whole run as one closed-form sweep, which charges the first chunk's
-    waits and ``lookups * lookup_cost`` again even when ``first_ready``
-    (a SIM_VERSION 3 approximation, docs/performance.md).
+    Its waits are ``>=`` waits, like every wait (:class:`WaitFlag`):
+    availability counters only grow, which makes the segment
+    zero-decision. Both engines run the same ChunkRun and differ only in
+    pricing. The event engine runs each chunk as exactly the events of
+    the per-chunk loop: one per gated wait (skipped for the first chunk
+    when ``first_ready``), one :class:`Compute` per lookup (skipped
+    likewise), the :class:`Copy` or :class:`Reduce`, then a
+    :class:`SetFlag` per single-flag set and a :class:`SetFlagGroup` per
+    other set; a chunk with none of these takes no time. The array
+    engine prices the whole run as one closed-form sweep, which charges
+    the first chunk's waits and ``lookups * lookup_cost`` again even when
+    ``first_ready`` (a SIM_VERSION 3 approximation, docs/performance.md).
     """
 
     start: int
@@ -174,11 +174,10 @@ class AtomicRMW:
 
 @dataclass(slots=True)
 class WaitAtomic:
-    """Block until the atomic's value satisfies ``value`` under ``cmp``."""
+    """Block until ``atom >= value`` (the only wait, as for flags)."""
 
     atom: "Atomic"
     value: int
-    cmp: str = ">="
 
 
 @dataclass(slots=True)

@@ -109,10 +109,6 @@ class Resource(Occupancy):
             raise SimulationError(f"release of idle resource {self.name!r}")
         self.active -= 1
 
-    def effective_bw(self) -> float:
-        """Share available to one more/current user."""
-        return self.bw / max(1, self.active)
-
     def __repr__(self) -> str:
         return f"<Resource {self.name} bw={self.bw:.2e} active={self.active}>"
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
-from ..errors import SimulationError
-
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import SimProcess
 
@@ -78,8 +76,10 @@ def wait_group(name: str) -> str:
 
 
 class _SyncObject:
-    """What a flag and an atomic share: a value that blocked waiters
-    test, and the wait family the observer groups their waits by."""
+    """What a flag and an atomic share: a value that only grows, which
+    a blocked waiter tests with ``>=``, and the wait family the observer
+    groups their waits by. Nothing resets it: every wait is a threshold
+    on a cumulative count (docs/architecture.md)."""
 
     __slots__ = ()
     kind = ""
@@ -97,17 +97,6 @@ class _SyncObject:
         if key is None:
             key = self._wait_key = f"{self.kind} {wait_group(self.name)}"
         return key
-
-    def satisfied(self, threshold: int, cmp: str) -> bool:
-        return _compare(self.value, threshold, cmp)
-
-    def reset(self, value: int = 0) -> None:
-        if self.waiters:
-            raise SimulationError(
-                f"reset of {self.kind} {self.name!r} with blocked waiters"
-            )
-        self.value = value
-        self.hist = None
 
 
 class Flag(_SyncObject):
@@ -132,8 +121,9 @@ class Flag(_SyncObject):
         self.owner_core = owner_core
         self.line = line if line is not None else Line(owner_core)
         self.value = 0
-        # Blocked readers: (process, threshold, cmp).
-        self.waiters: list[tuple["SimProcess", int, str]] = []
+        # Blocked readers: (process, threshold), each waiting for
+        # ``value >= threshold``.
+        self.waiters: list[tuple["SimProcess", int]] = []
         self._wait_key: str | None = None
         # Array-mode set history: ``[(time, value), ...]`` in set order.
         # The event engine never touches it; the array engine uses it to
@@ -159,18 +149,10 @@ class Atomic(_SyncObject):
         self.name = name
         self.line = line if line is not None else Line(home_core)
         self.value = 0
-        self.waiters: list[tuple["SimProcess", int, str]] = []
+        self.waiters: list[tuple["SimProcess", int]] = []
         self._wait_key: str | None = None
         # Array-mode update history, mirroring Flag.hist.
         self.hist: list[tuple[float, int]] | None = None
 
     def __repr__(self) -> str:
         return f"<Atomic {self.name!r} ={self.value}>"
-
-
-def _compare(value: int, threshold: int, cmp: str) -> bool:
-    if cmp == ">=":
-        return value >= threshold
-    if cmp == "==":
-        return value == threshold
-    raise SimulationError(f"unsupported flag comparison {cmp!r}")

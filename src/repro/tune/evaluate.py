@@ -27,26 +27,17 @@ def measurement_request(system: str, collective: str, size: int, nranks: int,
                       config=config_to_dict(cfg), **iters)
 
 
-def measurement_payload(system: str, collective: str, size: int, nranks: int,
-                        cfg: XhcConfig, iters: dict) -> dict:
-    """Deprecated alias: the cache payload of :func:`measurement_request`."""
-    return measurement_request(system, collective, size, nranks, cfg,
-                               iters).payload()
-
-
 def simulate_payload(payload: dict) -> float:
-    """Run one measurement described by a request payload (inline)."""
+    """Run one measurement described by a request payload (inline).
+
+    Every field counts, ``engine`` and ``smsc`` included; ``component``
+    defaults to ``"xhc"``, and ``config`` is normalized to the full
+    :class:`~repro.xhc.config.XhcConfig` field set."""
     from ..exec.worker import execute
-    request = RunRequest(
-        system=payload["system"], collective=payload["collective"],
-        size=payload["size"], nranks=payload["nranks"],
-        component=payload.get("component", "xhc"),
-        config=config_to_dict(config_from_dict(payload["config"])),
-        warmup=payload["warmup"], iters=payload["iters"],
-        modify=payload.get("modify", True),
-        mapping=payload.get("mapping", "core"),
-        root=payload.get("root", 0),
-    )
+    request = RunRequest.from_payload({
+        "component": "xhc", **payload,
+        "config": config_to_dict(config_from_dict(payload["config"])),
+    })
     result = execute(request)
     if result.latency_s is None:
         raise RuntimeError(f"simulation failed: {result.error}")

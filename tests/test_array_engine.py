@@ -2,9 +2,9 @@
 
 Complements tests/test_engine_parity.py (which pins latencies and
 event-vs-array deltas): this file covers the opt-in surface itself —
-instrumentation incompatibility, run(until=...) refusal, bit-stable
-determinism, that both engines run latency-only collectives without
-numpy, and that both move the right values when data movement is on.
+instrumentation incompatibility, bit-stable determinism, that both
+engines run latency-only collectives without numpy, and that both move
+the right values when data movement is on.
 """
 
 import subprocess
@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.components import COMPONENTS
 from repro.bench.osu import run_collective
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.mpi import DOUBLE, MAX
 from repro.node import Node
 from repro.options import RunOptions
@@ -56,12 +56,6 @@ def test_array_engine_rejects_instrumentation(kw):
         options = RunOptions(engine="array", **kw)
     with pytest.raises(ConfigError, match="instrumented|observe|check"):
         Node(get_system("epyc-1p"), options=options)
-
-
-def test_array_engine_rejects_run_until():
-    node = Node(get_system("epyc-1p"), options=RunOptions(engine="array"))
-    with pytest.raises(SimulationError, match="until"):
-        node.engine.run(until=1.0)
 
 
 def test_unknown_engine_name():

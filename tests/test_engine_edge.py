@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.mpi import FLOAT, SUM
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.sim.syncobj import Atomic, Flag, Line
 
@@ -16,47 +17,31 @@ def fresh():
     return Node(small_topo())
 
 
-def test_flag_equality_comparison():
-    node = fresh()
+def test_waits_take_no_comparison_and_sync_objects_no_reset():
+    """Flags and atomics carry monotonic counters: a wait is only ever
+    ``value >= threshold``, and nothing resets a flag or an atomic."""
     flag = Flag("f", owner_core=0)
-    hits = []
-
-    def writer():
-        for v in (1, 2, 3):
-            yield P.Compute(10e-6)
-            yield P.SetFlag(flag, v)
-
-    def reader():
-        yield P.WaitFlag(flag, 2, cmp="==")
-        hits.append(node.engine.now)
-
-    node.engine.spawn(reader(), core=1)
-    node.engine.spawn(writer(), core=0)
-    node.engine.run()
-    assert hits and 20e-6 <= hits[0] < 30e-6
-
-
-def test_bad_comparison_operator():
-    node = fresh()
-    flag = Flag("f", owner_core=0)
-    flag.value = 5
-
-    def reader():
-        yield P.WaitFlag(flag, 2, cmp="<=")
-    node.engine.spawn(reader(), core=1)
-    with pytest.raises(SimulationError, match="comparison"):
-        node.engine.run()
-
-
-def test_flag_reset_with_waiters_rejected():
-    flag = Flag("f", owner_core=0)
-    flag.waiters.append((object(), 1, ">="))
-    with pytest.raises(SimulationError, match="reset"):
-        flag.reset()
     atom = Atomic("a", home_core=0)
-    atom.waiters.append((object(), 1, ">="))
-    with pytest.raises(SimulationError, match="reset"):
-        atom.reset()
+    with pytest.raises(TypeError):
+        P.WaitFlag(flag, 2, cmp="==")
+    with pytest.raises(TypeError):
+        P.WaitAtomic(atom, 2, cmp=">=")
+    assert not hasattr(flag, "reset") and not hasattr(atom, "reset")
+
+
+@pytest.mark.parametrize("engine", ["event", "array"])
+def test_run_takes_no_bound(engine):
+    """A run drains the queue; there is no bounded form."""
+    node = Node(small_topo(), options=RunOptions(engine=engine))
+
+    def prog():
+        yield P.Compute(10e-6)
+
+    node.engine.spawn(prog(), core=0)
+    with pytest.raises(TypeError):
+        node.engine.run(until=5e-6)
+    assert node.engine.run() == pytest.approx(10e-6)
+    assert not node.engine.alive()
 
 
 def test_engine_not_reentrant():
@@ -90,24 +75,8 @@ def test_spawn_during_run():
     assert order == ["child", "parent"]
 
 
-def test_run_until_then_resume():
-    node = fresh()
-
-    def prog():
-        yield P.Compute(10e-6)
-        yield P.Compute(10e-6)
-
-    node.engine.spawn(prog(), core=0)
-    t1 = node.engine.run(until=5e-6)
-    assert t1 == pytest.approx(5e-6)
-    t2 = node.engine.run()
-    assert t2 == pytest.approx(20e-6)
-
-
-@pytest.mark.parametrize("split", [None, 5e-6])
-def test_run_until_keeps_same_time_fifo_order(split):
-    """Stopping at ``until`` must not reorder the events that share the
-    first time past it: a split run finishes them in the unsplit order."""
+def test_same_time_events_run_in_fifo_order():
+    """Events that share a time run in the order they were queued."""
     node = fresh()
     order = []
 
@@ -117,8 +86,6 @@ def test_run_until_keeps_same_time_fifo_order(split):
 
     node.engine.spawn(prog("a"), core=0)
     node.engine.spawn(prog("b"), core=1)
-    if split is not None:
-        assert node.engine.run(until=split) == pytest.approx(split)
     assert node.engine.run() == pytest.approx(10e-6)
     assert order == ["a", "b"]
 

@@ -65,22 +65,6 @@ def test_cli_bench_allreduce_and_custom_sizes(capsys):
     assert code == 0 and "xhc-tree" in out
 
 
-def test_smsc_copy_to_writes_remote():
-    from repro.shmem.smsc import SmscConfig, SmscEndpoint
-    node = Node(small_topo())
-    owner = node.new_address_space(0, 0)
-    peer = node.new_address_space(1, 4)
-    src = owner.alloc("src", 1024)
-    dst = peer.alloc("dst", 1024)
-    src.fill(5)
-    ep = SmscEndpoint(node, 0, SmscConfig())
-    node.engine.spawn(node.xpmem.expose(dst), core=4)
-    node.engine.run()
-    node.engine.spawn(ep.copy_to(src.whole(), dst.whole()), core=0)
-    node.engine.run()
-    assert np.all(dst.data == 5)
-
-
 def test_scatter_root_view_none_non_root():
     node = Node(small_topo())
     world = World(node, 4)

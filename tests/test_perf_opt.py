@@ -51,6 +51,16 @@ RUN_CASES = {
     "one-chunk": dict(size=8_000, chunk=16384, first_ready=True),
     "quantum-chunks": dict(size=200_000, chunk=96 * 1024,
                            lookup_cost=60e-6),
+    # No body: the chunks are their waits, lookups and sets.
+    "bodiless": dict(size=50_000, chunk=16384, body="none", lookups=2),
+    # Waits alone, on a producer of the last two chunks only: the chunks
+    # before them take no time and follow one another in a loop.
+    "wait-only": dict(size=64 * 2000, chunk=64, body="none", sets="none",
+                      lookups=0, tail=2),
+    # The last step of the run is a lookup, whose completion resumes the
+    # generator.
+    "ends-in-lookup": dict(size=50_000, chunk=16384, body="none",
+                           sets="none", lookups=2),
 }
 
 
@@ -66,8 +76,11 @@ def _run_world(options, case: dict):
     outs = tuple(Flag(f"t.out.{i}", owner_core=1) for i in range(3))
     pace = case.get("pace", 2e-6)
 
+    # A producer of the tail covers the last ``tail`` chunks alone.
+    first = size - case["tail"] * chunk if "tail" in case else 0
+
     def producer(flag):
-        for done in range(chunk, size + chunk, chunk):
+        for done in range(first + chunk, size + chunk, chunk):
             yield P.Compute(pace)
             yield P.SetFlag(flag, 100 + min(done, size))
 
@@ -79,7 +92,7 @@ def _run_world(options, case: dict):
     node.engine.spawn(producer(avail[0]), core=0)
     node.engine.spawn(producer(avail[1]), core=2)
     node.engine.spawn(neighbour(), core=1)
-    waits = [(avail[0], 100, 0, size)]
+    waits = [(avail[0], 100 + first, first, size)]
     if case.get("body") == "reduce":
         # The second producer covers only [chunk, size): its clamped
         # spec does not gate the first chunk.
@@ -88,10 +101,12 @@ def _run_world(options, case: dict):
     sets = [((outs[0],), 7)]
     if case.get("sets") == "group":
         sets.append((outs, 9))
-    body = ({"reduce": ((src_a.whole(), src_b.whole(), dst.whole()),
-                        dst.whole(), SUM, FLOAT)}
-            if case.get("body") == "reduce"
-            else {"copy": (src_a.whole(), dst.whole())})
+    elif case.get("sets") == "none":
+        sets = []
+    body = {"copy": {"copy": (src_a.whole(), dst.whole())},
+            "reduce": {"reduce": ((src_a.whole(), src_b.whole(),
+                                   dst.whole()), dst.whole(), SUM, FLOAT)},
+            "none": {}}[case.get("body", "copy")]
     run = P.ChunkRun(start=0, stop=size, chunk=chunk, waits=tuple(waits),
                      sets=tuple(sets), lookups=case.get("lookups", 1),
                      lookup_cost=case.get("lookup_cost", 1e-7),
@@ -110,10 +125,12 @@ def _chunk_steps(run: P.ChunkRun, o: int):
     if run.copy is not None:
         src, dst = run.copy
         rest = [P.Copy(src=src.sub(o, n), dst=dst.sub(o, n))]
-    else:
+    elif run.reduce is not None:
         srcs, dst, op, dtype = run.reduce
         rest = [P.Reduce(srcs=tuple(s.sub(o, n) for s in srcs),
                          dst=dst.sub(o, n), op=op, dtype=dtype)]
+    else:
+        rest = []
     for flags, base in run.sets:
         value = base + (e - run.start)
         rest.append(P.SetFlag(flags[0], value) if len(flags) == 1
@@ -173,6 +190,19 @@ def test_empty_chunk_run_is_a_noop():
 
     def prog():
         yield P.ChunkRun(start=64, stop=64, chunk=16)
+        yield P.Compute(1e-6)
+    node.engine.spawn(prog(), core=0)
+    assert node.engine.run() == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("engine", ["event", "array"])
+def test_chunk_run_without_a_chunk_size_is_empty(engine):
+    """A run whose chunk size is not positive has no chunks, on both
+    engines."""
+    node = Node(small_topo(), options=RunOptions(engine=engine))
+
+    def prog():
+        yield P.ChunkRun(start=0, stop=64, chunk=0)
         yield P.Compute(1e-6)
     node.engine.spawn(prog(), core=0)
     assert node.engine.run() == pytest.approx(1e-6)

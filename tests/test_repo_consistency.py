@@ -103,6 +103,56 @@ def test_docs_name_only_code_that_exists():
     assert not missing, missing
 
 
+# A test file path (``tests/test_x.py``, optionally ``::test_name``) or a
+# backticked test name (``test_x``, ``test_x.py``, ``test_x_*``).
+_TEST_PATH = re.compile(r"(?<![\w./-])tests/(test_[\w*]*)\.py(?:::(\w+))?")
+_TEST_NAME = re.compile(r"`(test_[\w*]*)(?:\.py)?(?:::(\w+))?`")
+
+
+def _test_definitions():
+    """``{directory: {file stem: names of the test functions in it}}``
+    for tests/ and benchmarks/."""
+    defs = {}
+    for folder in ("tests", "benchmarks"):
+        defs[folder] = {
+            path.stem: set(re.findall(r"^\s*def (test_\w+)",
+                                      path.read_text(), re.MULTILINE))
+            for path in (ROOT / folder).glob("test_*.py")}
+    return defs
+
+
+def _names_a_test(defs, folders, name, func):
+    """``name`` is a test file stem (a trailing ``*`` globs and must
+    match one) or a test function in ``folders``; ``func``, when given,
+    is a test function of that file."""
+    import fnmatch
+    files = {stem: funcs for folder in folders
+             for stem, funcs in defs[folder].items()}
+    stems = fnmatch.filter(files, name) if name.endswith("*") else \
+        [name] if name in files else []
+    if func is not None:
+        return any(func in files[stem] for stem in stems)
+    return bool(stems) or any(name in funcs for funcs in files.values())
+
+
+def test_docs_name_only_tests_that_exist():
+    """Every ``tests/*.py`` path and backticked ``test_*`` name in the
+    docs names a file in tests/ or benchmarks/, or a test function."""
+    defs = _test_definitions()
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    missing = []
+    for path in docs:
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            found = [(("tests",), m) for m in _TEST_PATH.finditer(line)]
+            found += [(("tests", "benchmarks"), m)
+                      for m in _TEST_NAME.finditer(line)]
+            for folders, m in found:
+                if not _names_a_test(defs, folders, *m.groups()):
+                    missing.append(f"{path.name}:{lineno}: {m.group(0)}")
+    assert not missing, missing
+
+
 def test_pyproject_version_matches_package_version():
     """docs/api.md counts its deprecation window from ``__version__``;
     the packaged version must say the same."""

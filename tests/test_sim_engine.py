@@ -231,6 +231,36 @@ def test_long_run_of_empty_chunk_runs_resumes_in_a_loop():
     assert node.engine._progress == ZERO_TIME_RUN + 3
 
 
+def test_long_run_of_bodiless_chunk_runs_resumes_in_a_loop():
+    """A one-chunk ChunkRun with no wait, lookup, body or set takes no
+    time: it resumes its generator at once, in the same loop."""
+    node = fresh_node()
+    proc = node.engine.spawn(
+        _zero_time_program(P.ChunkRun(start=0, stop=64, chunk=64)), core=0)
+    assert node.engine.run() == pytest.approx(2e-6)
+    assert proc.result == "done"
+    assert node.engine.events_processed == 3
+    assert node.engine._progress == 2 * ZERO_TIME_RUN + 3
+
+
+@pytest.mark.parametrize("first_ready", [False, True])
+def test_long_bodiless_chunk_run_iterates(first_ready):
+    """The chunks of a bodiless ChunkRun follow one another in a loop."""
+    def prog():
+        yield P.Compute(1e-6)
+        yield P.ChunkRun(start=0, stop=64 * ZERO_TIME_RUN, chunk=64,
+                         first_ready=first_ready)
+        yield P.Compute(1e-6)
+        return "done"
+
+    node = fresh_node()
+    proc = node.engine.spawn(prog(), core=0)
+    assert node.engine.run() == pytest.approx(2e-6)
+    assert proc.result == "done"
+    assert node.engine.events_processed == 3
+    assert node.engine._progress == ZERO_TIME_RUN + 4
+
+
 def test_releasing_an_idle_resource_raises():
     """A transfer holds its route's resources while it runs; a release
     that finds one idle raises."""
@@ -259,18 +289,6 @@ def test_releasing_an_idle_resource_raises():
     with pytest.raises(SimulationError,
                        match="release of idle resource 'probe'"):
         node.engine.run()
-
-
-def test_run_until():
-    node = fresh_node()
-    def prog():
-        yield P.Compute(10e-6)
-    node.engine.spawn(prog(), core=0)
-    t = node.engine.run(until=1e-6)
-    assert t == pytest.approx(1e-6)
-    assert node.engine.alive()
-    node.engine.run()
-    assert not node.engine.alive()
 
 
 def test_determinism():

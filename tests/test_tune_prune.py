@@ -5,12 +5,17 @@ the candidate the simulator would have crowned — otherwise tuned tables
 silently encode the analytic model's blind spots.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.exec.worker import execute
 from repro.memory.model import model_for
+from repro.options import RunOptions
+from repro.shmem.smsc import SmscConfig
 from repro.topology import get_system
 from repro.tune import (Evaluator, ResultCache, estimate_cost, prune, tune)
-from repro.tune.evaluate import QUICK_ITERS, measurement_payload, \
+from repro.tune.evaluate import QUICK_ITERS, measurement_request, \
     simulate_payload
 from repro.tune.space import PAPER_DEFAULT
 from repro.tune.table import DecisionTable
@@ -31,8 +36,23 @@ GRID = [
 
 
 def simulate(cfg, system="epyc-1p", collective="bcast"):
-    return simulate_payload(measurement_payload(
-        system, collective, SIZE, NRANKS, cfg, QUICK_ITERS))
+    return simulate_payload(measurement_request(
+        system, collective, SIZE, NRANKS, cfg, QUICK_ITERS).payload())
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"options": RunOptions(engine="array")}, id="array-engine"),
+    pytest.param({"smsc": SmscConfig(use_regcache=False)}, id="no-regcache"),
+])
+def test_simulate_payload_answers_what_execute_answers(change):
+    """A payload's engine and SMSC config reach the simulation: each
+    changes the answer, and the payload answers what its request does."""
+    base = measurement_request("epyc-1p", "bcast", 65536, 8, PAPER_DEFAULT,
+                               QUICK_ITERS)
+    request = dataclasses.replace(base, **change)
+    want = execute(request).latency_s
+    assert want != execute(base).latency_s
+    assert float.hex(simulate_payload(request.payload())) == float.hex(want)
 
 
 @pytest.mark.parametrize("collective", ["bcast", "allreduce"])
