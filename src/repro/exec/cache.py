@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 
 from .store import ShardedStore
 
@@ -108,6 +109,12 @@ class ResultCache:
     only the on-disk layout moved to sharded per-entry files. ``len()``
     and lookups cover the *current* ``SIM_VERSION`` generation only;
     stale generations are invisible (and reclaimed by eviction).
+
+    One cache is safe to share between threads: the serve daemon's event
+    loop answers store hits at submit while its worker thread looks up
+    and records a chunk's simulations. ``get``, ``put``, ``save``,
+    ``stats``, ``store_info`` and ``len()`` each hold one lock for their
+    whole body, and none of them calls another.
     """
 
     def __init__(self, path: str | os.PathLike | None = None, *,
@@ -118,6 +125,7 @@ class ResultCache:
         self._dirty: set[str] = set()
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
         self.store: ShardedStore | None = None
         if self.path:
             self.store = ShardedStore(store_layout(self.path),
@@ -125,6 +133,10 @@ class ResultCache:
                                       max_bytes=max_bytes)
 
     def __len__(self) -> int:
+        with self._lock:
+            return self._count()
+
+    def _count(self) -> int:
         """Entries in the store's current generation plus unflushed puts.
 
         ``entries`` also keeps what the store has since evicted, so it
@@ -140,37 +152,47 @@ class ResultCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def get(self, payload: dict) -> float | None:
+    def get(self, payload: dict, *, count_miss: bool = True) -> float | None:
+        """The stored latency of ``payload``, or ``None``. A hit always
+        counts in :attr:`hits`; a miss counts in :attr:`misses` unless
+        ``count_miss`` is false, for a caller that looks the payload up
+        again later and counts it then."""
         digest = cache_key(payload)
-        entry = self.entries.get(digest)
-        if self.store is not None:
-            if entry is not None:
-                # A memory hit refreshes LRU recency as a disk read does,
-                # or the hottest entries would be the first evicted.
-                self.store.touch(SIM_VERSION, digest)
-            else:
-                entry = self.store.read(SIM_VERSION, digest)
+        with self._lock:
+            entry = self.entries.get(digest)
+            if self.store is not None:
                 if entry is not None:
-                    if entry.get("sim_version", SIM_VERSION) != SIM_VERSION:
-                        entry = None  # stale generation; never serve it
-                    else:
-                        self.entries[digest] = entry
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry["latency_s"]
+                    # A memory hit refreshes LRU recency as a disk read
+                    # does, or the hottest entries would be the first
+                    # evicted.
+                    self.store.touch(SIM_VERSION, digest)
+                else:
+                    entry = self.store.read(SIM_VERSION, digest)
+                    if entry is not None:
+                        if entry.get("sim_version",
+                                     SIM_VERSION) != SIM_VERSION:
+                            entry = None  # stale generation; never serve
+                        else:
+                            self.entries[digest] = entry
+            if entry is None:
+                if count_miss:
+                    self.misses += 1
+                return None
+            self.hits += 1
+            return entry["latency_s"]
 
     def put(self, payload: dict, latency_s: float) -> None:
         digest = cache_key(payload)
-        self.entries[digest] = {
+        entry = {
             "latency_s": latency_s,
             # The request itself is stored alongside for auditability;
             # the digest alone would be write-only.
             "request": payload,
             "sim_version": SIM_VERSION,
         }
-        self._dirty.add(digest)
+        with self._lock:
+            self.entries[digest] = entry
+            self._dirty.add(digest)
 
     def save(self) -> None:
         """Flush dirty entries to the sharded store, evict if that wrote
@@ -183,39 +205,48 @@ class ResultCache:
         backing path."""
         if self.store is None:
             return
-        wrote = bool(self._dirty)
-        for digest in sorted(self._dirty):
-            self.store.write(SIM_VERSION, digest, self.entries[digest])
-        self._dirty.clear()
-        if wrote:
-            self.store.evict()
-        if wrote or self.store.evictions or self.store.quarantined:
-            self.store.save_ledger()
+        with self._lock:
+            wrote = bool(self._dirty)
+            for digest in sorted(self._dirty):
+                self.store.write(SIM_VERSION, digest, self.entries[digest])
+            self._dirty.clear()
+            if wrote:
+                self.store.evict()
+            if wrote or self.store.evictions or self.store.quarantined:
+                self.store.save_ledger()
 
     def stats(self) -> CacheStats:
         """Cheap accounting snapshot (no filesystem walk; ``entries``
         counts the current ``SIM_VERSION`` generation)."""
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            entries=len(self),
-            evictions=(self.store.evictions_total
-                       if self.store is not None else 0),
-            quarantined=(self.store.quarantined_total
-                         if self.store is not None else 0),
-        )
+        with self._lock:
+            return CacheStats(
+                hits=self.hits,
+                misses=self.misses,
+                entries=self._count(),
+                evictions=(self.store.evictions_total
+                           if self.store is not None else 0),
+                quarantined=(self.store.quarantined_total
+                             if self.store is not None else 0),
+            )
 
     def store_info(self) -> dict | None:
-        """Totals + policy of the backing store (``None`` if in-memory)."""
+        """Totals + policy of the backing store (``None`` if in-memory).
+
+        ``entries`` and ``bytes`` are the store's running ledger totals
+        when this instance knows them (it saved the ledger last), so a
+        daemon's ``status`` does not walk the store; otherwise a scan."""
         if self.store is None:
             return None
-        count, size = self.store.totals()
-        return {
-            "root": self.store.root,
-            "entries": count,
-            "bytes": size,
-            "current_version_entries": self.store.count(SIM_VERSION),
-            "max_entries": self.store.max_entries,
-            "max_bytes": self.store.max_bytes,
-            "sim_version": SIM_VERSION,
-        }
+        with self._lock:
+            totals = self.store.running_totals()
+            count, size = totals if totals is not None \
+                else self.store.totals()
+            return {
+                "root": self.store.root,
+                "entries": count,
+                "bytes": size,
+                "current_version_entries": self.store.count(SIM_VERSION),
+                "max_entries": self.store.max_entries,
+                "max_bytes": self.store.max_bytes,
+                "sim_version": SIM_VERSION,
+            }

@@ -157,27 +157,47 @@ class Executor:
         """Execute (or answer from cache) a single request."""
         return self.run_many([request])[0]
 
+    def lookup(self, requests: Sequence[RunRequest], *,
+               count_misses: bool = True) -> "list[RunResult | None]":
+        """The store pass every sweep starts with: in request order, a
+        ``cached=True`` result for each cacheable request the store
+        holds and ``None`` for every other one (a miss, or an
+        instrumented request, which is never cached).
+
+        :meth:`run_many` simulates the ``None`` slots. The serve daemon
+        calls this pass when a job is submitted, answers the hits at once
+        and queues only the rest; it passes ``count_misses=False``
+        because the chunk that runs a queued request looks it up again
+        and counts it then, so each request counts once in the cache's
+        hits and misses."""
+        get = self.cache.get
+        results: list[RunResult | None] = []
+        for req in requests:
+            latency = (get(req.payload(), count_miss=count_misses)
+                       if req.cacheable else None)
+            results.append(None if latency is None else RunResult(
+                request=req, latency_s=latency, cached=True))
+        return results
+
     def run_many(self, requests: Sequence[RunRequest]) -> \
             "list[RunResult | None]":
         """Execute a sweep; results come back in request order.
 
-        Cacheable requests are answered from the store when possible and
-        recorded into it when not. Identical requests within one call are
-        simulated once. Slots dropped by the budget are ``None``.
+        Cacheable requests are answered from the store when possible
+        (:meth:`lookup`) and recorded into it when not. Identical
+        requests within one call are simulated once. Slots dropped by the
+        budget are ``None``.
         """
         requests = list(requests)
-        results: list[RunResult | None] = [None] * len(requests)
         todo: list[tuple[int, RunRequest]] = []
         seen: dict[str, int] = {}        # payload key -> first todo index
         duplicates: dict[int, list[int]] = {}
         t_lookup = perf_counter() if self.on_timing is not None else 0.0
+        results = self.lookup(requests)
         for i, req in enumerate(requests):
+            if results[i] is not None:
+                continue
             if req.cacheable:
-                cached = self.cache.get(req.payload())
-                if cached is not None:
-                    results[i] = RunResult(request=req, latency_s=cached,
-                                           cached=True)
-                    continue
                 key = req.key()
                 if key in seen:
                     duplicates.setdefault(seen[key], []).append(i)

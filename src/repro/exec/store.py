@@ -258,11 +258,12 @@ class ShardedStore:
         return ((self.max_entries is None or count <= self.max_entries)
                 and (self.max_bytes is None or size <= self.max_bytes))
 
-    def _running_totals(self) -> tuple[int, int] | None:
+    def running_totals(self) -> tuple[int, int] | None:
         """The totals :meth:`save_ledger` would write without a scan, or
         ``None`` when it would rescan: the last ledger this instance
         wrote plus its own new entries, while ``ledger.json`` is still
-        that file."""
+        that file. For a store no other process writes, they equal
+        :meth:`totals`."""
         if self._ledger_totals is None:
             return None
         try:
@@ -282,7 +283,7 @@ class ShardedStore:
         :meth:`save_ledger`) are unknown or exceed a bound."""
         if self.max_entries is None and self.max_bytes is None:
             return 0
-        known = self._running_totals()
+        known = self.running_totals()
         if known is not None and self._fits(*known):
             return 0
         entries = self.scan()

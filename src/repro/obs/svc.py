@@ -5,7 +5,9 @@ module traces the *service* over wall-clock time. Every job the daemon
 accepts gets a lifecycle span tree —
 
     job                                  (submit .. publish, one track)
-      queue-wait                         (submit .. first chunk dispatch)
+      cache-lookup                       (store hits answered at submit)
+      queue-wait                         (lookup end .. first chunk
+                                          dispatch; zero when no chunk)
       chunk                              (one per fairness chunk)
         cache-lookup                     (executor classification)
         worker-execute                   (simulation / pool fan-out)
@@ -68,6 +70,11 @@ class EventLog:
     ``events.jsonl.1`` → … → ``events.jsonl.<keep>``, oldest dropped),
     so a long-lived daemon's log is bounded at roughly
     ``(keep + 1) * max_bytes``. A ``None`` path disables the log.
+
+    The live file stays open between appends, with its length tracked in
+    memory, so an append is one write and one flush: every line reaches
+    the kernel before ``append`` returns. :meth:`close` closes it (the
+    daemon does at shutdown); a later append reopens it.
     """
 
     def __init__(self, path: str | os.PathLike | None, *,
@@ -79,23 +86,38 @@ class EventLog:
         self.written = 0
         self.rotations = 0
         self._lock = threading.Lock()
+        self._fh = None       # the live file, opened by the first append
+        self._size = 0        # its length in bytes
 
     def append(self, record: dict) -> None:
         if self.path is None:
             return
+        # Compact JSON is ASCII, so its length is its size in bytes.
         line = json.dumps(record, sort_keys=True,
                           separators=(",", ":")) + "\n"
         with self._lock:
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            try:
-                size = os.path.getsize(self.path)
-            except OSError:
-                size = 0
-            if size and size + len(line) > self.max_bytes:
+            if self._fh is None:
+                self._open()
+            if self._size and self._size + len(line) > self.max_bytes:
+                self._fh.close()
                 self._rotate()
-            with open(self.path, "a") as fh:
-                fh.write(line)
+                self._open()
+            self._fh.write(line)
+            self._fh.flush()
+            self._size += len(line)
             self.written += 1
+
+    def _open(self) -> None:
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        self._fh = open(self.path, "a")
+        self._size = os.fstat(self._fh.fileno()).st_size
+
+    def close(self) -> None:
+        """Close the live file; the next append reopens it."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def _rotate(self) -> None:
         for n in range(self.keep, 0, -1):
@@ -173,7 +195,9 @@ class ServiceTelemetry:
     :class:`MetricsRegistry`; the daemon calls the ``job_*``/``chunk_*``
     hooks from its event loop and installs :meth:`executor_phase` as the
     executor's timing hook (it fires on the worker thread — span
-    mutation is lock-protected). It is the only place a served job is
+    mutation is lock-protected). The hook files a phase under the chunk
+    in flight, so the store lookup the daemon makes at submit reaches
+    :meth:`job_submitted` instead. It is the only place a served job is
     counted: the daemon's ``status`` op and ``bye`` event read
     :attr:`submitted`, :attr:`completed` and :meth:`tenant_totals`.
     """
@@ -229,27 +253,49 @@ class ServiceTelemetry:
         """Wall seconds since the telemetry epoch (daemon start)."""
         return self.clock() - self.epoch
 
+    def close(self) -> None:
+        """Close the event log's live file (the daemon does at exit)."""
+        self.events.close()
+
     # -- span plumbing ----------------------------------------------------
 
     def _open(self, trace: JobTrace, name: str, cat: str,
-              args: dict | None = None) -> SpanRecord:
+              args: dict | None = None,
+              start: float | None = None) -> SpanRecord:
         parent = trace.stack[-1].id if trace.stack else None
         rec = SpanRecord(next(self._ids), name, cat, trace.job_id,
-                         self.now(), None, parent, args)
+                         self.now() if start is None else start, None,
+                         parent, args)
         trace.stack.append(rec)
         return rec
 
     def _close(self, trace: JobTrace, name: str | None = None,
-               args: dict | None = None) -> None:
+               args: dict | None = None) -> SpanRecord | None:
         if not trace.stack:
-            return
+            return None
         if name is not None and trace.stack[-1].name != name:
-            return
+            return None
         rec = trace.stack.pop()
         rec.end = self.now()
         if args:
             rec.args = {**(rec.args or {}), **args}
         trace.spans.append(rec)
+        return rec
+
+    def _phase(self, trace: JobTrace | None, phase: str, seconds: float,
+               count: int) -> None:
+        """Record an executor phase that just took ``seconds``: a span
+        under ``trace``'s innermost open span, and its histogram."""
+        now = self.now()
+        if trace is not None and trace.stack:
+            trace.spans.append(SpanRecord(
+                next(self._ids), phase, "exec", trace.job_id,
+                max(0.0, now - seconds), now, trace.stack[-1].id,
+                {"requests": count}))
+        if phase == "cache-lookup":
+            self._h_lookup.observe(seconds)
+        elif phase == "worker-execute":
+            self._h_worker.observe(seconds)
 
     def _tenant_pid(self, tenant: str) -> int:
         pid = self._tenant_pids.get(tenant)
@@ -260,15 +306,24 @@ class ServiceTelemetry:
 
     # -- lifecycle hooks (called by the daemon) ---------------------------
 
-    def job_submitted(self, job) -> None:
-        """A job was accepted: open its root + queue-wait spans."""
+    def job_submitted(self, job, lookup_s: float | None = None) -> None:
+        """A job was accepted: open its root + queue-wait spans.
+
+        ``lookup_s`` is the wall time of the store lookup that answered
+        the job's hits at submit (the daemon's, not the executor hook's,
+        which would file it under the chunk in flight). The root then
+        starts where the lookup began, with the lookup as its first
+        ``cache-lookup`` child."""
         with self._lock:
-            trace = JobTrace(job.id, job.tenant, job.total, self.now())
+            start = self.now() - (lookup_s or 0.0)
+            trace = JobTrace(job.id, job.tenant, job.total, start)
             self._traces[job.id] = trace
             self._evict()
             self._tenant_pid(job.tenant)
             self._open(trace, "job", "job",
-                       {"tenant": job.tenant, "total": job.total})
+                       {"tenant": job.tenant, "total": job.total}, start)
+            if lookup_s is not None:
+                self._phase(trace, "cache-lookup", lookup_s, job.total)
             self._open(trace, "queue-wait", "queue")
             self._c_submitted.inc()
             self.metrics.counter(
@@ -285,13 +340,12 @@ class ServiceTelemetry:
             if trace is None:
                 return
             now = self.now()
+            ready_since = trace.last_chunk_end
             if trace.first_chunk_at is None:
                 trace.first_chunk_at = now
-                self._close(trace, "queue-wait")
-                self._h_queue.observe(now - trace.submitted_at)
-            ready_since = (trace.last_chunk_end
-                           if trace.last_chunk_end is not None
-                           else trace.submitted_at)
+                # Queued when the submit-time lookup ended.
+                ready_since = self._close(trace, "queue-wait").start
+                self._h_queue.observe(now - ready_since)
             self._h_schedule.observe(max(0.0, now - ready_since))
             trace.chunks += 1
             self._open(trace, "chunk", "chunk",
@@ -305,18 +359,7 @@ class ServiceTelemetry:
         phase of the in-flight chunk finished (runs on the worker
         thread)."""
         with self._lock:
-            trace = self._current
-            now = self.now()
-            if trace is not None and trace.stack:
-                parent = trace.stack[-1].id
-                rec = SpanRecord(next(self._ids), phase, "exec",
-                                 trace.job_id, max(0.0, now - seconds), now,
-                                 parent, {"requests": count})
-                trace.spans.append(rec)
-            if phase == "cache-lookup":
-                self._h_lookup.observe(seconds)
-            elif phase == "worker-execute":
-                self._h_worker.observe(seconds)
+            self._phase(self._current, phase, seconds, count)
 
     def chunk_finished(self, job, new: int, cached: int, errors: int,
                        wall_s: float) -> None:
@@ -349,15 +392,18 @@ class ServiceTelemetry:
             trace = self._traces.get(job.id)
             if trace is None or trace.finished:
                 return
+            if trace.first_chunk_at is None:
+                # Answered at submit: no chunk ran, so it waited for none.
+                wait = self._close(trace, "queue-wait")
+                wait.end = wait.start
+                self._h_queue.observe(0.0)
             publish = self._open(trace, "publish", "publish")
             self._close(trace)  # publish (instantaneous on this clock)
             publish.start = (trace.last_chunk_end
                              if trace.last_chunk_end is not None
                              else publish.start)
             trace.finished_at = self.now()
-            # Close the root (and any stragglers, e.g. queue-wait on a
-            # job whose every chunk errored before dispatch).
-            while trace.stack:
+            while trace.stack:            # the root
                 self._close(trace)
             self._h_job.observe(trace.wall_s)
             self._c_completed.inc()

@@ -4,16 +4,19 @@ shared :class:`~repro.exec.Executor`.
 One daemon owns one warm executor (process pool + sharded result cache)
 and serves any number of client connections over a local stream socket,
 speaking the JSON-lines protocol of :mod:`repro.serve.protocol`. The
-daemon's event loop only shuffles queues and sockets; simulation chunks
-run in a worker thread (``asyncio.to_thread``) so a 4 MB allreduce never
-blocks a concurrent ``tables`` lookup.
+daemon's event loop shuffles queues and sockets and answers store hits:
+a submitted job's requests are looked up at once
+(:meth:`~repro.exec.Executor.lookup`), so a warm query finishes without
+waiting for any chunk. Simulation chunks run in a worker thread
+(``asyncio.to_thread``) so a 4 MB allreduce never blocks a concurrent
+``tables`` lookup.
 
 Scheduling is tenant-fair (:class:`~repro.serve.queue.FairScheduler`):
-jobs are split into bounded chunks and chunk execution round-robins
-across tenants, with per-chunk progress events streamed back to each
-submitter. After every chunk the result cache is flushed (atomic,
-sharded, size-bounded — see docs/serving.md), so even a ``kill -9`` of
-the daemon loses at most the chunk in flight.
+the requests left to simulate are split into bounded chunks and chunk
+execution round-robins across tenants, with per-chunk progress events
+streamed back to each submitter. After every chunk the result cache is
+flushed (atomic, sharded, size-bounded — see docs/serving.md), so even
+a ``kill -9`` of the daemon loses at most the chunk in flight.
 
 Graceful shutdown (the ``shutdown`` op, SIGINT or SIGTERM) stops
 accepting new jobs, *drains* everything already accepted, flushes the
@@ -131,6 +134,7 @@ class ServeDaemon:
             with contextlib.suppress(asyncio.CancelledError):
                 await worker
             self.executor.close()         # flush cache + ledger, stop pool
+            self.telemetry.close()
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.socket_path)
             self.log("stopped")
@@ -394,11 +398,24 @@ class ServeDaemon:
             await write_message(writer, error_event(
                 f"bad request payload: {exc}"))
             return
-        job = self.scheduler.submit(tenant, requests)
-        self.telemetry.job_submitted(job)
+        # Store hits are answered here, on the event loop; only the
+        # misses queue for the worker. Their chunk looks them up again,
+        # which counts them, and catches a request another job has
+        # simulated since.
+        lookup_t0 = time.monotonic()
+        answered = self.executor.lookup(requests, count_misses=False)
+        lookup_s = time.monotonic() - lookup_t0
+        job = self.scheduler.submit(tenant, requests, answered)
+        self.telemetry.job_submitted(job, lookup_s)
         events: asyncio.Queue = asyncio.Queue()
         self._events[job.id] = events
-        self._work.set()
+        if job.cached:
+            self._m_cached.inc(job.cached)
+            self.telemetry.scrape_cache(self.executor.cache.stats())
+        if job.finished:
+            await self._publish_progress(job)
+        else:
+            self._work.set()
         self.log(f"job {job.id} from {tenant!r}: "
                  f"{job.total} request(s), {job.chunks_left} chunk(s)")
         try:

@@ -2,12 +2,15 @@
 
 The daemon must not let one tenant's 10,000-point sweep starve another
 tenant's 3-point lookup — the "millions of users" story is many small
-clients sharing one warm simulator. Fairness is implemented the same way
-XHC shares a bus: split every job into bounded *chunks* (``batch_size``
-requests) and round-robin chunk execution across tenants. Within one
-tenant, jobs stay strictly FIFO, so a tenant cannot jump its own queue
-either. A tenant leaves the rotation while it has nothing pending and
-re-enters at the back when it submits again.
+clients sharing one warm simulator. A lookup the result store can answer
+never queues at all: the daemon answers store hits when a job is
+submitted, and a job arrives here with those results already recorded.
+Only the requests left to simulate are scheduled, the same way XHC
+shares a bus: split them into bounded *chunks* (``batch_size`` requests)
+and round-robin chunk execution across tenants. Within one tenant,
+simulation chunks stay strictly FIFO, so a tenant cannot jump its own
+queue either. A tenant leaves the rotation while it has nothing pending
+and re-enters at the back when it submits again.
 
 This module is a pure data structure (no asyncio, no I/O) so the policy
 is unit-testable; :mod:`repro.serve.daemon` drives it.
@@ -40,6 +43,27 @@ class Job:
         if not self.results:
             self.results = [None] * len(self.requests)
 
+    def record(self, indices: "list[int]",
+               results: list) -> tuple[int, int, int]:
+        """Store results at ``indices``; returns their ``(new, cached,
+        errors)`` counts, the one classification the daemon's metrics
+        and telemetry report (an error result is an error even if it is
+        also marked cached, and a ``None`` result is an error)."""
+        new = cached = errors = 0
+        for idx, result in zip(indices, results):
+            self.results[idx] = result
+            self.done += 1
+            if result is None or getattr(result, "error", None):
+                errors += 1
+            elif getattr(result, "cached", False):
+                cached += 1
+            else:
+                new += 1
+        self.new += new
+        self.cached += cached
+        self.errors += errors
+        return new, cached, errors
+
     @property
     def total(self) -> int:
         return len(self.requests)
@@ -62,16 +86,27 @@ class FairScheduler:
 
     # -- intake -----------------------------------------------------------
 
-    def submit(self, tenant: str, requests: list[RunRequest]) -> Job:
-        """Accept a job; it immediately joins the tenant's FIFO."""
-        indices = list(range(len(requests)))
-        chunks = deque(
-            indices[i:i + self.batch_size]
-            for i in range(0, len(indices), self.batch_size)
-        )
+    def submit(self, tenant: str, requests: list[RunRequest],
+               answered: "list | None" = None) -> Job:
+        """Accept a job. ``answered`` (index-aligned, ``None`` where a
+        request still has to run) holds results the daemon already has,
+        its store hits; they are recorded on the job at once. The other
+        requests are cut into chunks and the job joins the tenant's FIFO.
+        A job with nothing left to run is finished here and never
+        queues."""
         job = Job(id=self._next_job_id, tenant=tenant,
-                  requests=list(requests), chunks=chunks)
+                  requests=list(requests), chunks=deque())
         self._next_job_id += 1
+        if answered is not None:
+            hits = [i for i, result in enumerate(answered)
+                    if result is not None]
+            job.record(hits, [answered[i] for i in hits])
+        todo = [i for i, result in enumerate(job.results) if result is None]
+        job.chunks.extend(todo[i:i + self.batch_size]
+                          for i in range(0, len(todo), self.batch_size))
+        if not job.chunks:
+            job.finished = True
+            return job
         queue = self._jobs.get(tenant)
         if queue is None:
             queue = self._jobs[tenant] = deque()
@@ -79,9 +114,6 @@ class FairScheduler:
         queue.append(job)
         if not had_work:
             self._rotation.append(tenant)
-        if not job.chunks:           # zero-request job: trivially finished
-            job.finished = True
-            self._prune(tenant)
         return job
 
     # -- dispatch ---------------------------------------------------------
@@ -110,26 +142,12 @@ class FairScheduler:
     def record(self, job: Job, indices: list[int],
                results: list) -> tuple[int, int, int]:
         """Store one executed chunk's results on its job; returns the
-        chunk's ``(new, cached, errors)`` counts, the one classification
-        the daemon's metrics and telemetry report (an error result is an
-        error even if it is also marked cached)."""
-        new = cached = errors = 0
-        for idx, result in zip(indices, results):
-            job.results[idx] = result
-            job.done += 1
-            if result is None or getattr(result, "error", None):
-                errors += 1
-            elif getattr(result, "cached", False):
-                cached += 1
-            else:
-                new += 1
-        job.new += new
-        job.cached += cached
-        job.errors += errors
+        chunk's ``(new, cached, errors)`` counts (:meth:`Job.record`)."""
+        counts = job.record(indices, results)
         if job.done >= job.total and not job.finished:
             job.finished = True
             self._prune(job.tenant)
-        return new, cached, errors
+        return counts
 
     # -- introspection ----------------------------------------------------
 

@@ -195,3 +195,58 @@ def test_save_is_atomic_under_interruption(tmp_path, monkeypatch):
     leftovers = [name for _d, _s, names in os.walk(tmp_path)
                  for name in names if name.endswith(".tmp")]
     assert leftovers == []
+
+
+# -- sharing one cache between threads ----------------------------------------
+
+
+def test_threads_share_one_cache_and_every_get_counts_once(tmp_path):
+    # The serve daemon's event loop answers store hits at submit while
+    # its worker thread looks up and records a chunk's simulations, both
+    # on one ResultCache. More threads than cores and a short switch
+    # interval make a lost update likely if the cache were not locked.
+    import sys
+    import threading
+
+    cache = ResultCache(tmp_path)
+    nthreads, gets, failures = 3, 10_000, []
+
+    def work(base):
+        try:
+            for i in range(gets):
+                point = base + i % 200
+                if cache.get({"point": point}) is None:
+                    cache.put({"point": point}, 1e-6 * point)
+                if i % 100 == 0:              # the status op's reads
+                    cache.stats()
+                    len(cache)
+        except Exception as exc:      # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(100 * n,))
+               for n in range(nthreads)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert cache.hits + cache.misses == nthreads * gets
+    cache.save()
+    assert len(cache) == cache.stats().entries == 400
+    assert ResultCache(tmp_path).get({"point": 350}) == pytest.approx(350e-6)
+
+
+def test_an_uncounted_miss_leaves_the_miss_count_alone():
+    cache = ResultCache()
+    payload = RunRequest("epyc-1p", "bcast", 1024, 32).payload()
+    assert cache.get(payload, count_miss=False) is None
+    assert (cache.hits, cache.misses) == (0, 0)
+    cache.put(payload, 2e-6)
+    assert cache.get(payload, count_miss=False) == 2e-6
+    assert (cache.hits, cache.misses) == (1, 0)

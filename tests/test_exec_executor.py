@@ -210,3 +210,29 @@ def test_evaluator_rides_the_executor(tmp_path):
     assert again == scores
     assert ev.simulations == 2
     ev.close()
+
+
+def test_lookup_answers_store_hits_and_leaves_the_rest():
+    # The store pass run_many starts with, and the one the serve daemon
+    # calls at submit: hits in request order, None for misses and for
+    # instrumented requests, which are never cached.
+    warm = _requests(sizes=(64, 1024))
+    observed = RunRequest("epyc-1p", "bcast", 64, 8, warmup=1, iters=2,
+                          options=RunOptions(data_movement=False,
+                                             observe="spans"))
+    cold = _requests(sizes=(4096,))[0]
+    with Executor(workers=0) as ex:
+        direct = ex.run_many(warm)
+        before = (ex.cache.hits, ex.cache.misses)
+        found = ex.lookup([warm[1], cold, observed, warm[0]],
+                          count_misses=False)
+        assert (ex.cache.hits, ex.cache.misses) == (before[0] + 2,
+                                                     before[1])
+        assert ex.simulations == 2
+        counted = ex.lookup([cold])
+    assert [r is None for r in found] == [False, True, True, False]
+    assert found[0].cached and found[0].latency_s == direct[1].latency_s
+    assert found[3].request is warm[0]
+    assert found[3].latency_s == direct[0].latency_s
+    assert counted == [None]
+    assert ex.cache.misses == before[1] + 1

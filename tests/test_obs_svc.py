@@ -39,6 +39,23 @@ class FakeClock:
         self.t += dt
 
 
+@pytest.fixture(autouse=True)
+def close_event_logs(monkeypatch):
+    """An event log keeps its live file open between appends: close
+    every log a test made once the test is done."""
+    logs = []
+    init = EventLog.__init__
+
+    def tracked(log, *args, **kwargs):
+        init(log, *args, **kwargs)
+        logs.append(log)
+
+    monkeypatch.setattr(EventLog, "__init__", tracked)
+    yield
+    for log in logs:
+        log.close()
+
+
 def make_telemetry(tmp_path=None, **kw):
     clock = FakeClock()
     tel = ServiceTelemetry(MetricsRegistry(), tmp_path, clock=clock, **kw)
@@ -121,6 +138,59 @@ def test_event_log_skips_corrupt_lines_and_none_path(tmp_path):
     assert disabled.segments() == []
     assert disabled.records() == []
     assert disabled.written == 0
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The paths ``repro.obs.svc`` opens during the test."""
+    import repro.obs.svc as svc
+
+    paths = []
+
+    def counting_open(path, *args, **kwargs):
+        paths.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(svc, "open", counting_open, raising=False)
+    return paths
+
+
+def test_event_log_keeps_its_live_file_open(tmp_path, opened):
+    log = EventLog(tmp_path / "state" / "events.jsonl")
+    for i in range(100):
+        log.append({"event": "chunk", "n": i})
+    assert len(opened) == 1
+    # Every line reached the file while the handle is still open.
+    assert [r["n"] for r in log.records()] == list(range(100))
+    log.close()
+    log.append({"event": "done", "n": 100})     # reopens, appends
+    log.close()
+    assert [r["n"] for r in log.records()][-2:] == [99, 100]
+
+
+def test_event_log_reopens_after_each_rotation(tmp_path, opened):
+    path = tmp_path / "events.jsonl"
+    log = EventLog(path, max_bytes=200, keep=2)
+    for i in range(50):
+        log.append({"event": "chunk", "n": i})
+    log.close()
+    assert log.rotations > 2
+    assert len(opened) == log.rotations + 1
+    assert log.segments() == [str(path), f"{path}.1", f"{path}.2"]
+    for segment in log.segments():
+        assert os.path.getsize(segment) <= 200
+    ns = [r["n"] for r in log.records()]
+    assert ns == list(range(ns[0], 50))
+    # A log that opens a non-empty live file counts what is there.
+    live = os.path.getsize(path)
+    record = {"event": "chunk", "n": 50}
+    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    again = EventLog(path, max_bytes=200, keep=2)
+    again.append(record)
+    again.close()
+    assert again.rotations == (1 if live + len(line) > 200 else 0)
+    assert os.path.getsize(path) <= 200
+    assert again.records()[-1] == record
 
 
 # -- lifecycle span trees -----------------------------------------------------
@@ -272,6 +342,52 @@ def test_trace_cap_never_drops_a_live_job(tmp_path):
     # Finished, the sweep is the oldest trace and the next job evicts it.
     run_job(tel, clock, FakeJob(6, "interactive", 1), chunks=1)
     assert tel.job_ids() == [4, 5, 6]
+
+
+def test_job_answered_at_submit_is_traced_and_counted(tmp_path):
+    # The daemon answered every request from the store at submit: the
+    # lookup is the job's one cache-lookup span, under its own root, and
+    # the job waited for no chunk.
+    tel, clock = make_telemetry(tmp_path)
+    job = FakeJob(1, "alice", 3)
+    clock.tick(0.25)                         # the submit-time lookup
+    tel.job_submitted(job, lookup_s=0.25)
+    clock.tick(0.5)
+    tel.job_finished(job, hashes(job))
+
+    trace = tel.get_trace(1)
+    spans = {span.name: span for span in trace.spans}
+    assert sorted(spans) == ["cache-lookup", "job", "publish", "queue-wait"]
+    root, lookup, wait = spans["job"], spans["cache-lookup"], \
+        spans["queue-wait"]
+    assert lookup.parent == wait.parent == root.id
+    assert (lookup.start, lookup.end) == (root.start, root.start + 0.25)
+    assert lookup.args == {"requests": 3}
+    assert wait.start == wait.end == lookup.end
+    assert trace.wall_s == pytest.approx(0.75)
+    m = tel.metrics
+    assert m.get("serve.job.queue_wait_seconds").count == 1
+    assert m.get("serve.job.queue_wait_seconds").sum == 0.0
+    assert m.get("serve.exec.cache_lookup_seconds").count == 1
+    assert m.get("serve.job.latency_seconds").count == 1
+    assert m.get("serve.chunk.execute_seconds").count == 0
+    assert m.value("serve.jobs.completed") == 1
+    assert [r["event"] for r in tel.events.records()] == ["submit", "done"]
+
+
+def test_queue_wait_starts_after_the_submit_time_lookup(tmp_path):
+    tel, clock = make_telemetry(tmp_path)
+    job = FakeJob(1, "alice", 4)
+    clock.tick(0.25)
+    tel.job_submitted(job, lookup_s=0.25)
+    run_chunks(tel, clock, job, chunks=2)
+    m = tel.metrics
+    # Submit-time lookup plus one executor lookup per chunk.
+    assert m.get("serve.exec.cache_lookup_seconds").count == 3
+    assert m.get("serve.job.queue_wait_seconds").sum == pytest.approx(0.5)
+    wait = [s for s in tel.get_trace(1).spans if s.name == "queue-wait"]
+    assert wait[0].end - wait[0].start == pytest.approx(0.5)
+    assert tel.get_trace(1).wall_s == pytest.approx(1.5)
 
 
 def test_job_is_recorded_once(tmp_path):

@@ -7,6 +7,7 @@ sun_path limit rules out pytest's deep tmp_path).
 
 import asyncio
 import json
+import math
 import os
 import shutil
 import socket
@@ -454,5 +455,164 @@ def test_job_of_a_departed_submitter_is_still_recorded():
         assert len(done) == 1 and done[0]["tenant"] == "gone"
         assert status["queue"]["tenant_totals"]["gone"] \
             == {"submitted": 1, "completed": 1}
+    finally:
+        fixture.stop()
+
+
+# -- store hits answered at submit -------------------------------------------
+
+
+def test_warm_job_overtakes_a_running_chunk(monkeypatch):
+    # The worker is held inside a batch tenant's chunk; a job the store
+    # answers whole must still finish, because hits never queue.
+    import repro.exec.executor as executor_module
+
+    execute = executor_module.execute
+    entered, release = threading.Event(), threading.Event()
+
+    def blocking_execute(request):
+        if request.size == 96:
+            entered.set()
+            release.wait(60)
+        return execute(request)
+
+    monkeypatch.setattr(executor_module, "execute", blocking_execute)
+    fixture = DaemonFixture(workers=0, batch_size=2)
+    fixture.start()
+    warm = _payloads()
+    answers = {}
+
+    def submit(tenant, payloads):
+        with ServeClient(fixture.socket_path, timeout=60) as client:
+            answers[tenant] = client.submit(payloads, tenant=tenant)
+
+    batch = threading.Thread(target=submit,
+                             args=("batch", _payloads(sizes=(96,))))
+    interactive = threading.Thread(target=submit,
+                                   args=("interactive", warm))
+    try:
+        with ServeClient(fixture.socket_path, timeout=60) as client:
+            client.submit(warm, tenant="prewarm")
+        batch.start()
+        assert entered.wait(60)
+        interactive.start()
+        interactive.join(timeout=5)
+        assert not interactive.is_alive(), \
+            "the warm job queued behind the running chunk"
+        assert fixture.daemon._busy and "batch" not in answers
+        assert answers["interactive"]["stats"] == {
+            "requests": 2, "new": 0, "cached": 2, "errors": 0}
+    finally:
+        release.set()
+        for thread in (batch, interactive):
+            if thread.ident is not None:      # started
+                thread.join(timeout=60)
+        fixture.stop()
+    assert answers["batch"]["stats"]["new"] == 1
+
+
+def test_mixed_job_answers_hits_at_submit_and_queues_only_misses(served):
+    with ServeClient(served.socket_path) as client:
+        client.submit(_payloads(sizes=(64, 4096)), tenant="alice")
+    sizes = (128, 64, 256, 4096, 512)
+    payloads = _payloads(sizes=sizes)
+    events = []
+    with ServeClient(served.socket_path) as client:
+        done = client.submit(payloads, tenant="bob", on_event=events.append)
+
+    misses = 3
+    assert events[0]["event"] == "accepted"
+    assert events[0]["chunks"] == math.ceil(misses / 2)   # batch_size=2
+    assert [e["event"] for e in events[1:]] == ["progress"] * 2
+    assert done["stats"] == {"requests": 5, "new": 3, "cached": 2,
+                             "errors": 0}
+    assert [r["request"]["size"] for r in done["results"]] == list(sizes)
+    assert [r["provenance"]["cache"] for r in done["results"]] \
+        == ["miss", "hit", "miss", "hit", "miss"]
+    assert [r["cached"] for r in done["results"]] \
+        == [False, True, False, True, False]
+    with Executor(workers=0) as ex:
+        direct = ex.run_many([RunRequest.from_payload(p) for p in payloads])
+    assert [r["latency_s"] for r in done["results"]] \
+        == [r.latency_s for r in direct]
+    (line,) = [r for r in served.daemon.telemetry.events.records()
+               if r["event"] == "done" and r["job"] == done["job"]]
+    assert line["request_hashes"] == [
+        r["provenance"]["request_hash"] for r in done["results"]]
+    assert (line["new"], line["cached"], line["errors"]) == (3, 2, 0)
+
+
+def test_warm_job_is_counted_once_and_runs_no_chunk(served):
+    payloads = _payloads()
+    events = []
+    with ServeClient(served.socket_path) as client:
+        client.submit(payloads, tenant="alice")
+        warm = client.submit(payloads, tenant="bob", on_event=events.append)
+        status = client.status()
+        metrics = client.metrics()["metrics"]
+        trace = client.trace(warm["job"])["trace"]
+
+    assert [e["event"] for e in events] == ["accepted", "progress"]
+    assert events[0]["chunks"] == 0
+    assert events[1]["done"] == events[1]["total"] == 2
+    assert (status["cache"]["hits"], status["cache"]["misses"]) == (2, 2)
+    assert status["executor"]["simulations"] == 2
+    assert metrics["serve.jobs.completed"]["value"] == 2
+    assert metrics["serve.job.latency_seconds"]["count"] == 2
+    assert metrics["serve.job.queue_wait_seconds"]["count"] == 2
+    assert metrics["serve.chunks"]["value"] == 1          # alice's alone
+    assert metrics["serve.results.cached"]["value"] == 2
+    assert metrics["serve.simulations.new"]["value"] == 2
+    assert metrics["serve.cache.hits"]["value"] == 2
+    xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+    assert {e["tid"] for e in xs} == {warm["job"]}
+    assert sorted(e["name"] for e in xs) \
+        == ["cache-lookup", "job", "publish", "queue-wait"]
+    (wait,) = [e for e in xs if e["name"] == "queue-wait"]
+    assert wait["dur"] == 0
+
+
+def test_instrumented_requests_are_never_answered_at_submit(served):
+    plain = _payloads()
+    observed = {**plain[0], "options": {"data_movement": False,
+                                        "observe": "spans"}}
+    events = []
+    with ServeClient(served.socket_path) as client:
+        client.submit(plain, tenant="a")
+        done = client.submit([plain[0], observed, plain[1]], tenant="a",
+                             on_event=events.append)
+    assert events[0]["chunks"] == 1                 # the observed run
+    assert [r["provenance"]["cache"] for r in done["results"]] \
+        == ["hit", "miss", "hit"]
+    assert done["results"][1]["latency_s"] == done["results"][0]["latency_s"]
+    assert done["stats"] == {"requests": 3, "new": 1, "cached": 2,
+                             "errors": 0}
+    assert served.daemon.executor.simulations == 3
+
+
+def test_status_reads_store_totals_without_walking_the_store(monkeypatch):
+    from repro.exec import ResultCache, ShardedStore
+
+    fixture = DaemonFixture(workers=0)
+    root = os.path.join(fixture.dir, "cache")
+    other = ResultCache(root)
+    for i in range(2000):
+        other.put({"point": i}, 1e-6)
+    other.save()
+    fixture.start()
+    scans = []
+    scan = ShardedStore.scan
+    try:
+        with ServeClient(fixture.socket_path, timeout=60) as client:
+            client.submit(_payloads(sizes=(64,)))   # the daemon's first save
+            monkeypatch.setattr(
+                ShardedStore, "scan",
+                lambda store: scans.append(store.root) or scan(store))
+            store = client.status()["store"]
+        assert scans == []
+        fresh = ShardedStore(root)
+        assert (store["entries"], store["bytes"]) == (
+            len(scan(fresh)), sum(st.st_size for _p, st in scan(fresh)))
+        assert store["entries"] == 2001
     finally:
         fixture.stop()

@@ -127,3 +127,33 @@ def test_dispatched_but_unfinished_job_stays_tracked():
     assert sched.pending_requests == 2    # but nothing recorded yet
     sched.record(job, indices, [object(), object()])
     assert sched.pending_requests == 0
+
+
+class _Hit:
+    """A store hit the daemon answered at submit."""
+    cached = True
+    error = None
+
+
+def test_job_arrives_with_store_hits_recorded_and_queues_only_misses():
+    sched = FairScheduler(batch_size=2)
+    answered = [_Hit(), None, _Hit(), None, None, _Hit()]
+    job = sched.submit("a", _reqs(6), answered)
+    assert [list(c) for c in job.chunks] == [[1, 3], [4]]
+    assert (job.done, job.cached, job.new, job.errors) == (3, 3, 0, 0)
+    assert not job.finished
+    assert sched.pending_requests == 3
+    assert sched.tenants()["a"] == {"jobs": 1, "chunks": 2, "requests": 3}
+    assert _drain_order(sched) == [("a", job.id), ("a", job.id)]
+    assert job.finished and job.done == 6
+
+
+def test_job_answered_whole_finishes_without_queueing():
+    sched = FairScheduler(batch_size=2)
+    queued = sched.submit("a", _reqs(2))
+    answered = sched.submit("b", _reqs(3), [_Hit(), _Hit(), _Hit()])
+    assert answered.finished and answered.chunks_left == 0
+    assert (answered.done, answered.cached) == (3, 3)
+    assert answered.id == queued.id + 1
+    assert set(sched.tenants()) == {"a"}
+    assert _drain_order(sched) == [("a", queued.id)]
