@@ -104,17 +104,23 @@ class CacheStats:
 class ResultCache:
     """A persistent {digest: latency} store with hit/miss accounting.
 
-    The API is unchanged from the flat-file era — ``get``/``put`` by
-    payload, ``save()``, ``len()`` — so exec/tune callers are untouched;
-    only the on-disk layout moved to sharded per-entry files. ``len()``
-    and lookups cover the *current* ``SIM_VERSION`` generation only;
-    stale generations are invisible (and reclaimed by eviction).
+    The API is the flat-file era's — ``get``/``put`` by payload (or by
+    its digest, for a caller that has it), ``save()``, ``len()`` — so
+    exec/tune callers are untouched; only the on-disk layout moved to
+    sharded per-entry files. ``len()`` and lookups cover the *current*
+    ``SIM_VERSION`` generation only; stale generations are invisible
+    (and reclaimed by eviction).
 
     One cache is safe to share between threads: the serve daemon's event
     loop answers store hits at submit while its worker thread looks up
     and records a chunk's simulations. ``get``, ``put``, ``save``,
     ``stats``, ``store_info`` and ``len()`` each hold one lock for their
     whole body, and none of them calls another.
+
+    A repeat served from memory refreshes its entry's LRU recency like a
+    read from disk, but not at once: ``get`` records the touch and the
+    next :meth:`save` makes it, before it writes or evicts, so a memory
+    hit makes no system call.
     """
 
     def __init__(self, path: str | os.PathLike | None = None, *,
@@ -123,6 +129,7 @@ class ResultCache:
         self.path = os.fspath(path) if path is not None else None
         self.entries: dict[str, dict] = {}
         self._dirty: set[str] = set()
+        self._touches: set[str] = set()   # memory hits since the last save
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -152,20 +159,24 @@ class ResultCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def get(self, payload: dict, *, count_miss: bool = True) -> float | None:
-        """The stored latency of ``payload``, or ``None``. A hit always
-        counts in :attr:`hits`; a miss counts in :attr:`misses` unless
-        ``count_miss`` is false, for a caller that looks the payload up
-        again later and counts it then."""
-        digest = cache_key(payload)
+    def get(self, payload: dict | None = None, *, digest: str | None = None,
+            count_miss: bool = True) -> float | None:
+        """The stored latency of ``payload``, or ``None``. A caller that
+        has the payload's digest already (``cache_key(payload)``, which
+        :meth:`RunRequest.key` keeps) passes ``digest`` instead. A hit
+        always counts in :attr:`hits`; a miss counts in :attr:`misses`
+        unless ``count_miss`` is false, for a caller that looks the
+        payload up again later and counts it then."""
+        if digest is None:
+            digest = cache_key(payload)
         with self._lock:
             entry = self.entries.get(digest)
             if self.store is not None:
                 if entry is not None:
                     # A memory hit refreshes LRU recency as a disk read
                     # does, or the hottest entries would be the first
-                    # evicted.
-                    self.store.touch(SIM_VERSION, digest)
+                    # evicted; the next save makes the touch.
+                    self._touches.add(digest)
                 else:
                     entry = self.store.read(SIM_VERSION, digest)
                     if entry is not None:
@@ -181,8 +192,12 @@ class ResultCache:
             self.hits += 1
             return entry["latency_s"]
 
-    def put(self, payload: dict, latency_s: float) -> None:
-        digest = cache_key(payload)
+    def put(self, payload: dict, latency_s: float, *,
+            digest: str | None = None) -> None:
+        """Record ``payload``'s latency for the next :meth:`save`;
+        ``digest``, if given, is ``cache_key(payload)``."""
+        if digest is None:
+            digest = cache_key(payload)
         entry = {
             "latency_s": latency_s,
             # The request itself is stored alongside for auditability;
@@ -195,17 +210,22 @@ class ResultCache:
             self._dirty.add(digest)
 
     def save(self) -> None:
-        """Flush dirty entries to the sharded store, evict if that wrote
-        any, and refresh the ledger if any of that (or a quarantine)
-        changed the store since the last ledger write. A save with
-        nothing to flush leaves ``ledger.json`` untouched and never walks
-        the store, bounded or not; one that flushed only new entries
-        walks it only when :meth:`ShardedStore.save_ledger` must rescan
-        or a bound asks :meth:`ShardedStore.evict` to. A no-op without a
+        """Make the recorded LRU touches, flush dirty entries to the
+        sharded store, evict if that wrote any, and refresh the ledger if
+        any of that (or a quarantine) changed the store since the last
+        ledger write. A save with nothing to flush leaves ``ledger.json``
+        untouched and never walks the store, bounded or not, however
+        many touches it makes; one that flushed only new entries walks
+        it only when :meth:`ShardedStore.save_ledger` must rescan or a
+        bound asks :meth:`ShardedStore.evict` to. A no-op without a
         backing path."""
         if self.store is None:
             return
         with self._lock:
+            # A dirty entry is about to be written, which stamps it anyway.
+            for digest in self._touches - self._dirty:
+                self.store.touch(SIM_VERSION, digest)
+            self._touches.clear()
             wrote = bool(self._dirty)
             for digest in sorted(self._dirty):
                 self.store.write(SIM_VERSION, digest, self.entries[digest])

@@ -173,7 +173,7 @@ class Executor:
         get = self.cache.get
         results: list[RunResult | None] = []
         for req in requests:
-            latency = (get(req.payload(), count_miss=count_misses)
+            latency = (get(digest=req.key(), count_miss=count_misses)
                        if req.cacheable else None)
             results.append(None if latency is None else RunResult(
                 request=req, latency_s=latency, cached=True))
@@ -185,8 +185,9 @@ class Executor:
 
         Cacheable requests are answered from the store when possible
         (:meth:`lookup`) and recorded into it when not. Identical
-        requests within one call are simulated once. Slots dropped by the
-        budget are ``None``.
+        requests within one call are simulated once; a duplicate shares
+        its first copy's latency and error, and counts as cached only if
+        that run did not fail. Slots dropped by the budget are ``None``.
         """
         requests = list(requests)
         todo: list[tuple[int, RunRequest]] = []
@@ -217,11 +218,13 @@ class Executor:
                                len(todo))
         for first, extra_idx in duplicates.items():
             primary = results[first]
+            if primary is None:
+                continue
             for i in extra_idx:
-                if primary is not None:
-                    results[i] = RunResult(request=requests[i],
-                                           latency_s=primary.latency_s,
-                                           cached=True)
+                results[i] = RunResult(request=requests[i],
+                                       latency_s=primary.latency_s,
+                                       cached=primary.error is None,
+                                       error=primary.error)
         return results
 
     def _execute_todo(self, todo: list[tuple[int, RunRequest]],
@@ -231,7 +234,7 @@ class Executor:
         done = 0
         if nworkers <= 1:
             for i, req in todo:
-                self._record(i, execute(req), results)
+                self._record(i, req, execute(req), results)
                 done += 1
                 self._report(done, total)
             return
@@ -243,16 +246,19 @@ class Executor:
         }
         for future in concurrent.futures.as_completed(futures):
             batch = futures[future]
-            for (i, _req), result in zip(batch, future.result()):
-                self._record(i, result, results)
+            for (i, req), result in zip(batch, future.result()):
+                self._record(i, req, result, results)
             done += len(batch)
             self._report(done, total)
 
-    def _record(self, index: int, result: RunResult,
+    def _record(self, index: int, request: RunRequest, result: RunResult,
                 results: "list[RunResult | None]") -> None:
+        # ``request``, not ``result.request``: a pool worker returns an
+        # unpickled copy, which has lost the key memo.
         self.simulations += 1
-        if result.request.cacheable and result.latency_s is not None:
-            self.cache.put(result.request.payload(), result.latency_s)
+        if request.cacheable and result.latency_s is not None:
+            self.cache.put(request.payload(), result.latency_s,
+                           digest=request.key())
         results[index] = result
 
     def _report(self, done: int, total: int) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from ..options import RunOptions
 from ..shmem.smsc import SmscConfig
+from . import cache as _cache
 from .cache import cache_key
 
 #: Collective kinds the OSU driver implements, plus the two-rank
@@ -26,6 +27,10 @@ RUN_KINDS = ("bcast", "allreduce", "reduce", "barrier", "gather",
 #: Every request's default options: latency only, no data movement.
 #: ``RunOptions`` is frozen, so all requests share this one instance.
 _LATENCY_ONLY = RunOptions(data_movement=False)
+
+#: Where :meth:`RunRequest.key` keeps its ``(SIM_VERSION, digest)`` memo:
+#: the instance ``__dict__``, outside the dataclass fields.
+_KEY_MEMO = "_key_memo"
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,23 @@ class RunRequest:
         }
 
     def key(self) -> str:
-        """Content-address of this request (includes ``SIM_VERSION``)."""
-        return cache_key(self.payload())
+        """Content-address of this request (includes ``SIM_VERSION``).
+
+        Hashed once per ``SIM_VERSION``: the store lookup, the store
+        write and the served provenance of one request share the digest.
+        The memo is not a field, so ``eq``, ``hash``, ``repr``,
+        ``dataclasses.replace`` and pickling never see it."""
+        version = _cache.SIM_VERSION
+        memo = self.__dict__.get(_KEY_MEMO)
+        if memo is None or memo[0] != version:
+            memo = self.__dict__[_KEY_MEMO] = (version,
+                                               cache_key(self.payload()))
+        return memo[1]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(_KEY_MEMO, None)
+        return state
 
     @classmethod
     def from_payload(cls, data: dict) -> "RunRequest":

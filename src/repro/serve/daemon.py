@@ -401,9 +401,15 @@ class ServeDaemon:
         # Store hits are answered here, on the event loop; only the
         # misses queue for the worker. Their chunk looks them up again,
         # which counts them, and catches a request another job has
-        # simulated since.
+        # simulated since. A memory hit's LRU touch (a system call, which
+        # could hand the GIL to a simulating worker) waits for the next
+        # save: the running chunk's, or, with no chunk running and so no
+        # thread to take the GIL, this one. It writes no entry, because
+        # every chunk saved its results when it finished.
         lookup_t0 = time.monotonic()
         answered = self.executor.lookup(requests, count_misses=False)
+        if not self._busy:
+            self.executor.cache.save()
         lookup_s = time.monotonic() - lookup_t0
         job = self.scheduler.submit(tenant, requests, answered)
         self.telemetry.job_submitted(job, lookup_s)
@@ -416,17 +422,18 @@ class ServeDaemon:
             await self._publish_progress(job)
         else:
             self._work.set()
-        self.log(f"job {job.id} from {tenant!r}: "
-                 f"{job.total} request(s), {job.chunks_left} chunk(s)")
+        # Every event already queued goes out in one write: an all-hit
+        # job's accepted, progress and done, or a job's last progress
+        # and its done.
+        burst = [{"event": "accepted", "job": job.id, "tenant": tenant,
+                  "total": job.total, "chunks": job.chunks_left}]
         try:
-            await write_message(writer, {
-                "event": "accepted", "job": job.id, "tenant": tenant,
-                "total": job.total, "chunks": job.chunks_left,
-            })
             while True:
-                event = await events.get()
-                await write_message(writer, event)
-                if event.get("event") == "done":
+                while not events.empty():
+                    burst.append(events.get_nowait())
+                await write_message(writer, *burst)
+                if burst[-1]["event"] == "done":
                     return
+                burst = [await events.get()]
         finally:
             self._events.pop(job.id, None)

@@ -5,7 +5,8 @@ debuggable with ``nc -U`` and robust to partial reads. Clients send
 *request* objects (``{"op": ..., ...}``); the daemon answers with one or
 more *event* objects (``{"event": ..., ...}``) where the final event for
 a request is always ``done``, ``error`` or ``bye``. Streaming requests
-(``submit``) interleave ``progress`` events before the terminal one.
+(``submit``) interleave ``progress`` events before the terminal one;
+events that are ready together arrive in one write.
 
 Operations
 ----------
@@ -82,8 +83,11 @@ async def read_message(reader: asyncio.StreamReader) -> dict | None:
     return decode(line)
 
 
-async def write_message(writer: asyncio.StreamWriter, message: dict) -> None:
-    writer.write(encode(message))
+async def write_message(writer: asyncio.StreamWriter,
+                        *messages: dict) -> None:
+    """Send one or more messages with one write and one drain, so events
+    that are ready together cost the socket one system call."""
+    writer.write(b"".join(map(encode, messages)))
     await writer.drain()
 
 

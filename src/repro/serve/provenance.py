@@ -14,7 +14,8 @@ therefore carries a provenance block::
 
 ``request_hash`` is exactly :meth:`RunRequest.key` — the same digest the
 sharded store files the entry under, so a served answer can be traced to
-its on-disk entry byte-for-byte. ``config_digest`` hashes only the
+its on-disk entry byte-for-byte (and the digest the store lookup already
+computed, which the request keeps). ``config_digest`` hashes only the
 component identity (name + explicit config), letting clients group
 results by configuration across sizes and systems.
 
@@ -28,6 +29,7 @@ to tie published artifacts back to exact requests (see
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -38,9 +40,22 @@ from ..exec.request import RunRequest, RunResult
 def config_digest(request: RunRequest) -> str:
     """Digest of the component identity (registry name + explicit
     config), stable across dict orderings and processes."""
-    spec = {"component": request.component, "config": request.config}
+    if request.config is None:
+        return _registry_digest(request.component)
+    return _spec_digest(request.component, request.config)
+
+
+def _spec_digest(component: str, config: "dict | None") -> str:
+    spec = {"component": component, "config": config}
     canon = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=256)
+def _registry_digest(component: str) -> str:
+    """A registry component's digest, hashed once per name, not per
+    served point."""
+    return _spec_digest(component, None)
 
 
 def provenance_for(request: RunRequest,

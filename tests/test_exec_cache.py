@@ -250,3 +250,129 @@ def test_an_uncounted_miss_leaves_the_miss_count_alone():
     cache.put(payload, 2e-6)
     assert cache.get(payload, count_miss=False) == 2e-6
     assert (cache.hits, cache.misses) == (1, 0)
+
+
+# -- one hash per request -------------------------------------------------------
+
+
+def test_a_request_is_hashed_once_per_sim_version(monkeypatch):
+    # The store lookup, the served provenance and every caller of key()
+    # share one digest; a SIM_VERSION change re-keys the request.
+    import repro.exec.cache as cache_mod
+    import repro.exec.request as request_mod
+    from repro.exec import Executor
+    from repro.serve import result_to_json
+
+    payload = RunRequest("epyc-1p", "bcast", 1024, 32).payload()
+    cache = ResultCache()
+    cache.put(payload, 2e-6)
+    req = RunRequest.from_payload(payload)
+    hashed = []
+    real = cache_mod.cache_key
+
+    def counting(p):
+        hashed.append(p)
+        return real(p)
+
+    monkeypatch.setattr(cache_mod, "cache_key", counting)
+    monkeypatch.setattr(request_mod, "cache_key", counting)
+    digest = req.key()
+    assert req.key() == digest
+    (hit,) = Executor(workers=0, cache=cache).lookup([req])
+    assert (hit.latency_s, hit.cached) == (2e-6, True)
+    assert result_to_json(req, hit)["provenance"]["request_hash"] == digest
+    assert len(hashed) == 1
+    monkeypatch.setattr(cache_mod, "SIM_VERSION", SIM_VERSION + 1)
+    assert req.key() != digest
+    assert len(hashed) == 2
+
+
+def test_key_memo_is_invisible_to_dataclass_machinery():
+    import copy
+    import dataclasses
+    import pickle
+
+    fields = {f.name for f in dataclasses.fields(RunRequest)}
+    fresh = RunRequest("epyc-1p", "bcast", 1024, 32)
+    keyed = RunRequest("epyc-1p", "bcast", 1024, 32)
+    # perfbench/run.py --self-test rebuilds requests from vars().
+    assert set(vars(fresh)) == fields
+    assert RunRequest(**{**vars(fresh), "nranks": 16}).nranks == 16
+    digest = keyed.key()
+    assert keyed == fresh and hash(keyed) == hash(fresh)
+    assert repr(keyed) == repr(fresh)
+    assert pickle.dumps(keyed) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(keyed)), copy.copy(keyed),
+                  copy.deepcopy(keyed)):
+        assert clone == keyed and set(vars(clone)) == fields
+        assert clone.key() == digest
+    bigger = dataclasses.replace(keyed, size=2048)
+    assert set(vars(bigger)) == fields
+    assert bigger.key() == RunRequest("epyc-1p", "bcast", 2048, 32).key()
+    assert bigger.key() != digest
+
+
+# -- deferred LRU touches under contention -------------------------------------
+
+
+def test_concurrent_hits_and_saves_lose_no_touch(tmp_path):
+    # Every hit digest is served once, from memory, while other threads
+    # save; a touch recorded between a save's touches and its reset
+    # would leave its entry with the old stamp. More threads than cores,
+    # a short switch interval and hitters that yield every few gets make
+    # that interleaving likely.
+    import threading
+    import time
+
+    cache = ResultCache(tmp_path)
+    digests = [cache_key({"point": i}) for i in range(600)]
+    for i, digest in enumerate(digests):
+        cache.put({"point": i}, 1e-6, digest=digest)
+    cache.save()
+    old = 1_000_000_000                       # one second after the epoch
+    for digest in digests:
+        os.utime(cache.store.entry_path(SIM_VERSION, digest), ns=(old, old))
+    getters, nsavers = (os.cpu_count() or 1) + 2, 2
+    failures, served = [], threading.Event()
+    start = threading.Barrier(getters + nsavers, timeout=60)
+
+    def hit(share):
+        try:
+            start.wait()
+            for n, digest in enumerate(share):
+                assert cache.get(digest=digest) == 1e-6
+                if n % 8 == 7:
+                    time.sleep(0)
+        except Exception as exc:      # reported by the main thread
+            failures.append(exc)
+
+    def save():
+        try:
+            start.wait()
+            while not served.is_set():
+                cache.save()
+        except Exception as exc:
+            failures.append(exc)
+
+    hitters = [threading.Thread(target=hit, args=(digests[n::getters],))
+               for n in range(getters)]
+    savers = [threading.Thread(target=save) for _ in range(nsavers)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in savers + hitters:
+            thread.start()
+        for thread in hitters:
+            thread.join(timeout=60)
+        served.set()
+        for thread in savers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in savers + hitters)
+    assert failures == []
+    assert cache.hits == len(digests)
+    cache.save()
+    stale = [d for d in digests if os.stat(cache.store.entry_path(
+        SIM_VERSION, d)).st_mtime_ns == old]
+    assert stale == []

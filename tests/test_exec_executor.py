@@ -69,6 +69,24 @@ def test_in_call_dedupe_simulates_once():
     assert [r.cached for r in results] == [False, True, True]
 
 
+def test_a_duplicate_of_a_failed_request_carries_its_error(monkeypatch):
+    # A run that fails (say, the drain-time deadlock check) has no
+    # latency; its in-call duplicate must fail with it, not read as a hit.
+    import repro.exec.executor as executor_module
+    from repro.exec import RunResult
+
+    error = {"type": "DeadlockError", "message": "cycle", "cycle": [0, 1]}
+    monkeypatch.setattr(
+        executor_module, "execute",
+        lambda req: RunResult(request=req, latency_s=None, error=error))
+    req = _requests(sizes=(1024,))[0]
+    with Executor(workers=0) as ex:
+        results = ex.run_many([req, req])
+    assert ex.simulations == 1
+    assert [(r.latency_s, r.cached, r.error) for r in results] \
+        == [(None, False, error)] * 2
+
+
 def test_budget_drops_excess_requests():
     reqs = _requests()
     with Executor(workers=0, budget=2) as ex:

@@ -537,8 +537,10 @@ def _saved_cache(tmp_path, n=2):
     return cache, payloads
 
 
+@pytest.mark.parametrize("touches", ["made", "pending"])
 def test_clean_save_leaves_ledger_untouched_and_skips_scan(tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           touches):
     cache, payloads = _saved_cache(tmp_path)
     ledger_path = cache.store.ledger_path
     with open(ledger_path, "rb") as fh:
@@ -546,6 +548,8 @@ def test_clean_save_leaves_ledger_untouched_and_skips_scan(tmp_path,
     mtime_before = os.stat(ledger_path).st_mtime_ns
     # An all-hit chunk: every lookup served, nothing new to flush.
     assert all(cache.get(p) == pytest.approx(1e-6) for p in payloads)
+    if touches == "made":
+        cache.save()
 
     def no_scan(self):
         raise AssertionError("clean save walked the store")
@@ -846,3 +850,22 @@ def test_memory_hit_on_an_unflushed_entry_is_harmless(tmp_path):
         assert cache.get(payload) == pytest.approx(1e-6)
     assert not os.path.exists(
         cache.store.entry_path(SIM_VERSION, cache_key(payload)))
+
+
+def test_memory_hits_touch_at_the_next_save_once_per_digest(tmp_path,
+                                                            monkeypatch):
+    cache, payloads = _saved_cache(tmp_path)
+    utimes = []
+    utime = os.utime
+    monkeypatch.setattr(
+        os, "utime",
+        lambda path, *a, **k: utimes.append(path) or utime(path, *a, **k))
+    for i in (0, 1, 0, 0, 1):
+        assert cache.get(payloads[i]) == pytest.approx(1e-6)
+    assert utimes == []
+    cache.save()
+    assert sorted(utimes) == sorted(
+        cache.store.entry_path(SIM_VERSION, cache_key(p)) for p in payloads)
+    utimes.clear()
+    cache.save()
+    assert utimes == []

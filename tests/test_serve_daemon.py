@@ -194,6 +194,46 @@ def test_component_error_is_per_request_not_fatal(served):
         == done["stats"]["cached"]
 
 
+def test_duplicate_of_a_failed_request_is_an_error_not_a_hit(served,
+                                                            monkeypatch):
+    import repro.exec.executor as executor_module
+    from repro.exec import RunResult
+
+    monkeypatch.setattr(
+        executor_module, "execute",
+        lambda req: RunResult(request=req, latency_s=None, error={
+            "type": "DeadlockError", "message": "cycle"}))
+    payload = _payloads(sizes=(64,))[0]
+    with ServeClient(served.socket_path) as client:
+        done = client.submit([payload, payload], tenant="a")
+    assert done["stats"] == {"requests": 2, "new": 0, "cached": 0,
+                             "errors": 2}
+    for result in done["results"]:
+        assert result["provenance"]["cache"] == "error"
+        assert (result["latency_s"], result["cached"]) == (None, False)
+        assert result["error"]["type"] == "DeadlockError"
+
+
+def test_submit_logs_no_line_per_job():
+    # The event log records every job; the daemon's log keeps its
+    # lifecycle lines and the per-request failures.
+    lines = []
+    fixture = DaemonFixture(workers=0, batch_size=2, log=lines.append)
+    fixture.start()
+    try:
+        with ServeClient(fixture.socket_path) as client:
+            client.submit(_payloads(), tenant="a")        # simulated
+            client.submit(_payloads(), tenant="b")        # all hits
+            assert len(lines) == 1 and lines[0].startswith("listening")
+            client.submit(_payloads(sizes=(64,),
+                                    component="no-such-component"),
+                          tenant="c")
+        assert len(lines) == 2 and "failed" in lines[1]
+    finally:
+        fixture.stop()
+    assert lines[-1] == "stopped"
+
+
 def test_request_the_smsc_mechanism_cannot_serve_fails_alone(served):
     from repro.shmem.smsc import SmscConfig
 
@@ -509,6 +549,94 @@ def test_warm_job_overtakes_a_running_chunk(monkeypatch):
                 thread.join(timeout=60)
         fixture.stop()
     assert answers["batch"]["stats"]["new"] == 1
+
+
+class HeldChunk:
+    """The harness of test_warm_job_overtakes_a_running_chunk: a daemon
+    whose worker is held inside a batch tenant's chunk (its one request
+    of size 96) until :meth:`finish_chunk`, after a prewarm job stored
+    ``_payloads()``."""
+
+    def __init__(self, monkeypatch):
+        import repro.exec.executor as executor_module
+
+        execute = executor_module.execute
+        self.entered, self.release = threading.Event(), threading.Event()
+
+        def blocking_execute(request):
+            if request.size == 96:
+                self.entered.set()
+                self.release.wait(60)
+            return execute(request)
+
+        monkeypatch.setattr(executor_module, "execute", blocking_execute)
+        self.fixture = DaemonFixture(workers=0, batch_size=2)
+        self.answers = {}
+        self.batch = threading.Thread(
+            target=self.submit, args=("batch", _payloads(sizes=(96,))))
+
+    def submit(self, tenant, payloads):
+        with ServeClient(self.fixture.socket_path, timeout=60) as client:
+            self.answers[tenant] = client.submit(payloads, tenant=tenant)
+        return self.answers[tenant]
+
+    def __enter__(self):
+        self.fixture.start()
+        try:
+            self.submit("prewarm", _payloads())
+            self.batch.start()
+            assert self.entered.wait(60)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def finish_chunk(self):
+        self.release.set()
+        self.batch.join(timeout=60)
+        return self.answers["batch"]
+
+    def __exit__(self, *exc):
+        self.release.set()
+        if self.batch.ident is not None:        # started
+            self.batch.join(timeout=60)
+        self.fixture.stop()
+
+
+def test_hits_answered_during_a_chunk_are_touched_by_its_save(monkeypatch):
+    from repro.exec import ShardedStore
+
+    touched = []
+    touch = ShardedStore.touch
+    monkeypatch.setattr(
+        ShardedStore, "touch",
+        lambda store, version, digest:
+            touched.append(digest) or touch(store, version, digest))
+    with HeldChunk(monkeypatch) as held:
+        warm = held.submit("interactive", _payloads())
+        assert warm["stats"]["cached"] == 2
+        assert held.fixture.daemon._busy
+        assert touched == []
+        assert held.finish_chunk()["stats"]["new"] == 1
+        assert sorted(touched) == sorted(
+            r["provenance"]["request_hash"] for r in warm["results"])
+
+
+def test_an_all_hit_job_reaches_its_socket_in_one_write(monkeypatch):
+    writes = []
+    write = asyncio.StreamWriter.write
+    monkeypatch.setattr(
+        asyncio.StreamWriter, "write",
+        lambda writer, data: writes.append(bytes(data)) or write(writer,
+                                                                 data))
+    with HeldChunk(monkeypatch) as held:
+        warm = held.submit("interactive", _payloads())
+    ours = [[json.loads(line) for line in data.splitlines()]
+            for data in writes if any(
+                json.loads(line).get("job") == warm["job"]
+                for line in data.splitlines())]
+    assert [[e["event"] for e in events] for events in ours] \
+        == [["accepted", "progress", "done"]]
 
 
 def test_mixed_job_answers_hits_at_submit_and_queues_only_misses(served):
